@@ -1,7 +1,7 @@
 """Tests of the benchmark itself: percentile rule, metric names, failure
 counting, the naive references, the tracer, and a tiny run of each workload.
 
-They reuse the wolstenholme modules already imported by the test session
+They reuse the wolstenholme modules that pytest has already imported
 (`run.set_up` re-imports the package, so it is not called here).
 """
 
