@@ -1,6 +1,6 @@
 """Benchmark of the wolstenholme package: one workload, one seed, one run.
 
-    python3 perfbench/run.py --workload identity-sweep --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload identity-sweep --seed 1 --seconds 25 --trace 0
 
 The package is imported from `src/` beside this directory.  A run sets up
 15 times and reports the median set-up time, then sends whole passes of
