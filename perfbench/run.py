@@ -1,19 +1,20 @@
 """Benchmark of the wolstenholme package: one workload, one seed, one run.
 
-    python3 perfbench/run.py --workload identity-sweep --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload identity-sweep --seed 1 --seconds 20 --trace 0
 
 The package is imported from `src/` beside this directory.  A run sets up
 15 times and reports the median set-up time, then sends whole passes of
 the workload's requests through `wolstenholme.cli.main`, checking every
-output, until the next pass would end after `--seconds`.  The last line of
-stdout is the result: {"correct", "attempted", "failed", "metrics"}.  The
-line before it records the seed, the interpreter, nproc, the worker threads
-and the per-kind latencies.
+output, until `--seconds` have passed, ending on a whole pass.  A calibration
+probe runs after every request; request times are reported both as measured
+and calibrated by it.  The last line of stdout is the result: {"correct",
+"attempted", "failed", "metrics"}.  The line before it records the seed,
+the interpreter, nproc, the worker threads and the per-kind latencies.
 
 With `--trace 0` the metrics are the end-to-end ones of BENCHMARK.json.
-With `--trace 1` the run pins one worker thread, times the first passes
-untraced, runs them again under `tracing.Tracer`, and reports the per-layer
-metrics instead.
+With `--trace 1` the run times the first passes untraced, runs them again
+under `tracing.Tracer`, and reports the per-layer metrics instead.  Every
+run uses one worker thread.
 """
 
 from __future__ import annotations
@@ -53,11 +54,52 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+# The calibration probe: a fixed piece of pure-Python work that the
+# benchmark times before the first request and after every request.  Half
+# of it is modular powers (C arithmetic), half small-int steps through calls,
+# indexing and a dict (interpreter dispatch); together they follow the
+# package's speed more closely than either alone.  It uses no package code,
+# so no change to the package can move it; it allocates no containers and
+# runs with the collector paused, so the package's heap cannot either.  What
+# moves it is the machine: on a shared host the speed of one vCPU drifts by
+# a fifth from minute to minute.  Calibrated times divide that drift out.
+REF_PROBE_S = 0.001  # the probe's time at the reference speed
+_SLOTS = dict.fromkeys(range(97), 0)
+_ROW = tuple(range(1009))
+
+
+def _power(k: int, p: int) -> int:
+    return pow(k, 37, p) * pow(k + 3, p - 12, p) % p
+
+
+def _step(a: int, b: int, p: int) -> int:
+    return (a * b + 1) % p
+
+
+def probe() -> float:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        acc = 0
+        for k in range(1, 200):
+            acc = (acc + _power(k, 1009) * k) % 1009
+        for k in range(1, 1200):
+            acc = _step(acc, _ROW[k % 1009], 1009)
+            _SLOTS[k % 97] = (_SLOTS[k % 97] + acc) % 1009
+        return time.perf_counter() - t0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass
 class Tally:
-    """What a sequence of requests did: latencies by kind and the outcome."""
+    """What a sequence of requests did: latencies, probes and the outcome."""
 
-    latencies: dict = field(default_factory=dict)
+    # (kind, wall seconds, index in `probes` of the probe just before it)
+    samples: list = field(default_factory=list)
+    probes: list = field(default_factory=list)
     attempted: int = 0
     failed: int = 0
     instances: int = 0
@@ -69,11 +111,21 @@ class Tally:
 
     @property
     def busy(self) -> float:
-        return sum(sum(v) for v in self.latencies.values())
+        return sum(dt for _, dt, _ in self.samples)
 
     @property
     def requests(self) -> int:
-        return sum(len(v) for v in self.latencies.values())
+        return len(self.samples)
+
+    def calibrated(self) -> list[tuple[str, float]]:
+        """(kind, seconds at the reference speed) of every request: its wall
+        time scaled by REF_PROBE_S over the median of the six probes around
+        it, three before and three after."""
+        out = []
+        for kind, dt, i in self.samples:
+            around = statistics.median(self.probes[max(0, i - 2): i + 4])
+            out.append((kind, dt * REF_PROBE_S / around))
+        return out
 
 
 def run_request(cli, req, tally: Tally) -> None:
@@ -90,7 +142,8 @@ def run_request(cli, req, tally: Tally) -> None:
     except Exception as exc:  # a crashed request is counted, not fatal
         code = f"{type(exc).__name__}: {exc}"
     dt = time.perf_counter() - t0
-    tally.latencies.setdefault(req.kind, []).append(dt)
+    tally.samples.append((req.kind, dt, len(tally.probes) - 1))
+    tally.probes.append(probe())
     tally.attempted += req.ops
     try:
         instances, errors = req.check(out.getvalue())
@@ -109,21 +162,21 @@ def run_request(cli, req, tally: Tally) -> None:
 def run_passes(cli, passes, seconds: float, tally: Tally,
                count: int | None = None) -> tuple[int, float]:
     """Run the passes in order, cycling, until `count` are done or, with no
-    count, until the next pass would end after `seconds`; at least one.
+    count, until `seconds` have passed; at least one, and always whole
+    passes, so that every run weighs the requests of a pass alike.
     Returns (passes run, wall seconds)."""
     start = time.perf_counter()
-    durations: list[float] = []
-    while count is None or len(durations) < count:
-        elapsed = time.perf_counter() - start
-        if count is None and durations and elapsed + statistics.mean(durations) > seconds:
+    done = 0
+    tally.probes.append(probe())
+    while count is None or done < count:
+        if count is None and done and time.perf_counter() - start >= seconds:
             break
-        t0 = time.perf_counter()
-        for req in passes[len(durations) % len(passes)]:
+        for req in passes[done % len(passes)]:
             run_request(cli, req, tally)
-        durations.append(time.perf_counter() - t0)
+        done += 1
         if tally.first_pass_rss_mb is None:
             tally.first_pass_rss_mb = peak_rss_mb()
-    return len(durations), time.perf_counter() - start
+    return done, time.perf_counter() - start
 
 
 def set_up(workload, seed: int):
@@ -143,13 +196,13 @@ def set_up(workload, seed: int):
     return time.perf_counter() - t0, cli, passes
 
 
-def latency_summary(tally: Tally) -> dict:
-    out = {}
-    for kind, xs in sorted(tally.latencies.items()):
-        ms = [x * 1000 for x in xs]
-        out[kind] = {"n": len(ms), "p50_ms": statistics.median(ms),
-                     "p90_ms": percentile(ms, 90)}
-    return out
+def latency_summary(samples) -> dict:
+    by_kind: dict[str, list[float]] = {}
+    for kind, seconds in samples:
+        by_kind.setdefault(kind, []).append(seconds * 1000)
+    return {kind: {"n": len(ms), "p50_ms": statistics.median(ms),
+                   "p90_ms": percentile(ms, 90)}
+            for kind, ms in sorted(by_kind.items())}
 
 
 def main(argv=None) -> int:
@@ -173,13 +226,19 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     nproc = len(os.sched_getaffinity(0))
-    if workload.threaded:
-        os.environ["WOLSTENHOLME_THREADS"] = "1" if args.trace else str(nproc)
+    # One worker thread: every verify request is one (theorem, prime), which
+    # the package runs without its pool anyway, and on a shared host more
+    # threads than cores measure the scheduler, not the program.
+    os.environ["WOLSTENHOLME_THREADS"] = "1"
 
-    setups = []
+    setups, setups_cal = [], []
+    before = probe()
     for _ in range(SETUP_REPEATS):
         seconds, cli, passes = set_up(workload, args.seed)
+        after = probe()
         setups.append(seconds)
+        setups_cal.append(seconds * REF_PROBE_S / ((before + after) / 2))
+        before = after
 
     tally = Tally()
     info = {
@@ -211,21 +270,29 @@ def main(argv=None) -> int:
     else:
         done, wall = run_passes(cli, passes, args.seconds, tally)
         correct = tally.failed == 0
-        busy = tally.busy
+        raw = [(kind, dt) for kind, dt, _ in tally.samples]
+        cal = tally.calibrated()
         info.update(
             passes=done,
             requests=tally.requests,
             measured_s=wall,
             instances=tally.instances,
-            instances_per_s=tally.instances / busy,
-            latency=latency_summary(tally),
+            instances_per_s=tally.instances / tally.busy,
+            instances_per_cal_s=tally.instances / sum(dt for _, dt in cal),
+            probe_ms=statistics.median(tally.probes) * 1000,
+            setup_s=statistics.median(setups),
+            requests_per_s=tally.requests / tally.busy,
+            request_geomean_ms=statistics.geometric_mean(dt for _, dt in raw) * 1000,
+            latency=latency_summary(raw),
+            latency_cal=latency_summary(cal),
             peak_rss_mb_at_end=peak_rss_mb(),
         )
-        all_ms = [x * 1000 for xs in tally.latencies.values() for x in xs]
         metrics = {
-            "setup_s": {"value": statistics.median(setups), "unit": "s"},
-            "requests_per_s": {"value": tally.requests / busy, "unit": "1/s"},
-            "request_p50_ms": {"value": statistics.median(all_ms), "unit": "ms"},
+            "setup_s": {"value": statistics.median(setups_cal), "unit": "s"},
+            "requests_per_cal_s": {"value": len(cal) / sum(dt for _, dt in cal),
+                                   "unit": "1/s"},
+            "request_geomean_cal_ms": {
+                "value": statistics.geometric_mean(dt for _, dt in cal) * 1000, "unit": "ms"},
             "peak_rss_mb": {"value": tally.first_pass_rss_mb, "unit": "MB"},
         }
     info.update(fail_ratio=tally.failed / tally.attempted, errors=tally.errors)

@@ -176,6 +176,22 @@ def test_smoke(passes):
     tally = run_once(passes)
     assert tally.failed == 0, tally.errors
     assert tally.attempted == sum(r.ops for r in passes[0])
+    assert len(tally.probes) == tally.requests + 1
+
+
+def test_verify_sweeps_send_one_request_per_theorem_and_prime():
+    (sweep,) = workloads.identity_sweep(1)
+    pairs = [(r.argv[r.argv.index("--theorems") + 1], int(r.argv[r.argv.index("--primes") + 1]))
+             for r in sweep]
+    assert pairs == [(t, p) for t in workloads.IDENTITY_IDS for p in workloads.IDENTITY_PRIMES]
+    assert all(r.ops == 1 for r in sweep)
+
+
+def test_calibration_divides_out_the_probe():
+    slow = 2 * run.REF_PROBE_S
+    tally = run.Tally(samples=[("eval", 0.010, 0), ("table", 0.030, 1)], probes=[slow] * 3)
+    assert tally.calibrated() == [("eval", pytest.approx(0.005)), ("table", pytest.approx(0.015))]
+    assert tally.busy == pytest.approx(0.040)
 
 
 def test_cli_block_covers_every_cell_and_format():

@@ -91,7 +91,6 @@ class Workload:
     why: str
     primes: tuple[int, ...]  # validated with make_prime during set-up
     passes: Callable[[int], list[list[Request]]]  # seed -> passes of a run
-    threaded: bool  # verify workloads run WOLSTENHOLME_THREADS = nproc workers
     expect: tuple[str, ...]  # layers and functions a traced run must see called
 
 
@@ -125,28 +124,33 @@ def verify_request(ids, primes, budget: int, seed: int, grids: dict) -> Request:
     return Request("verify", argv, len(grids), partial(check_verify, grids))
 
 
+def verify_pass(ids, primes, budget: int, seed: int, grids: dict) -> list[Request]:
+    """One request per (theorem, prime), as `verify --theorems T --primes p`
+    runs it.  The package builds a fresh `Prime` for every (theorem, prime)
+    either way, so splitting the sweep changes no cache's life; it gives a
+    run many latencies instead of one or two."""
+    return [verify_request((t,), (p,), budget, seed, {(t, p): grids[t, p]})
+            for t in ids for p in primes]
+
+
 def identity_sweep(seed: int, primes=IDENTITY_PRIMES) -> list[list[Request]]:
     grids = _pinned(IDENTITY_GRIDS, IDENTITY_PRIMES, IDENTITY_IDS, primes)
-    return [[verify_request(IDENTITY_IDS, primes, EXHAUSTIVE_BUDGET, seed, grids)]]
+    return [verify_pass(IDENTITY_IDS, primes, EXHAUSTIVE_BUDGET, seed, grids)]
 
 
 def closed_sweep(seed: int, ids=CLOSED_IDS, primes=CLOSED_PRIMES) -> list[list[Request]]:
     grids = _pinned(CLOSED_GRIDS, CLOSED_PRIMES, ids, primes)
-    return [[verify_request(ids, primes, DEFAULT_BUDGET, seed, grids)]]
+    return [verify_pass(ids, primes, DEFAULT_BUDGET, seed, grids)]
 
 
 def sampled_verify(seed: int, p: int = 257, big_p: int = 1009,
                    budget: int = SAMPLED_BUDGET,
                    general_budget: int = GENERAL_BUDGET) -> list[list[Request]]:
-    def request(ids, q, b):
-        grids = {(t, q): sampled_grid(t, b) for t in ids}
-        return verify_request(ids, (q,), b, seed, grids)
+    def requests(ids, q, b):
+        return verify_pass(ids, (q,), b, seed, {(t, q): sampled_grid(t, b) for t in ids})
 
-    return [[
-        request(SAMPLED_IDS, p, budget),
-        request(GENERAL_IDS, p, general_budget),
-        request(("thm3.13", "cor3.12"), big_p, budget),
-    ]]
+    return [requests(SAMPLED_IDS, p, budget) + requests(GENERAL_IDS, p, general_budget)
+            + requests(("thm3.13", "cor3.12"), big_p, budget)]
 
 
 # --- eval -------------------------------------------------------------------
@@ -326,26 +330,26 @@ WORKLOADS = {
         Workload(
             "identity-sweep",
             "exhaustive identity suite at p = 5..19: comp_sides over hot weighted_row caches",
-            IDENTITY_PRIMES, identity_sweep, True,
+            IDENTITY_PRIMES, identity_sweep,
             ("cli", "verify", "identities", "modarith.Prime.weighted_row"),
         ),
         Workload(
             "closed-sweep",
             "every non-identity theorem at p = 11, 13: brute oracle and closed forms, no identities",
-            CLOSED_PRIMES, closed_sweep, True,
+            CLOSED_PRIMES, closed_sweep,
             ("cli", "verify", "oracle.brute_sum", "closedforms", "general", "polyring"),
         ),
         Workload(
             "sampled-verify",
             "sampled theorems at p = 257 and 1009: growing Prime caches and poly_mul",
-            (257, 1009), sampled_verify, True,
+            (257, 1009), sampled_verify,
             ("cli", "verify", "oracle.brute_sum", "general", "polyring.poly_mul",
              "identities", "modarith.Prime.weighted_row"),
         ),
         Workload(
             "cli-requests",
             "seeded eval and table commands with cold caches: parsing, routes, tables, rendering",
-            tuple(EVAL_TERMS), cli_requests, False,
+            tuple(EVAL_TERMS), cli_requests,
             ("cli", "expressions.parse_expression", "oracle.brute_sum", "general",
              "polyring.symbolic_sum_table", "oracle.residue_matrix"),
         ),
