@@ -9,6 +9,7 @@ cross-checks the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     DuplicateOffsetsError,
@@ -70,41 +71,59 @@ class GeneralSumParams:
         return self.total // (self.pr.p - 1)
 
 
+def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
+    """bounded_composition_sum for every target at once, in the given order.
+
+    A dynamic program over the terms: after term i it holds the
+    coefficients of (1+b_1 x)^m_1 ... (1+b_i x)^m_i, but only at the
+    indices that can still reach a target, [min target - remaining
+    capacity, max target].  The last term adds one sliced dot product
+    per target.  Cost O(r * T * max m) for r terms and top target T.
+    """
+    p = pr.p
+    if not exps:
+        return [int(t == 0) for t in targets]
+    cap = sum(exps)
+    live = [t for t in targets if 0 <= t <= cap]
+    if not live:
+        return [0] * len(targets)
+    lo_t, hi_t = min(live), max(live)
+    rows = [pr.weighted_row(m, b) for m, b in zip(exps, bases)]
+    # cur[j - lo] = [x^j] of the product so far, which is the empty product 1
+    # when the last term is the only one
+    cur, lo = rows[0][0] if len(rows) > 1 else (1,), 0
+    rem = cap - exps[0]
+    for m, (_, rev) in zip(exps[1:-1], rows[1:-1]):
+        rem -= m
+        hi = lo + len(cur) - 1
+        new_lo = max(lo, lo_t - rem)
+        nxt = []
+        for t in range(new_lo, min(hi_t, hi + m) + 1):
+            a, b = max(lo, t - m), min(t, hi)
+            nxt.append(sum(map(mul, cur[a - lo : b - lo + 1], rev[m - t + a : m - t + b + 1])) % p)
+        cur, lo = nxt, new_lo
+    m, rev = exps[-1], rows[-1][1]
+    hi = lo + len(cur) - 1
+    out = []
+    for t in targets:
+        a, b = max(lo, t - m), min(t, hi)
+        if a > b:  # t < 0 or t > sum(exps): no composition
+            out.append(0)
+        else:
+            out.append(sum(map(mul, cur[a - lo : b - lo + 1], rev[m - t + a : m - t + b + 1])) % p)
+    return out
+
+
 def bounded_composition_sum(pr: Prime, exps, bases, target: int) -> int:
     """Sum over compositions (j_1..j_r) of target with 0 <= j_i <= exps[i] of
     the products C(m_1,j_1)...C(m_r,j_r) b_1^j_1 ... b_r^j_r, mod p.
 
-    Depth-first with pruning by the remaining capacity of the suffix.  With
-    every base equal to 1 this collapses to C(sum(exps), target) by the
-    Vandermonde identity, which the tests exercise.
+    That is [x^target] of (1+b_1 x)^m_1 ... (1+b_r x)^m_r, computed by the
+    windowed dynamic program of _composition_sums.  With every base equal to
+    1 this collapses to C(sum(exps), target) by the Vandermonde identity,
+    which the tests exercise.
     """
-    if target < 0:
-        return 0
-    weights = [pr.weighted_row(m, b)[0] for m, b in zip(exps, bases)]
-    if not weights:
-        return 1 if target == 0 else 0
-    suffix_cap = [0] * (len(weights) + 1)
-    for i in range(len(weights) - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + exps[i]
-    p = pr.p
-    total = 0
-
-    def walk(idx: int, remaining: int, acc: int) -> None:
-        nonlocal total
-        if idx == len(weights) - 1:
-            if remaining <= exps[idx]:
-                total += acc * weights[idx][remaining]
-            return
-        lo = remaining - suffix_cap[idx + 1]
-        if lo < 0:
-            lo = 0
-        hi = min(exps[idx], remaining)
-        w = weights[idx]
-        for j in range(lo, hi + 1):
-            walk(idx + 1, remaining - j, acc * w[j] % p)
-
-    walk(0, target, 1)
-    return total % p
+    return _composition_sums(pr, exps, bases, [target])[0]
 
 
 def multi_index_J(gp: GeneralSumParams) -> int:
@@ -115,12 +134,8 @@ def multi_index_J(gp: GeneralSumParams) -> int:
         return 0
     if all(m == p - 1 for m in gp.exps):
         return -gp.n % p
-    bases = gp.shifted
-    exps = gp.exps[:-1]
-    acc = 0
-    for i in range(1, gp.t + 1):
-        acc += bounded_composition_sum(pr, exps, bases, gp.level(i))
-    return -acc % p
+    levels = [gp.level(i) for i in range(1, gp.t + 1)]
+    return -sum(_composition_sums(pr, gp.exps[:-1], gp.shifted, levels)) % p
 
 
 def coeff_extraction_sum(gp: GeneralSumParams) -> int:
@@ -179,15 +194,13 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> ESPVector:
     p = pr.p
     if r_max >= p:
         raise IndexNotInvertibleError(f"r_max = {r_max} >= p = {p}: index not invertible")
-    psums = [0] + [root_power_sum(gp, i) for i in range(1, r_max + 1)]
+    # r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i: one dot product of
+    # e_(r-1), ..., e_0 against the signed power sums (map stops after r terms)
+    signed = [root_power_sum(gp, i) if i % 2 else -root_power_sum(gp, i) % p
+              for i in range(1, r_max + 1)]
     es = [1]
     for r in range(1, r_max + 1):
-        acc = 0
-        sign = 1
-        for i in range(1, r + 1):
-            acc += sign * es[r - i] * psums[i]
-            sign = -sign
-        es.append(acc * mod_inverse(r, p) % p)
+        es.append(sum(map(mul, reversed(es), signed)) * mod_inverse(r, p) % p)
     return ESPVector(pr, tuple(es))
 
 

@@ -40,17 +40,27 @@ def poly(pr: Prime, coeffs) -> PolyZp:
 
 
 def poly_mul(f: PolyZp, g: PolyZp) -> PolyZp:
-    """Schoolbook product; degrees stay at desk scale so this is plenty."""
+    """Product by Kronecker substitution: one big-integer multiplication.
+
+    Each coefficient list is packed into one int, `width` bytes per
+    coefficient.  A product coefficient sums at most min(len f, len g)
+    terms of at most (p-1)^2 each, so `width` bytes hold it and no carry
+    crosses into the next slot: the product's bytes unpack to the exact
+    integer convolution, which poly() then reduces mod p.
+    """
     if f.pr.p != g.pr.p:
         raise ModulusMismatchError(f"moduli differ: {f.pr.p} vs {g.pr.p}")
     if not f.coeffs or not g.coeffs:
         return PolyZp(f.pr, ())
-    p = f.pr.p
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, fi in enumerate(f.coeffs):
-        if fi:
-            for j, gj in enumerate(g.coeffs):
-                out[i + j] += fi * gj
+    bound = min(len(f.coeffs), len(g.coeffs)) * (f.pr.p - 1) ** 2
+    width = (bound.bit_length() + 7) // 8
+    packed_f, packed_g = (
+        int.from_bytes(b"".join([c.to_bytes(width, "little") for c in h.coeffs]), "little")
+        for h in (f, g)
+    )
+    size = (len(f.coeffs) + len(g.coeffs) - 1) * width
+    buf = (packed_f * packed_g).to_bytes(size, "little")
+    out = [int.from_bytes(buf[i : i + width], "little") for i in range(0, size, width)]
     return poly(f.pr, out)
 
 
@@ -89,12 +99,13 @@ def binomial_power(pr: Prime, b: int, m: int) -> PolyZp:
 
 def build_product(pr: Prime, offsets, exps) -> PolyZp:
     """The monic product of (b_i + x)^(m_i); the empty product is 1."""
-    out = poly(pr, [1])
+    out = None
     for b, m in zip(offsets, exps):
         if m < 1:
             raise HypothesisViolationError("build_product requires exponents >= 1")
-        out = poly_mul(out, binomial_power(pr, b % pr.p, m))
-    return out
+        factor = binomial_power(pr, b % pr.p, m)
+        out = factor if out is None else poly_mul(out, factor)
+    return poly(pr, [1]) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -213,8 +224,10 @@ def symbolic_coeff_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
 def symbolic_sum_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
     """Row index s-1 = sum over k of (a+k)^m (b+k)^n k^s symbolically, s = 1..p-1.
 
-    For each k both shifted binomials are expanded numerically in k and
-    symbolically in a, b; the per-variable degrees stay at m and n < p, so
+    Expanding both shifted binomials symbolically in a, b gives the cell
+    C(m,i1) C(n,i2) S[m-i1+n-i2+s] for the monomial a^i1 b^i2, where
+    S[e] = sum over k = 1..p-1 of k^e is summed literally from the power
+    tables, once per e.  The per-variable degrees stay at m and n < p, so
     nothing collapses before evaluation.
     """
     p = pr.p
@@ -222,20 +235,17 @@ def symbolic_sum_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
         raise HypothesisViolationError("table exponents must lie in [1, p-1]")
     rm = pr.binom_row(m)
     rn = pr.binom_row(n)
-    # grids[s-1][i1][i2] accumulates C(m,i1) C(n,i2) * sum_k k^(m-i1+n-i2+s)
-    grids = [[[0] * (n + 1) for _ in range(m + 1)] for _ in range(p - 1)]
-    for k in range(1, p):  # k = 0 contributes nothing: exponents are >= 1
-        kp = pr.powers(k)
-        kext = [kp[e % (p - 1)] for e in range(3 * p)]  # k != 0, Fermat wrap
-        for i1 in range(m + 1):
-            c1 = rm[i1]
-            e1 = m - i1
-            for i2 in range(n + 1):
-                c = c1 * rn[i2] % p
-                e = e1 + n - i2
-                for s in range(1, p):
-                    grids[s - 1][i1][i2] += c * kext[e + s]
-    return [bipoly(pr, g) for g in grids]
+    # S[e] for e = 0..p-2; k = 0 adds nothing since every exponent is >= 1,
+    # and k != 0 repeats with period p-1 (Fermat) up to e = m+n+p-1
+    period = [sum(col) % p for col in zip(*(pr.powers(k)[: p - 1] for k in range(1, p)))]
+    sums = [period[e % (p - 1)] for e in range(m + n + p)]
+    return [
+        bipoly(pr, [
+            [c1 * c2 % p * sums[m - i1 + n - i2 + s] for i2, c2 in enumerate(rn)]
+            for i1, c1 in enumerate(rm)
+        ])
+        for s in range(1, p)
+    ]
 
 
 def table_to_json(pr: Prime, rows: list[BiPolyZp], start_index: int = 0) -> str:

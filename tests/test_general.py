@@ -1,7 +1,10 @@
+import itertools
 import random
+import time
 
 import pytest
 
+from wolstenholme.cli import main
 from wolstenholme.closedforms import power_sum, product_pair, product_pair_k, triple_general
 from wolstenholme.errors import (
     DuplicateOffsetsError,
@@ -20,7 +23,7 @@ from wolstenholme.general import (
     scaling_reduce,
     vandermonde_collapse,
 )
-from wolstenholme.modarith import make_prime
+from wolstenholme.modarith import binom, make_prime
 from wolstenholme.oracle import SumSpec, brute_sum
 from wolstenholme.polyring import build_product, coeff
 
@@ -204,6 +207,45 @@ def test_vandermonde_collapse():
                 for target in range(m1 + m2 + 1):
                     got = bounded_composition_sum(pr, (m1, m2), (1, 1), target)
                     assert got == vandermonde_collapse(pr, (m1, m2), target)
+
+
+def test_bounded_composition_sum_matches_enumeration():
+    rng = random.Random(21)
+    for pr in (P5, P7, P11, make_prime(13)):
+        p = pr.p
+        for _ in range(25):
+            r = rng.randrange(1, 5)
+            exps = tuple(rng.randrange(1, p) for _ in range(r))
+            bases = tuple(rng.randrange(1, p) for _ in range(r))
+            want = [0] * (sum(exps) + 1)
+            for js in itertools.product(*(range(m + 1) for m in exps)):
+                term = 1
+                for j, m, b in zip(js, exps, bases):
+                    term *= binom(pr, m, j) * pow(b, j, p)
+                want[sum(js)] += term
+            for target in range(-2, sum(exps) + 3):
+                expected = want[target] % p if 0 <= target <= sum(exps) else 0
+                assert bounded_composition_sum(pr, exps, bases, target) == expected
+    assert bounded_composition_sum(P7, (), (), 0) == 1
+    assert bounded_composition_sum(P7, (), (), 1) == 0
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "(1+k)^500 (2+k)^600 (3+k)^700 (5+k)^800 k^900",
+        "(1+k)^500 (2+k)^600 (3+k)^700 (5+k)^800 (8+k)^1000 k^900",
+    ],
+)
+def test_eval_many_terms_at_p_1009_is_fast(capsys, expression):
+    start = time.perf_counter()
+    code = main(["eval", "-p", "1009", expression])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    values = dict(line.split() for line in capsys.readouterr().out.strip().splitlines())
+    assert {"brute", "closed", "multi-index", "coeff", "esp"} <= set(values)
+    assert len(set(values.values())) == 1
+    assert elapsed < 10
 
 
 def test_scaling_reduce():

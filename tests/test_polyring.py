@@ -39,6 +39,40 @@ def test_poly_mul_examples():
         poly_mul(f, g)
 
 
+def _schoolbook(f, g, p):
+    """Reference product: the plain double loop, reduced and trimmed."""
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    out = [c % p for c in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def test_poly_mul_matches_schoolbook():
+    rng = random.Random(12)
+    for pr in (P5, P17, make_prime(1009)):
+        p = pr.p
+        for _ in range(60):
+            f = [rng.randrange(p) for _ in range(rng.randrange(0, 40))]
+            g = [rng.randrange(p) for _ in range(rng.randrange(0, 90))]
+            assert poly_mul(poly(pr, f), poly(pr, g)).coeffs == _schoolbook(f, g, p)
+            assert poly_mul(poly(pr, []), poly(pr, g)).coeffs == ()
+    # worst carries: every coefficient p-1, so each product coefficient reaches
+    # its bound; at p = 17 and length 256 the bound 256 * 16^2 = 2^16 needs a
+    # third byte
+    for p, length in ((1009, 1009), (17, 256), (17, 255)):
+        pr = make_prime(p)
+        f = [p - 1] * length
+        g = [p - 1] * (length - 3)
+        assert poly_mul(poly(pr, f), poly(pr, g)).coeffs == _schoolbook(f, g, p)
+        assert poly_mul(poly(pr, f), poly(pr, f)).coeffs == _schoolbook(f, f, p)
+
+
 def test_poly_ring_axioms_spot():
     rng = random.Random(0)
     for _ in range(40):
