@@ -118,40 +118,31 @@ def eval_closed(spec: SumSpec) -> int:
     return (value - _excluded_correction(pr, terms, excluded)) % pr.p
 
 
-def _general_params(spec: SumSpec) -> gen.GeneralSumParams:
+def _general_route(spec: SumSpec, evaluator) -> int:
+    """An n-term route: evaluator on the merged all-positive terms, less the
+    excluded-k correction."""
     pr = spec.pr
     if spec.exclusions != auto_exclusions(pr, spec.terms):
         raise StrategyInapplicableError(
             "strategy handles denominator-derived exclusion sets only"
         )
-    terms, _ = _merged_positive_terms(pr, spec)
+    terms, excluded = _merged_positive_terms(pr, spec)
     if not terms:
         raise StrategyInapplicableError("no factors left after merging exponents")
-    return gen.GeneralSumParams(pr, tuple(o for o, _ in terms), tuple(e for _, e in terms))
+    gp = gen.GeneralSumParams(pr, tuple(o for o, _ in terms), tuple(e for _, e in terms))
+    return (evaluator(gp) - _excluded_correction(pr, terms, excluded)) % pr.p
 
 
 def eval_coeff(spec: SumSpec) -> int:
-    pr = spec.pr
-    terms, excluded = _merged_positive_terms(pr, spec)
-    gp = _general_params(spec)
-    value = gen.coeff_extraction_sum(gp)
-    return (value - _excluded_correction(pr, terms, excluded)) % pr.p
+    return _general_route(spec, gen.coeff_extraction_sum)
 
 
 def eval_esp(spec: SumSpec) -> int:
-    pr = spec.pr
-    terms, excluded = _merged_positive_terms(pr, spec)
-    gp = _general_params(spec)
-    value = gen.esp_sum(gp)
-    return (value - _excluded_correction(pr, terms, excluded)) % pr.p
+    return _general_route(spec, gen.esp_sum)
 
 
 def eval_multi_index(spec: SumSpec) -> int:
-    pr = spec.pr
-    terms, excluded = _merged_positive_terms(pr, spec)
-    gp = _general_params(spec)
-    value = gen.multi_index_J(gp)
-    return (value - _excluded_correction(pr, terms, excluded)) % pr.p
+    return _general_route(spec, gen.multi_index_J)
 
 
 def evaluate_strategy(spec: SumSpec, strategy: str) -> int:
@@ -195,12 +186,15 @@ def _parse_primes(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo_s, hi_s = part.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            out.extend(q for q in range(max(5, lo), hi + 1) if is_prime(q))
-        else:
-            out.append(int(part))
+        try:
+            if ".." in part:
+                lo_s, hi_s = part.split("..", 1)
+                lo, hi = int(lo_s), int(hi_s)
+                out.extend(q for q in range(max(5, lo), hi + 1) if is_prime(q))
+            else:
+                out.append(int(part))
+        except ValueError:
+            raise BadParamsError(f"--primes: {part!r} is not a prime or a range a..b") from None
     return out
 
 
@@ -320,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify",
         help="check theorem suites over prime grids, JSON-lines report to stdout",
-        epilog="The WOLSTENHOLME_THREADS environment variable caps worker threads.",
     )
     p_verify.add_argument(
         "--theorems",

@@ -17,7 +17,7 @@ from .errors import (
     IndexNotInvertibleError,
     ZeroPivotError,
 )
-from .modarith import Prime, binom, mod_inverse
+from .modarith import Prime, mod_inverse
 from .polyring import build_product, coeff
 
 
@@ -252,8 +252,3 @@ def scaling_reduce(gp: GeneralSumParams) -> tuple[int, GeneralSumParams]:
     scale = pow(pivot, gp.level(1) % (p - 1), p)
     return scale, GeneralSumParams(pr, new_offsets, gp.exps)
 
-
-def vandermonde_collapse(pr: Prime, exps, target: int) -> int:
-    """C(sum(exps), target) mod p: what bounded_composition_sum gives when
-    every base is 1 (requires sum(exps) < p so the top stays in range)."""
-    return binom(pr, sum(exps), target)

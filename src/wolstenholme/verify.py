@@ -1,31 +1,35 @@
-"""Theorem verification registry: exhaustive or seeded-sampled grid checks.
+"""Theorem verification registry: every theorem is a grid plus a check.
 
 Every congruence the library implements is registered here under a stable id.
-A check enumerates the statement's hypothesis grid for one prime, evaluates
-the claim both ways (closed form vs brute force, or lhs vs rhs), and returns
-a VerificationReport.  Grids at or below the budget run exhaustively; larger
-ones draw seeded-uniform samples so failures reproduce.
+Most are described as data, a Grid: the names of a point's parameters, an
+exhaustive enumerator, the exact grid size at p, a seeded draw, and a check
+that evaluates one point both ways (closed form vs brute force, or lhs vs
+rhs).  One driver runs them all: grids at or below the budget are enumerated
+exhaustively, larger ones take budget seeded-uniform draws so failures
+reproduce.  The exhaustive row sweeps of thm3.13 and cor3.12 (kept for speed),
+the three-tier sampling of the n-term sums, and the checks of quickcase,
+tablecorr and figures keep their own loops.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import islice, permutations, product, repeat
+from math import perm, prod
 from operator import mul
 
 from . import closedforms as cf
 from . import general as gen
 from . import identities as ident
-from .errors import UnknownTheoremError
-from .modarith import Prime, binom, make_prime, mod_inverse, pow_nonzero
+from .errors import BadParamsError, UnknownTheoremError
+from .modarith import Prime, binom, make_prime, pow_nonzero
 from .oracle import SumSpec, auto_exclusions, brute_sum, brute_sum_mod_p2, residue_matrix
 from .polyring import bipoly_add, symbolic_coeff_table, symbolic_sum_table
-
-THREADS_ENV = "WOLSTENHOLME_THREADS"
 
 
 @dataclass
@@ -66,521 +70,265 @@ def _fail(failures: list, params: dict, expected: int, got: int) -> None:
     failures.append({"params": params, "expected": expected, "got": got})
 
 
-# --- brute-force counterparts -------------------------------------------------
-
-def _brute_ratio_single(pr: Prime, a: int, m: int, n: int) -> int:
-    """Direct sum over k != a of k^m (a-k)^(-n); ground truth for thm2.1."""
-    p = pr.p
-    total = 0
-    for k in range(1, p):
-        if k == a:
-            continue
-        total += pow(k, m, p) * pow(mod_inverse(a - k, p), n, p)
-    return total % p
+# --- the driver ---------------------------------------------------------------
+# Every run returns (grid_size, failures, exhaustive); mode is "p2" (full
+# stated moduli) or "p" (reduce the mod-p^2 statements to mod p).
 
 
-def _spec_ratio_pair(pr, a, b, m, n) -> SumSpec:
-    return SumSpec(pr, ((a % pr.p, m), (b % pr.p, -n)), frozenset({(-a) % pr.p, (-b) % pr.p}))
+@dataclass(frozen=True)
+class Grid:
+    """A theorem's hypothesis grid at a prime p, and the check of one point.
+
+    names are a point's parameter names in report order: a field that is
+    None is left out of that point's report, and fields past the last name
+    are not parameters.  check(pr, *point) returns (expected, got), brute or
+    lhs first.  points(p) yields every point in a fixed order and count(p)
+    is their number.  draw(rng, p) returns one seeded point, or None to
+    reject the draw and draw again; a grid without one is always enumerated.
+    Called as a Theorem's run, a grid checks every point when they fit the
+    budget, else budget draws.
+    """
+
+    names: tuple[str, ...]
+    check: Callable
+    points: Callable | None = None
+    count: Callable | None = None
+    draw: Callable | None = None
+
+    def __call__(self, pr, budget, seed, mode):
+        if self.draw is not None and self.count(pr.p) > budget:
+            return self.sample(pr, budget, seed)
+        return (*self.sweep(pr, self.points(pr.p)), True)
+
+    def sample(self, pr, budget, seed):
+        """Check budget seeded draws, whatever the grid size."""
+        draws = map(self.draw, repeat(random.Random(seed)), repeat(pr.p))
+        return (*self.sweep(pr, islice(filter(None, draws), budget)), False)
+
+    def sweep(self, pr, points):
+        """Check the given points; returns (grid size, failures)."""
+        check = self.check
+        failures = []
+        grid = 0
+        for point in points:
+            expected, got = check(pr, *point)
+            grid += 1
+            if expected != got:
+                params = {k: v for k, v in zip(self.names, point) if v is not None}
+                _fail(failures, params, expected, got)
+        return grid, failures
 
 
-def _spec_products(pr, *terms) -> SumSpec:
-    return SumSpec(pr, tuple((off % pr.p, e) for off, e in terms), frozenset())
+def _box(names, check, ranges, pair_lo=None) -> Grid:
+    """The grid of every tuple of ranges(p), drawn uniformly.  With pair_lo,
+    each tuple is led by an ordered pair a != b from [pair_lo, p)."""
+
+    def points(p):
+        if pair_lo is None:
+            return product(*ranges(p))
+        pairs = permutations(range(pair_lo, p), 2)
+        return ((a, b, *rest) for (a, b), *rest in product(pairs, *ranges(p)))
+
+    def count(p):
+        box = prod(map(len, ranges(p)))
+        return box if pair_lo is None else perm(p - pair_lo, 2) * box
+
+    def draw(rng, p):
+        pair = () if pair_lo is None else rng.sample(range(pair_lo, p), 2)
+        return (*pair, *[rng.randrange(r.start, r.stop) for r in ranges(p)])
+
+    return Grid(names, check, points, count, draw)
 
 
-# --- grid helpers -------------------------------------------------------------
-
-def _distinct_pairs(p, lo=1):
-    return [(a, b) for a in range(lo, p) for b in range(lo, p) if a != b]
+def _sides(inst) -> tuple[int, int]:
+    return inst.lhs, inst.rhs
 
 
-def _sample_distinct(rng, p, count, lo=1):
-    vals = rng.sample(range(lo, p), count)
-    return tuple(vals)
+def _brute(pr, *terms) -> int:
+    """Brute force of a complete sum of products (off + k)^e."""
+    return brute_sum(SumSpec(pr, tuple((off % pr.p, e) for off, e in terms), frozenset()))
 
 
-# --- per-theorem checks -------------------------------------------------------
-# Each returns (grid_size, failures, exhaustive); mode is "p2" (full stated
-# moduli) or "p" (reduce the mod-p^2 statements to mod p).
+# --- power sums ---------------------------------------------------------------
+
+_run_thm1_1 = Grid(
+    ("n",),
+    lambda pr, n: (sum(pow(k, n, pr.p) for k in range(1, pr.p)) % pr.p, cf.power_sum(pr, n)),
+    points=lambda p: ((n,) for n in range(3 * (p - 1) + 1)),
+)
 
 
-def _run_thm1_1(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    grid = 0
-    for n in range(0, 3 * (p - 1) + 1):
-        got = cf.power_sum(pr, n)
-        expected = sum(pow(k, n, p) for k in range(1, p)) % p
-        grid += 1
-        if expected != got:
-            _fail(failures, {"n": n}, expected, got)
-    return grid, failures, True
+# a point (exp, mod, modulus): the sum over k of k^-exp vanishes mod modulus
+_harmonic = Grid(
+    ("exp", "mod"),
+    lambda pr, exp, mod, modulus: (0, brute_sum_mod_p2(pr, exp) % modulus),
+)
 
 
 def _run_thm1_2(pr, budget, seed, mode):
     p = pr.p
-    p2 = p * p
-    failures = []
-    checks = []
-    h1 = brute_sum_mod_p2(pr, 1)
-    checks.append(({"exp": 1, "mod": "p2"}, 0, h1 % (p2 if mode == "p2" else p)))
-    h2 = brute_sum_mod_p2(pr, 2) % p
-    checks.append(({"exp": 2, "mod": "p"}, 0, h2))
-    h3 = brute_sum_mod_p2(pr, 3)
-    checks.append(({"exp": 3, "mod": "p"}, 0, h3 % p))
+    p2 = p * p if mode == "p2" else p
+    points = [(1, "p2", p2), (2, "p", p), (3, "p", p)]
     if p > 5:
         # the strengthening of the cubic harmonic sum, verified numerically
-        checks.append(({"exp": 3, "mod": "p2"}, 0, h3 % (p2 if mode == "p2" else p)))
-    for params, expected, got in checks:
-        if expected != got:
-            _fail(failures, params, expected, got)
-    return len(checks), failures, True
+        points.append((3, "p2", p2))
+    return (*_harmonic.sweep(pr, points), True)
 
 
 def _run_thm1_3(pr, budget, seed, mode):
     p = pr.p
-    p2 = p * p
-    failures = []
-    grid = 0
+    p2 = p * p if mode == "p2" else p
+    points = []
     for n in range(1, (p - 1) // 2 + 1):
         # the mod-p^2 congruence needs (p-1) to not divide 2n; at the edge
-        # 2n = p-1 the odd-exponent sum is only divisible by p, not p^2
-        strong = 2 * n < p - 1
-        modulus = p2 if (mode == "p2" and strong) else p
-        odd = brute_sum_mod_p2(pr, 2 * n - 1) % modulus
-        grid += 1
-        if odd != 0:
-            _fail(failures, {"exp": 2 * n - 1, "mod": "p2" if strong else "p"}, 0, odd)
-        if strong:  # at 2n = p-1 every term is 1, the sum -1, not 0
-            even = brute_sum_mod_p2(pr, 2 * n) % p
-            grid += 1
-            if even != 0:
-                _fail(failures, {"exp": 2 * n, "mod": "p"}, 0, even)
-    return grid, failures, True
+        # 2n = p-1 the odd-exponent sum is only divisible by p, not p^2, and
+        # the even one is -1 (every term is 1), not 0
+        if 2 * n < p - 1:
+            points += [(2 * n - 1, "p2", p2), (2 * n, "p", p)]
+        else:
+            points.append((2 * n - 1, "p", p))
+    return (*_harmonic.sweep(pr, points), True)
 
 
-def _run_thm2_1(pr, budget, seed, mode):
+# --- closed forms against brute force -----------------------------------------
+
+
+def _check_thm2_1(pr, a, m, n):
+    # k^m (a-k)^-n over k != 0, a is (-1)^n times the sum of k^m (k-a)^-n
     p = pr.p
-    failures = []
-    count = (p - 1) * p * p
-    if count <= budget:
-        tuples = ((a, m, n) for a in range(1, p) for m in range(p) for n in range(p))
-        exhaustive = True
-    else:
-        rng = random.Random(seed)
-        tuples = (
-            (rng.randrange(1, p), rng.randrange(p), rng.randrange(p))
-            for _ in range(budget)
-        )
-        exhaustive = False
-    grid = 0
-    for a, m, n in tuples:
-        expected = _brute_ratio_single(pr, a, m, n)
-        got = cf.ratio_single(pr, a, m, n)
-        grid += 1
-        if expected != got:
-            _fail(failures, {"a": a, "m": m, "n": n}, expected, got)
-    return grid, failures, exhaustive
+    brute = brute_sum(SumSpec(pr, ((0, m), (-a % p, -n)), frozenset({0, a})))
+    return (-brute if n % 2 else brute) % p, cf.ratio_single(pr, a, m, n)
 
 
-def _run_thm2_3(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    count = p * (p - 1) * p * p
-    if count <= budget:
-        grid = 0
-        for a in range(p):
-            for b in range(p):
-                if a == b:
-                    continue
-                for m in range(p):
-                    for n in range(p):
-                        expected = brute_sum(_spec_ratio_pair(pr, a, b, m, n))
-                        got = cf.ratio_pair(pr, a, b, m, n)
-                        grid += 1
-                        if expected != got:
-                            _fail(failures, {"a": a, "b": b, "m": m, "n": n}, expected, got)
-        return grid, failures, True
-    rng = random.Random(seed)
-    for _ in range(budget):
-        a, b = _sample_distinct(rng, p, 2, lo=0)
-        m = rng.randrange(p)
-        n = rng.randrange(p)
-        expected = brute_sum(_spec_ratio_pair(pr, a, b, m, n))
-        got = cf.ratio_pair(pr, a, b, m, n)
-        if expected != got:
-            _fail(failures, {"a": a, "b": b, "m": m, "n": n}, expected, got)
-    return budget, failures, False
+def _check_thm2_3(pr, a, b, m, n):
+    spec = SumSpec(pr, ((a, m), (b, -n)), frozenset({-a % pr.p, -b % pr.p}))
+    return brute_sum(spec), cf.ratio_pair(pr, a, b, m, n)
 
 
-def _run_rem2_5(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    count = p * (p - 1) ** 2
-    if count <= budget:
-        tuples = ((a, m, n) for a in range(p) for m in range(1, p) for n in range(1, p))
-        exhaustive = True
-    else:
-        rng = random.Random(seed)
-        tuples = (
-            (rng.randrange(p), rng.randrange(1, p), rng.randrange(1, p))
-            for _ in range(budget)
-        )
-        exhaustive = False
-    grid = 0
-    for a, m, n in tuples:
-        spec = SumSpec(pr, ((a, m), (a, -n)), frozenset({(-a) % p}))
-        expected = brute_sum(spec)
-        got = cf.ratio_equal_offsets(pr, a, m, n)
-        grid += 1
-        if expected != got:
-            _fail(failures, {"a": a, "m": m, "n": n}, expected, got)
-    return grid, failures, exhaustive
+def _check_rem2_5(pr, a, m, n):
+    spec = SumSpec(pr, ((a, m), (a, -n)), frozenset({-a % pr.p}))
+    return brute_sum(spec), cf.ratio_equal_offsets(pr, a, m, n)
 
 
-def _run_thm2_6(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    count = (p - 1) ** 3
-    if count <= budget:
-        tuples = (
-            (a, m, n)
-            for a in range(1, p)
-            for m in range(1, p)
-            for n in range(1, p)
-        )
-        exhaustive = True
-    else:
-        rng = random.Random(seed)
-        tuples = (
-            (rng.randrange(1, p), rng.randrange(1, p), rng.randrange(1, p))
-            for _ in range(budget)
-        )
-        exhaustive = False
-    grid = 0
-    for a, m, n in tuples:
-        expected = brute_sum(_spec_products(pr, (a, m), (0, n)))
-        got = cf.product_pair_k(pr, a, m, n)
-        grid += 1
-        if expected != got:
-            _fail(failures, {"a": a, "m": m, "n": n}, expected, got)
-    return grid, failures, exhaustive
+def _check_thm3_1(pr, a, b, m, n, s):
+    got = cf.triple_binomial(cf.TripleParams(pr, a, b, 0, m, n, s))
+    return _brute(pr, (a, m), (b, n), (0, s)), got
 
 
-def _run_thm2_8(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    count = (p - 1) * (p - 2) * (p - 1) ** 2
-    if count <= budget:
-        tuples = (
-            (a, b, m, n)
-            for a, b in _distinct_pairs(p)
-            for m in range(1, p)
-            for n in range(1, p)
-        )
-        exhaustive = True
-    else:
-        rng = random.Random(seed)
-
-        def draw():
-            for _ in range(budget):
-                a, b = _sample_distinct(rng, p, 2)
-                yield a, b, rng.randrange(1, p), rng.randrange(1, p)
-
-        tuples = draw()
-        exhaustive = False
-    grid = 0
-    for a, b, m, n in tuples:
-        expected = brute_sum(_spec_products(pr, (a, m), (b, n)))
-        got = cf.product_pair(pr, a, b, m, n)
-        grid += 1
-        if expected != got:
-            _fail(failures, {"a": a, "b": b, "m": m, "n": n}, expected, got)
-    return grid, failures, exhaustive
-
-
-def _triple_exps(pr, budget, seed, arity):
-    """Exponent tuples for the triple-sum grids: full grid or seeded sample."""
-    p = pr.p
-    count = (p - 1) * (p - 2) * (p - 1) ** arity
-    if count <= budget:
-        return None, True  # caller enumerates exhaustively
-    return random.Random(seed), False
+_run_thm2_1 = _box(("a", "m", "n"), _check_thm2_1, lambda p: (range(1, p), range(p), range(p)))
+_run_thm2_3 = _box(("a", "b", "m", "n"), _check_thm2_3, lambda p: (range(p),) * 2, pair_lo=0)
+_run_rem2_5 = _box(("a", "m", "n"), _check_rem2_5, lambda p: (range(p), range(1, p), range(1, p)))
+_run_thm2_6 = _box(
+    ("a", "m", "n"),
+    lambda pr, a, m, n: (_brute(pr, (a, m), (0, n)), cf.product_pair_k(pr, a, m, n)),
+    lambda p: (range(1, p),) * 3,
+)
+_run_thm2_8 = _box(
+    ("a", "b", "m", "n"),
+    lambda pr, a, b, m, n: (_brute(pr, (a, m), (b, n)), cf.product_pair(pr, a, b, m, n)),
+    lambda p: (range(1, p),) * 2,
+    pair_lo=1,
+)
+_run_thm3_1 = _box(
+    ("a", "b", "m", "n", "s"), _check_thm3_1, lambda p: (range(1, p),) * 3, pair_lo=1)
+_run_thm3_4 = _box(
+    ("a", "b", "m", "n"),
+    lambda pr, a, b, m, n: (_brute(pr, (a, m), (b, n), (0, 1)), cf.triple_s1(pr, a, b, m, n)),
+    lambda p: (range(1, p),) * 2,
+    pair_lo=1,
+)
+_run_thm3_5 = _box(
+    ("a", "b", "m", "n"),
+    lambda pr, a, b, m, n: (_brute(pr, (a, m), (b, n), (0, 2)), cf.triple_s2(pr, a, b, m, n)),
+    lambda p: (range(1, p),) * 2,
+    pair_lo=1,
+)
+_run_thm3_6 = _box(
+    ("a", "b", "m", "n", "s"),
+    lambda pr, a, b, m, n, s: (
+        _brute(pr, (a, m), (b, n), (0, s)), cf.triple_general(pr, a, b, m, n, s)),
+    lambda p: (range(1, p),) * 3,
+    pair_lo=1,
+)
 
 
-def _run_thm3_1(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    rng, exhaustive = _triple_exps(pr, budget, seed, 3)
-    grid = 0
-    if exhaustive:
-        for a, b in _distinct_pairs(p):
-            for m in range(1, p):
-                for n in range(1, p):
-                    for s in range(1, p):
-                        expected = brute_sum(_spec_products(pr, (a, m), (b, n), (0, s)))
-                        got = cf.triple_binomial(cf.TripleParams(pr, a, b, 0, m, n, s))
-                        grid += 1
-                        if expected != got:
-                            _fail(failures, {"a": a, "b": b, "m": m, "n": n, "s": s}, expected, got)
-    else:
-        for _ in range(budget):
-            a, b = _sample_distinct(rng, p, 2)
-            m, n, s = (rng.randrange(1, p) for _ in range(3))
-            expected = brute_sum(_spec_products(pr, (a, m), (b, n), (0, s)))
-            got = cf.triple_binomial(cf.TripleParams(pr, a, b, 0, m, n, s))
-            grid += 1
-            if expected != got:
-                _fail(failures, {"a": a, "b": b, "m": m, "n": n, "s": s}, expected, got)
-    return grid, failures, exhaustive
+def _run_general(pr, budget, seed, evaluator):
+    """The n-term sums at arity 2, 3 and 4, each drawn on seed + arity.
 
-
-def _run_triple_fixed_s(pr, budget, seed, op, s_fixed):
-    p = pr.p
-    failures = []
-    rng, exhaustive = _triple_exps(pr, budget, seed, 2)
-    grid = 0
-    if exhaustive:
-        pairs = (
-            (a, b, m, n)
-            for a, b in _distinct_pairs(p)
-            for m in range(1, p)
-            for n in range(1, p)
-        )
-    else:
-        def draw():
-            for _ in range(budget):
-                a, b = _sample_distinct(rng, p, 2)
-                yield a, b, rng.randrange(1, p), rng.randrange(1, p)
-
-        pairs = draw()
-    for a, b, m, n in pairs:
-        expected = brute_sum(_spec_products(pr, (a, m), (b, n), (0, s_fixed)))
-        got = op(pr, a, b, m, n)
-        grid += 1
-        if expected != got:
-            _fail(failures, {"a": a, "b": b, "m": m, "n": n}, expected, got)
-    return grid, failures, exhaustive
-
-
-def _run_thm3_4(pr, budget, seed, mode):
-    return _run_triple_fixed_s(pr, budget, seed, cf.triple_s1, 1)
-
-
-def _run_thm3_5(pr, budget, seed, mode):
-    return _run_triple_fixed_s(pr, budget, seed, cf.triple_s2, 2)
-
-
-def _run_thm3_6(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    rng, exhaustive = _triple_exps(pr, budget, seed, 3)
-    grid = 0
-    if exhaustive:
-        for a, b in _distinct_pairs(p):
-            for m in range(1, p):
-                for n in range(1, p):
-                    for s in range(1, p):
-                        expected = brute_sum(_spec_products(pr, (a, m), (b, n), (0, s)))
-                        got = cf.triple_general(pr, a, b, m, n, s)
-                        grid += 1
-                        if expected != got:
-                            _fail(failures, {"a": a, "b": b, "m": m, "n": n, "s": s}, expected, got)
-    else:
-        for _ in range(budget):
-            a, b = _sample_distinct(rng, p, 2)
-            m, n, s = (rng.randrange(1, p) for _ in range(3))
-            expected = brute_sum(_spec_products(pr, (a, m), (b, n), (0, s)))
-            got = cf.triple_general(pr, a, b, m, n, s)
-            grid += 1
-            if expected != got:
-                _fail(failures, {"a": a, "b": b, "m": m, "n": n, "s": s}, expected, got)
-    return grid, failures, exhaustive
-
-
-def _general_grid(pr, budget, seed, arity, check):
-    """Shared sweep over distinct-offset tuples and exponent grids for the
-    n-term sums.
-
-    Fully exhaustive when the joint domain fits the budget.  Otherwise the
-    distinct-offset tuples are still enumerated exhaustively while exponent
-    tuples are seeded-sampled, capping the total near the budget; if even the
-    offset tuples alone exceed the budget, both are sampled.
+    A grid that fits the budget is exhaustive.  Otherwise every
+    distinct-offset tuple still gets budget // count seeded exponent tuples
+    (at least one), and when even the offset tuples exceed the budget both
+    are sampled.
     """
     p = pr.p
-    failures = []
-    offset_tuples = []
-
-    def offsets_rec(prefix):
-        if len(prefix) == arity:
-            offset_tuples.append(tuple(prefix))
-            return
-        for a in range(p):
-            if a not in prefix:
-                offsets_rec(prefix + [a])
-
-    count_offsets = 1
-    for i in range(arity):
-        count_offsets *= p - i
-    count = count_offsets * (p - 1) ** arity
     grid = 0
-
-    def run_tuple(offs, exps):
-        nonlocal grid
-        expected, got = check(offs, exps)
-        grid += 1
-        if expected != got:
-            _fail(failures, {"offsets": list(offs), "exps": list(exps)}, expected, got)
-
-    if count <= budget:
-        offsets_rec([])
-        for offs in offset_tuples:
-            for exps in _exp_tuples(p, arity):
-                run_tuple(offs, exps)
-        return grid, failures, True
-    rng = random.Random(seed)
-    if count_offsets <= budget:
-        offsets_rec([])
-        per_offsets = max(1, budget // count_offsets)
-        for offs in offset_tuples:
-            for _ in range(per_offsets):
-                exps = tuple(rng.randrange(1, p) for _ in range(arity))
-                run_tuple(offs, exps)
-        return grid, failures, False
-    for _ in range(budget):
-        offs = tuple(rng.sample(range(p), arity))
-        exps = tuple(rng.randrange(1, p) for _ in range(arity))
-        run_tuple(offs, exps)
-    return grid, failures, False
-
-
-def _exp_tuples(p, arity):
-    if arity == 1:
-        for m in range(1, p):
-            yield (m,)
-    else:
-        for rest in _exp_tuples(p, arity - 1):
-            for m in range(1, p):
-                yield rest + (m,)
-
-
-def _run_general(pr, budget, seed, mode, evaluator):
-    total_grid = 0
     failures = []
     exhaustive = True
     for arity in (2, 3, 4):
-        def check(offs, exps):
-            gp = gen.GeneralSumParams(pr, offs, exps)
-            spec = _spec_products(pr, *zip(offs, exps))
-            return brute_sum(spec), evaluator(gp)
+        rng = random.Random(seed + arity)
 
-        grid, fails, exh = _general_grid(pr, budget, seed + arity, arity, check)
-        total_grid += grid
-        failures.extend(fails)
-        exhaustive = exhaustive and exh
-    return total_grid, failures, exhaustive
+        def exps():
+            return tuple(rng.randrange(1, p) for _ in range(arity))
+
+        offsets = permutations(range(p), arity)
+        count = perm(p, arity)
+        if count * (p - 1) ** arity <= budget:
+            points = product(offsets, product(range(1, p), repeat=arity))
+        elif count <= budget:
+            exhaustive = False
+            points = ((offs, exps()) for offs in offsets for _ in range(max(1, budget // count)))
+        else:
+            exhaustive = False
+            points = ((tuple(rng.sample(range(p), arity)), exps()) for _ in range(budget))
+        for offs, es in points:
+            gp = gen.GeneralSumParams(pr, offs, es)
+            expected, got = _brute(pr, *zip(offs, es)), evaluator(gp)
+            grid += 1
+            if expected != got:
+                _fail(failures, {"offsets": list(offs), "exps": list(es)}, expected, got)
+    return grid, failures, exhaustive
 
 
 def _run_thm4_1(pr, budget, seed, mode):
-    return _run_general(pr, budget, seed, mode, gen.multi_index_J)
+    return _run_general(pr, budget, seed, gen.multi_index_J)
 
 
 def _run_thm4_4(pr, budget, seed, mode):
-    return _run_general(pr, budget, seed, mode, gen.coeff_extraction_sum)
+    return _run_general(pr, budget, seed, gen.coeff_extraction_sum)
 
 
 def _run_thm4_5(pr, budget, seed, mode):
-    return _run_general(pr, budget, seed, mode, gen.esp_sum)
+    return _run_general(pr, budget, seed, gen.esp_sum)
 
 
-def _run_eq2(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    grid = 0
-    for n in range(p):
-        for k in range(n + 1):
-            for s in range(k + 1):
-                inst = ident.cancellation(pr, n, k, s)
-                grid += 1
-                if not inst.holds:
-                    _fail(failures, inst.params, inst.lhs, inst.rhs)
-    return grid, failures, True
+# --- binomial identities, lhs against rhs -------------------------------------
+
+_run_eq2 = Grid(
+    ("n", "k", "s"),
+    lambda pr, n, k, s: _sides(ident.cancellation(pr, n, k, s)),
+    points=lambda p: ((n, k, s) for n in range(p) for k in range(n + 1) for s in range(k + 1)),
+)
+_run_eq3 = Grid(
+    ("k", "s"),  # the last field picks one of the two congruences
+    lambda pr, k, s, i: _sides(ident.semi_symmetry(pr, k, s)[i]),
+    points=lambda p: ((k, s, i) for k in range(p) for s in range(k + 1) for i in (0, 1)),
+)
+_run_cor2_7 = Grid(
+    ("m", "n"),
+    lambda pr, m, n: _sides(ident.transpose_binomial(pr, m, n)),
+    points=lambda p: product(range(p), repeat=2),
+)
+_run_vandermonde = Grid(
+    ("m", "n", "M"),
+    lambda pr, m, n, M: _sides(ident.vandermonde(pr, m, n, M)),
+    points=lambda p: ((m, n, M) for m in range(p) for n in range(p - m)
+                      for M in range(m + n + 1)),
+)
 
 
-def _run_eq3(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    grid = 0
-    for k in range(p):
-        for s in range(k + 1):
-            for inst in ident.semi_symmetry(pr, k, s):
-                grid += 1
-                if not inst.holds:
-                    _fail(failures, inst.params, inst.lhs, inst.rhs)
-    return grid, failures, True
-
-
-def _run_cor2_7(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    grid = 0
-    for m in range(p):
-        for n in range(p):
-            inst = ident.transpose_binomial(pr, m, n)
-            grid += 1
-            if not inst.holds:
-                _fail(failures, inst.params, inst.lhs, inst.rhs)
-    return grid, failures, True
-
-
-def _cong_grid_count(p):
-    total = 0
-    for m in range(p):
-        for n in range(p):
-            base = m + n - (p - 1)
-            s_lo = -base if base < 0 else 0
-            s_hi = min(p - 1, p - 2 - base)
-            for s in range(s_lo, s_hi + 1):
-                total += base + s + 1  # j = 0..M
-    return total
-
-
-def _run_thm3_11(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    grid = 0
-    cg = ident.cong_general
-    if _cong_grid_count(p) <= budget:
-        for m in range(p):
-            for n in range(p):
-                base = m + n - (p - 1)
-                s_lo = -base if base < 0 else 0
-                s_hi = min(p - 1, p - 2 - base)
-                for s in range(s_lo, s_hi + 1):
-                    M = base + s
-                    for j in range(M + 1):
-                        inst = cg(pr, m, n, s, j)
-                        if inst.lhs != inst.rhs:
-                            _fail(failures, inst.params, inst.lhs, inst.rhs)
-                    grid += M + 1
-        return grid, failures, True
-    rng = random.Random(seed)
-    while grid < budget:
-        m, n = rng.randrange(p), rng.randrange(p)
-        base = m + n - (p - 1)
-        s_lo = -base if base < 0 else 0
-        s_hi = min(p - 1, p - 2 - base)
-        if s_hi < s_lo:
-            continue
-        s = rng.randrange(s_lo, s_hi + 1)
-        j = rng.randrange(base + s + 1)
-        inst = cg(pr, m, n, s, j)
-        grid += 1
-        if inst.lhs != inst.rhs:
-            _fail(failures, inst.params, inst.lhs, inst.rhs)
-    return grid, failures, False
-
-
-def _comp_window(p, m, n):
+def _window(p, m, n):
+    """The s in [0, p-1] with M = m+n+s-(p-1) in [0, p-2]; empty when
+    s_hi < s_lo."""
     base = m + n - (p - 1)
     s_lo = -base if base < 0 else 0
     s_hi = p - 2 - base
@@ -589,68 +337,108 @@ def _comp_window(p, m, n):
     return s_lo, s_hi
 
 
+def _cong_points(p):
+    for m, n in product(range(p), repeat=2):
+        s_lo, s_hi = _window(p, m, n)
+        for s in range(s_lo, s_hi + 1):
+            M = m + n + s - (p - 1)
+            for j in range(M + 1):
+                yield m, n, s, j, M
+
+
+def _cong_grid_count(p):
+    total = 0
+    for m, n in product(range(p), repeat=2):
+        base = m + n - (p - 1)
+        s_lo, s_hi = _window(p, m, n)
+        for s in range(s_lo, s_hi + 1):
+            total += base + s + 1  # j = 0..M
+    return total
+
+
+def _draw_cong(rng, p):
+    m, n = rng.randrange(p), rng.randrange(p)
+    s_lo, s_hi = _window(p, m, n)
+    if s_hi < s_lo:
+        return None
+    s = rng.randrange(s_lo, s_hi + 1)
+    M = m + n + s - (p - 1)
+    return m, n, s, rng.randrange(M + 1), M
+
+
+_run_thm3_11 = Grid(
+    ("m", "n", "s", "j", "M"),
+    lambda pr, m, n, s, j, M: _sides(ident.cong_general(pr, m, n, s, j)),
+    points=_cong_points,
+    count=_cong_grid_count,
+    draw=_draw_cong,
+)
+
+
 def _comp_grid_count(p):
     per_ab = 0
     for m in range(1, p):
         for n in range(1, p):
-            s_lo, s_hi = _comp_window(p, m, n)
+            s_lo, s_hi = _window(p, m, n)
             if s_hi >= s_lo:
                 per_ab += s_hi - s_lo + 1
     return (p - 1) * (p - 2) * per_ab
 
 
+def _draw_comp(rng, p):
+    a, b = rng.sample(range(1, p), 2)
+    m, n = rng.randrange(1, p), rng.randrange(1, p)
+    s_lo, s_hi = _window(p, m, n)
+    if s_hi < s_lo:
+        return None
+    s = rng.randrange(s_lo, s_hi + 1)
+    return a, b, m, n, s, m + n + s - (p - 1)
+
+
+# _run_thm3_13 enumerates this grid as product rows; the Grid only samples it
+_comp = Grid(
+    ("a", "b", "m", "n", "s", "M"),
+    lambda pr, a, b, m, n, s, M: _sides(ident.comp_general(pr, a, b, m, n, s)),
+    draw=_draw_comp,
+)
+
+
 def _run_thm3_13(pr, budget, seed, mode):
     p = pr.p
+    if _comp_grid_count(p) > budget:
+        return _comp.sample(pr, budget, seed)
+    # comp_rows puts [x^M] of row t at t*(p-1) + M.  For fixed (a, b, m, n)
+    # the window's instances have M = d+s with d = m+n-(p-1), so their left
+    # sides are one run of left row n, and their right sides one stride-p
+    # run down the right rows (cell s*(p-1) + d+s = s*p + d).
     failures = []
     grid = 0
-    if _comp_grid_count(p) <= budget:
-        # comp_rows puts [x^M] of row t at t*(p-1) + M.  For fixed (a, b, m, n)
-        # the window's instances have M = d+s with d = m+n-(p-1), so their left
-        # sides are one run of left row n, and their right sides one stride-p
-        # run down the right rows (cell s*(p-1) + d+s = s*p + d).
-        pm1 = p - 1
-        runs = []
-        for m in range(1, p):
-            slices = []
-            for n in range(1, p):
-                s_lo, s_hi = _comp_window(p, m, n)
-                if s_hi >= s_lo:
-                    d = m + n - pm1
-                    l0 = n * pm1 + d
-                    slices.append((n, s_lo, l0 + s_lo, l0 + s_hi + 1,
-                                   s_lo * p + d, s_hi * p + d + 1))
-            runs.append((m, slices))
-        rows = ident.comp_rows
-        for a in range(1, p):
-            for b in range(1, p):
-                if b == a:
-                    continue
-                for m, slices in runs:
-                    lrows = rows(pr, a, b, m)
-                    rrows = rows(pr, a - b, -b, m)
-                    for n, s_lo, l0, l1, r0, r1 in slices:
-                        lhs = lrows[l0:l1]
-                        rhs = rrows[r0:r1:p]
-                        if lhs != rhs:
-                            for s, x, y in zip(range(s_lo, p), lhs, rhs):
-                                if x != y:
-                                    _fail(failures, {"a": a, "b": b, "m": m, "n": n, "s": s}, x, y)
-                        grid += l1 - l0
-        return grid, failures, True
-    rng = random.Random(seed)
-    cg = ident.comp_general
-    while grid < budget:
-        a, b = _sample_distinct(rng, p, 2)
-        m, n = rng.randrange(1, p), rng.randrange(1, p)
-        s_lo, s_hi = _comp_window(p, m, n)
-        if s_hi < s_lo:
-            continue
-        s = rng.randrange(s_lo, s_hi + 1)
-        inst = cg(pr, a, b, m, n, s)
-        grid += 1
-        if inst.lhs != inst.rhs:
-            _fail(failures, inst.params, inst.lhs, inst.rhs)
-    return grid, failures, False
+    pm1 = p - 1
+    runs = []
+    for m in range(1, p):
+        slices = []
+        for n in range(1, p):
+            s_lo, s_hi = _window(p, m, n)
+            if s_hi >= s_lo:
+                d = m + n - pm1
+                l0 = n * pm1 + d
+                slices.append((n, s_lo, l0 + s_lo, l0 + s_hi + 1,
+                               s_lo * p + d, s_hi * p + d + 1))
+        runs.append((m, slices))
+    rows = ident.comp_rows
+    for a, b in permutations(range(1, p), 2):
+        for m, slices in runs:
+            lrows = rows(pr, a, b, m)
+            rrows = rows(pr, a - b, -b, m)
+            for n, s_lo, l0, l1, r0, r1 in slices:
+                lhs = lrows[l0:l1]
+                rhs = rrows[r0:r1:p]
+                if lhs != rhs:
+                    for s, x, y in zip(range(s_lo, p), lhs, rhs):
+                        if x != y:
+                            _fail(failures, {"a": a, "b": b, "m": m, "n": n, "s": s}, x, y)
+                grid += l1 - l0
+    return grid, failures, True
 
 
 def _cor312_grid_count(p):
@@ -661,109 +449,69 @@ def _cor312_grid_count(p):
     return js + pairs * (p - 1) * (p - 2)
 
 
+def _draw_cor3_12(rng, p):
+    m, n = rng.randrange(1, p), rng.randrange(1, p)
+    M = m + n - (p - 1)
+    if M < 0:
+        return None
+    if rng.randrange(8) == 0:  # part 1 is the small slice of the grid
+        return 1, None, None, m, n, rng.randrange(M + 1)
+    a, b = rng.sample(range(1, p), 2)
+    return 2, a, b, m, n, None
+
+
+def _check_cor3_12(pr, part, a, b, m, n, j):
+    """(rhs, lhs) of part 1 at (m, n, j) or of part 2 at (a, b, m, n)."""
+    p = pr.p
+    M = m + n - (p - 1)  # 0 <= M <= min(m, n)
+    if part == 1:
+        lhs = binom(pr, m, M - j) * binom(pr, n, j) % p
+        if j % 2 == 1:
+            lhs = -lhs % p
+        return binom(pr, m, M) * binom(pr, M, j) % p, lhs
+    wa_rev = pr.weighted_row(m, a)[1]
+    wb = pr.weighted_row(n, b)[0]
+    lhs = sum(map(mul, wa_rev[m - M : m + 1], wb[: M + 1])) % p
+    return pow_nonzero(pr, a - b, M) * binom(pr, m, p - n - 1) % p, lhs
+
+
+# points (part, a, b, m, n, j): part 1 has no a, b and part 2 no j
+_cor3_12 = Grid(("part", "a", "b", "m", "n", "j"), _check_cor3_12, draw=_draw_cor3_12)
+
+
 def _run_cor3_12(pr, budget, seed, mode):
     """Both parts of the s = 0 corollary, including the m = n = p-1 corner
-    that the stricter general hypothesis excludes."""
+    that the stricter general hypothesis excludes.
+
+    part 1: (-1)^j C(m,M-j) C(n,j) == C(m,M) C(M,j)
+    part 2: sum_j C(m,M-j) C(n,j) a^(M-j) b^j == (a-b)^M C(m,p-n-1)
+    """
     p = pr.p
-    failures = []
-    grid = 0
     if _cor312_grid_count(p) > budget:
-        return _run_cor3_12_sampled(pr, budget, seed)
-    # part 1: (-1)^j C(m,M-j) C(n,j) == C(m,M) C(M,j)
-    for m in range(1, p):
-        rm = pr.binom_row(m)
-        for n in range(1, p):
-            M = m + n - (p - 1)
-            if M < 0:
-                continue
-            rn = pr.binom_row(n)
-            rM = pr.binom_row(M)
-            cmM = rm[M] if M <= m else 0
-            for j in range(M + 1):
-                lhs = rm[M - j] * rn[j] % p if M - j <= m and j <= n else 0
-                if j % 2 == 1:
-                    lhs = -lhs % p
-                rhs = cmM * rM[j] % p
-                grid += 1
-                if lhs != rhs:
-                    _fail(failures, {"part": 1, "m": m, "n": n, "j": j}, rhs, lhs)
-    # part 2: sum_j C(m,M-j) C(n,j) a^(M-j) b^j == (a-b)^M C(m,p-n-1)
-    for m in range(1, p):
-        for n in range(1, p):
-            M = m + n - (p - 1)
-            if M < 0:
-                continue
-            cm = binom(pr, m, p - n - 1)
-            lo = M - m if M - m > 0 else 0
-            hi = n if n < M else M
-            i0 = m - M + lo
-            i1 = m - M + hi + 1
-            empty = hi < lo
-            for a in range(1, p):
-                wa_slice = pr.weighted_row(m, a)[1][i0:i1]
-                for b in range(1, p):
-                    if b == a:
-                        continue
-                    if empty:
-                        lhs = 0
-                    else:
-                        lhs = sum(map(mul, wa_slice, pr.weighted_row(n, b)[0][lo : hi + 1])) % p
-                    rhs = pow_nonzero(pr, a - b, M) * cm % p
-                    grid += 1
-                    if lhs != rhs:
-                        _fail(failures, {"part": 2, "a": a, "b": b, "m": m, "n": n}, rhs, lhs)
-    return grid, failures, True
-
-
-def _run_cor3_12_sampled(pr, budget, seed):
-    p = pr.p
-    failures = []
-    grid = 0
-    rng = random.Random(seed)
-    while grid < budget:
-        m, n = rng.randrange(1, p), rng.randrange(1, p)
+        return _cor3_12.sample(pr, budget, seed)
+    part1 = ((1, None, None, m, n, j) for m, n in product(range(1, p), repeat=2)
+             for j in range(m + n - (p - 1) + 1))
+    grid, failures = _cor3_12.sweep(pr, part1)
+    # part 2 reuses each weighted row slice across b
+    for m, n in product(range(1, p), repeat=2):
         M = m + n - (p - 1)
         if M < 0:
             continue
-        if rng.randrange(8) == 0:  # part 1 is the small slice of the grid
-            j = rng.randrange(M + 1)
-            lhs = binom(pr, m, M - j) * binom(pr, n, j) % p
-            if j % 2 == 1:
-                lhs = -lhs % p
-            rhs = binom(pr, m, M) * binom(pr, M, j) % p
-            grid += 1
-            if lhs != rhs:
-                _fail(failures, {"part": 1, "m": m, "n": n, "j": j}, rhs, lhs)
-            continue
-        a, b = _sample_distinct(rng, p, 2)
-        wa_rev = pr.weighted_row(m, a)[1]
-        wb = pr.weighted_row(n, b)[0]
-        lo = M - m if M - m > 0 else 0
-        hi = n if n < M else M
-        lhs = (
-            sum(map(mul, wa_rev[m - M + lo : m - M + hi + 1], wb[lo : hi + 1])) % p
-            if hi >= lo
-            else 0
-        )
-        rhs = pow_nonzero(pr, a - b, M) * binom(pr, m, p - n - 1) % p
-        grid += 1
-        if lhs != rhs:
-            _fail(failures, {"part": 2, "a": a, "b": b, "m": m, "n": n}, rhs, lhs)
-    return grid, failures, False
-
-
-def _run_vandermonde(pr, budget, seed, mode):
-    p = pr.p
-    failures = []
-    grid = 0
-    for m in range(p):
-        for n in range(p - m):
-            for M in range(m + n + 1):
-                inst = ident.vandermonde(pr, m, n, M)
+        cm = binom(pr, m, p - n - 1)
+        for a in range(1, p):
+            wa_slice = pr.weighted_row(m, a)[1][m - M : m + 1]
+            for b in range(1, p):
+                if b == a:
+                    continue
+                lhs = sum(map(mul, wa_slice, pr.weighted_row(n, b)[0][: M + 1])) % p
+                rhs = pow_nonzero(pr, a - b, M) * cm % p
                 grid += 1
-                if not inst.holds:
-                    _fail(failures, inst.params, inst.lhs, inst.rhs)
+                if lhs != rhs:
+                    _fail(failures, {"part": 2, "a": a, "b": b, "m": m, "n": n}, rhs, lhs)
     return grid, failures, True
+
+
+# --- shortcuts, tables and figures --------------------------------------------
 
 
 def _run_quickcase(pr, budget, seed, mode):
@@ -822,31 +570,20 @@ def _run_tablecorr(pr, budget, seed, mode):
     p = pr.p
     failures = []
     grid = 0
-    count = (p - 1) ** 2 * (p - 1)
-    if count <= budget:
-        pairs = [(m, n) for m in range(1, p) for n in range(1, p)]
-        exhaustive = True
+    exhaustive = (p - 1) ** 3 <= budget
+    if exhaustive:
+        pairs = product(range(1, p), repeat=2)
     else:
         rng = random.Random(seed)
         wanted = max(1, budget // (p - 1))
-        pairs = [
-            (rng.randrange(1, p), rng.randrange(1, p)) for _ in range(wanted)
-        ]
-        exhaustive = False
+        pairs = [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(wanted)]
     for m, n in pairs:
         coeffs = symbolic_coeff_table(pr, m, n)
         sums = symbolic_sum_table(pr, m, n)
         for s in range(1, p):
-            want = None
-            i = 1
-            while i * (p - 1) - s <= m + n:
-                j = i * (p - 1) - s
-                want = coeffs[j] if want is None else bipoly_add(want, coeffs[j])
-                i += 1
+            rows = [coeffs[j] for j in range(p - 1 - s, m + n + 1, p - 1)]
             got = sums[s - 1]
-            ok = (want is None and got.is_zero()) or (
-                want is not None and want.coeffs == got.coeffs
-            )
+            ok = reduce(bipoly_add, rows).coeffs == got.coeffs if rows else got.is_zero()
             grid += 1
             if not ok:
                 _fail(failures, {"m": m, "n": n, "s": s}, 0, 1)
@@ -858,32 +595,22 @@ def _run_figures(pr, budget, seed, mode):
     p = pr.p
     failures = []
     grid = 0
+    corners = ((0, 0), (0, p - 1), (p - 1, 0), (p - 1, p - 1))
     for a in range(1, p):
         mat = residue_matrix(pr, a).entries
-        checks = []
-        corners = {(0, 0), (0, p - 1), (p - 1, 0), (p - 1, p - 1)}
-        checks.append(("corners", all(mat[i][j] == p - 2 for i, j in corners)))
-        checks.append(("row_wrap", mat[0] == mat[p - 1]))
-        checks.append(
-            ("col_wrap", all(mat[i][0] == mat[i][p - 1] for i in range(p)))
-        )
-        checks.append(
-            ("row0_reversed_is_col0", all(mat[0][p - 1 - m] == mat[m][0] for m in range(p)))
-        )
-        checks.append(
-            ("col0_powers", all(mat[m][0] == (-pow(a, m, p)) % p for m in range(1, p - 1)))
-        )
-        checks.append(
-            (
-                "modified_pascal",
-                all(
-                    (mat[i][j - 1] + mat[i + 1][j]) % p == a * mat[i][j] % p
-                    for i in range(p - 1)
-                    for j in range(1, p)
-                ),
-            )
-        )
-        for name, ok in checks:
+        checks = {
+            "corners": all(mat[i][j] == p - 2 for i, j in corners),
+            "row_wrap": mat[0] == mat[p - 1],
+            "col_wrap": all(mat[i][0] == mat[i][p - 1] for i in range(p)),
+            "row0_reversed_is_col0": all(mat[0][p - 1 - m] == mat[m][0] for m in range(p)),
+            "col0_powers": all(mat[m][0] == (-pow(a, m, p)) % p for m in range(1, p - 1)),
+            "modified_pascal": all(
+                (mat[i][j - 1] + mat[i + 1][j]) % p == a * mat[i][j] % p
+                for i in range(p - 1)
+                for j in range(1, p)
+            ),
+        }
+        for name, ok in checks.items():
             grid += 1
             if not ok:
                 _fail(failures, {"a": a, "check": name}, 1, 0)
@@ -954,23 +681,7 @@ def resolve_theorems(ids) -> list[str]:
             raise UnknownTheoremError(
                 f"unknown theorem id {name!r}; known: {', '.join(REGISTRY)} or 'all'"
             )
-    seen = set()
-    ordered = []
-    for name in out:
-        if name not in seen:
-            seen.add(name)
-            ordered.append(name)
-    return ordered
-
-
-def thread_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+    return list(dict.fromkeys(out))
 
 
 def run_one(theorem_id: str, p: int | Prime, budget: int = 10_000, seed: int = 0,
@@ -979,6 +690,8 @@ def run_one(theorem_id: str, p: int | Prime, budget: int = 10_000, seed: int = 0
     thm = REGISTRY.get(theorem_id)
     if thm is None:
         raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}")
+    if budget < 1:
+        raise BadParamsError(f"budget must be at least 1, got {budget}")
     start = time.perf_counter()
     grid, failures, exhaustive = thm.run(pr, budget, seed, mode)
     elapsed = time.perf_counter() - start
@@ -996,18 +709,13 @@ def run_one(theorem_id: str, p: int | Prime, budget: int = 10_000, seed: int = 0
 
 def run_verification(theorem_ids, primes, budget: int = 10_000, seed: int = 0,
                      mode: str = "p2") -> list[VerificationReport]:
-    """Run every (theorem, prime) pair; reports sorted by theorem then prime.
-
-    Work is sharded across a thread pool capped by WOLSTENHOLME_THREADS; the
-    merge order is deterministic regardless of scheduling.
-    """
+    """Run every (theorem, prime) pair; reports sorted by theorem then prime."""
     names = resolve_theorems(theorem_ids)
-    tasks = [(name, p) for name in names for p in primes]
-    workers = thread_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda t: run_one(t[0], t[1], budget, seed, mode), tasks))
-    else:
-        reports = [run_one(name, p, budget, seed, mode) for name, p in tasks]
-    reports.sort(key=lambda r: (r.theorem, r.prime))
-    return reports
+    if not names:
+        raise BadParamsError("no theorem ids to verify")
+    if not primes:
+        raise BadParamsError("no primes to verify at")
+    return sorted(
+        [run_one(name, p, budget, seed, mode) for name in names for p in primes],
+        key=lambda r: (r.theorem, r.prime),
+    )

@@ -155,6 +155,21 @@ def test_verify_composite_prime_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--primes", "abc"),
+    ("--primes", "5..x"),
+    ("--budget", "0"),
+    ("--budget", "-3"),
+    ("--theorems", ",,"),
+    ("--primes", "90..96"),  # a range with no primes in it
+])
+def test_verify_input_that_checks_nothing_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "--theorems", "thm2.1", "--primes", "5", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 def test_verify_output_file(tmp_path, capsys):
     target = tmp_path / "report.jsonl"
     code, out, _ = run_cli(

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from wolstenholme import closedforms, identities, verify
 from wolstenholme.errors import UnknownTheoremError
+from wolstenholme.identities import IdentityInstance
 from wolstenholme.verify import (
     IDENTITY_SUITE,
     REGISTRY,
@@ -10,7 +12,6 @@ from wolstenholme.verify import (
     resolve_theorems,
     run_one,
     run_verification,
-    thread_count,
 )
 
 
@@ -64,25 +65,6 @@ def test_run_verification_ordering():
     keys = [(r.theorem, r.prime) for r in reports]
     assert keys == [("eq2", 5), ("eq2", 7), ("thm2.6", 5), ("thm2.6", 7)]
     assert all(r.passed for r in reports)
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("WOLSTENHOLME_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("WOLSTENHOLME_THREADS", "junk")
-    assert thread_count() >= 1
-    monkeypatch.delenv("WOLSTENHOLME_THREADS")
-    assert thread_count() >= 1
-
-
-def test_run_verification_threaded_matches_sequential(monkeypatch):
-    monkeypatch.setenv("WOLSTENHOLME_THREADS", "4")
-    threaded = run_verification(["eq2", "cor2.7"], [5, 7])
-    monkeypatch.setenv("WOLSTENHOLME_THREADS", "1")
-    sequential = run_verification(["eq2", "cor2.7"], [5, 7])
-    assert [(r.theorem, r.prime, r.grid, r.passed) for r in threaded] == [
-        (r.theorem, r.prime, r.grid, r.passed) for r in sequential
-    ]
 
 
 def test_mode_p_downgrades_p2_checks():
@@ -148,3 +130,162 @@ def test_thm3_13_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch):
     assert len(expected) > 2
     assert rep.failures == expected
     assert rep.grid == _comp_grid_count(p) and rep.exhaustive
+
+
+# --- every grid theorem reports every failing instance -----------------------
+
+# theorem id -> (module, name) of the closed form or right side its check
+# calls, and the params each failure names
+CHECKED = {
+    "thm2.1": (closedforms, "ratio_single", "a m n"),
+    "thm2.3": (closedforms, "ratio_pair", "a b m n"),
+    "rem2.5": (closedforms, "ratio_equal_offsets", "a m n"),
+    "thm2.6": (closedforms, "product_pair_k", "a m n"),
+    "thm2.8": (closedforms, "product_pair", "a b m n"),
+    "thm3.1": (closedforms, "triple_binomial", "a b m n s"),
+    "thm3.4": (closedforms, "triple_s1", "a b m n"),
+    "thm3.5": (closedforms, "triple_s2", "a b m n"),
+    "thm3.6": (closedforms, "triple_general", "a b m n s"),
+    "eq2": (identities, "cancellation", "n k s"),
+    "eq3": (identities, "semi_symmetry", "k s"),
+    "cor2.7": (identities, "transpose_binomial", "m n"),
+    "thm3.11": (identities, "cong_general", "m n s j M"),
+    "thm3.13": (identities, "comp_general", "a b m n s M"),
+    "vandermonde": (identities, "vandermonde", "m n M"),
+}
+SAMPLED = ("thm2.1", "thm2.3", "rem2.5", "thm2.6", "thm2.8", "thm3.1", "thm3.4",
+           "thm3.5", "thm3.6", "thm3.11", "thm3.13")
+# exhaustive at p = 7 (the exhaustive thm3.13 compares product rows instead),
+# sampled at p = 13
+CASES = [(t, 7, 10_000) for t in CHECKED if t != "thm3.13"] + [(t, 13, 40) for t in SAMPLED]
+
+
+def _off_by_one(value):
+    """The same result with its closed-form value or right side one too big."""
+    if isinstance(value, tuple):
+        return tuple(_off_by_one(v) for v in value)
+    if isinstance(value, IdentityInstance):
+        params = value.params
+        return IdentityInstance(value.pr, tuple(params), tuple(params.values()),
+                                value.lhs, value.rhs + 1)
+    return value + 1  # out of [0, p), so never equal to brute force
+
+
+def _force_wrong(monkeypatch, theorem):
+    module, name, _ = CHECKED[theorem]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: _off_by_one(real(*args)))
+
+
+@pytest.mark.parametrize("theorem, p, budget", CASES)
+def test_driver_reports_every_wrong_instance(monkeypatch, theorem, p, budget):
+    clean = run_one(theorem, p, budget=budget, seed=7)
+    _force_wrong(monkeypatch, theorem)
+    rep = run_one(theorem, p, budget=budget, seed=7)
+    assert (rep.grid, rep.exhaustive) == (clean.grid, clean.exhaustive)
+    assert rep.exhaustive == (budget == 10_000)
+    assert len(rep.failures) == rep.grid > 0
+    names = CHECKED[theorem][2].split()
+    for fail in rep.failures:
+        assert list(fail["params"]) == names
+        assert fail["got"] == fail["expected"] + 1  # expected is brute or lhs
+    distinct = {tuple(f["params"].values()) for f in rep.failures}
+    if rep.exhaustive:  # eq3 checks two congruences at each (k, s)
+        assert len(distinct) == rep.grid // (2 if theorem == "eq3" else 1)
+
+
+# The failing params of every draw at p = 13, budget 40, seed 7, with every
+# check forced to fail (cor3.12: its part-2 right side); a change to a
+# sampler's stream of random calls changes these lists.
+PINNED = {
+    "thm2.3": [
+        (5, 2, 6, 10), (0, 1, 8, 1), (5, 9, 0, 8), (3, 0, 1, 6), (6, 1, 3, 1), (8, 6, 0, 9),
+        (1, 3, 10, 10), (9, 0, 9, 9), (6, 0, 3, 0), (8, 2, 4, 6), (2, 8, 1, 9), (4, 8, 10, 2),
+        (1, 9, 9, 10), (3, 5, 1, 8), (11, 1, 9, 0), (9, 3, 7, 10), (8, 6, 12, 5), (7, 9, 7, 5),
+        (4, 3, 12, 2), (11, 3, 1, 9), (4, 8, 7, 5), (11, 7, 4, 9), (1, 12, 8, 6), (2, 5, 2, 7),
+        (6, 0, 10, 1), (12, 8, 9, 12), (5, 12, 11, 5), (9, 7, 9, 12), (7, 1, 1, 4),
+        (7, 11, 10, 1), (0, 11, 11, 4), (10, 9, 10, 7), (4, 11, 6, 10), (5, 0, 7, 5),
+        (2, 9, 1, 7), (0, 3, 12, 4), (2, 11, 3, 6), (6, 7, 1, 2), (7, 6, 8, 4), (2, 6, 8, 4),
+    ],
+    "thm2.8": [
+        (6, 3, 7, 11), (1, 2, 9, 2), (6, 10, 1, 9), (4, 1, 2, 7), (7, 2, 4, 2), (9, 7, 1, 10),
+        (2, 4, 11, 11), (10, 1, 10, 10), (7, 1, 4, 1), (9, 3, 5, 7), (3, 9, 2, 10),
+        (5, 9, 11, 3), (2, 10, 10, 11), (4, 6, 2, 9), (12, 2, 10, 1), (10, 4, 8, 11),
+        (9, 7, 6, 8), (10, 8, 6, 5), (4, 3, 12, 4), (2, 10, 5, 9), (8, 6, 12, 8),
+        (5, 10, 2, 2), (9, 7, 3, 6), (3, 8, 7, 1), (11, 2, 9, 10), (6, 12, 12, 6),
+        (10, 8, 10, 8), (2, 12, 5, 8), (12, 11, 2, 1), (12, 5, 11, 10), (11, 8, 5, 12),
+        (7, 11, 6, 1), (8, 6, 3, 10), (2, 8, 1, 4), (5, 3, 12, 4), (7, 12, 8, 2), (3, 8, 7, 9),
+        (5, 3, 7, 9), (5, 7, 6, 11), (7, 4, 3, 2),
+    ],
+    "thm3.1": [
+        (6, 3, 7, 11, 1), (2, 9, 2, 6, 10), (1, 9, 4, 1, 2), (7, 12, 2, 4, 2),
+        (9, 7, 1, 10, 2), (4, 11, 11, 10, 1), (10, 12, 7, 1, 4), (1, 9, 3, 5, 7),
+        (3, 9, 2, 10, 5), (9, 11, 3, 2, 10), (10, 11, 4, 6, 2), (9, 2, 10, 1, 10),
+        (4, 8, 11, 9, 7), (6, 8, 10, 8, 6), (5, 4, 3, 12, 4), (2, 10, 5, 9, 8),
+        (6, 8, 5, 10, 2), (2, 9, 7, 3, 6), (3, 8, 7, 1, 11), (2, 9, 10, 6, 6),
+        (12, 6, 10, 8, 10), (8, 2, 2, 5, 8), (12, 11, 2, 1, 12), (12, 5, 11, 10, 11),
+        (8, 5, 12, 7, 11), (6, 1, 8, 6, 3), (10, 2, 8, 1, 4), (5, 3, 12, 4, 7),
+        (7, 8, 2, 3, 8), (7, 9, 5, 3, 7), (9, 5, 12, 7, 6), (11, 7, 4, 3, 2),
+        (3, 12, 4, 11, 4), (1, 8, 10, 3, 5), (5, 1, 3, 7, 9), (6, 10, 10, 6, 3),
+        (12, 9, 10, 11, 11), (12, 1, 8, 11, 9), (7, 12, 7, 7, 2), (8, 11, 7, 1, 4),
+    ],
+    "thm3.5": [
+        (6, 3, 7, 11), (1, 2, 9, 2), (6, 10, 1, 9), (4, 1, 2, 7), (7, 2, 4, 2), (9, 7, 1, 10),
+        (2, 4, 11, 11), (10, 1, 10, 10), (7, 1, 4, 1), (9, 3, 5, 7), (3, 9, 2, 10),
+        (5, 9, 11, 3), (2, 10, 10, 11), (4, 6, 2, 9), (12, 2, 10, 1), (10, 4, 8, 11),
+        (9, 7, 6, 8), (10, 8, 6, 5), (4, 3, 12, 4), (2, 10, 5, 9), (8, 6, 12, 8),
+        (5, 10, 2, 2), (9, 7, 3, 6), (3, 8, 7, 1), (11, 2, 9, 10), (6, 12, 12, 6),
+        (10, 8, 10, 8), (2, 12, 5, 8), (12, 11, 2, 1), (12, 5, 11, 10), (11, 8, 5, 12),
+        (7, 11, 6, 1), (8, 6, 3, 10), (2, 8, 1, 4), (5, 3, 12, 4), (7, 12, 8, 2), (3, 8, 7, 9),
+        (5, 3, 7, 9), (5, 7, 6, 11), (7, 4, 3, 2),
+    ],
+    "thm3.11": [
+        (5, 2, 11, 5, 6), (0, 1, 11, 0, 0), (9, 0, 11, 3, 8), (0, 1, 12, 1, 1),
+        (1, 3, 8, 0, 0), (0, 9, 4, 0, 1), (10, 10, 0, 6, 8), (0, 3, 9, 0, 0), (4, 6, 4, 2, 2),
+        (1, 9, 6, 4, 4), (10, 2, 1, 0, 1), (5, 1, 10, 0, 4), (9, 0, 12, 3, 9),
+        (7, 10, 4, 6, 9), (12, 5, 3, 7, 8), (5, 4, 6, 1, 3), (11, 12, 0, 1, 11),
+        (9, 4, 8, 7, 9), (5, 11, 7, 4, 11), (9, 1, 3, 1, 1), (2, 12, 5, 2, 7), (7, 6, 0, 0, 1),
+        (12, 8, 2, 5, 10), (11, 5, 7, 9, 11), (12, 7, 0, 1, 7), (4, 7, 12, 10, 11),
+        (1, 0, 12, 1, 1), (4, 11, 6, 5, 9), (0, 7, 10, 1, 5), (9, 1, 9, 0, 7),
+        (3, 12, 4, 2, 7), (11, 3, 6, 6, 8), (7, 1, 6, 1, 2), (6, 8, 4, 1, 6), (6, 8, 4, 5, 6),
+        (6, 5, 11, 6, 10), (3, 2, 7, 0, 0), (2, 3, 12, 1, 5), (0, 7, 7, 1, 2), (4, 0, 9, 1, 1),
+    ],
+    "thm3.13": [
+        (6, 3, 7, 11, 0, 6), (2, 9, 2, 6, 4, 0), (9, 4, 1, 2, 12, 3), (7, 2, 4, 2, 10, 4),
+        (7, 1, 10, 2, 3, 3), (11, 12, 10, 1, 10, 9), (10, 7, 1, 4, 7, 0), (9, 3, 5, 7, 2, 2),
+        (9, 2, 10, 5, 8, 11), (11, 3, 2, 10, 9, 9), (11, 4, 6, 2, 12, 8),
+        (12, 2, 10, 1, 10, 9), (4, 8, 11, 9, 3, 11), (6, 8, 10, 8, 2, 8), (5, 4, 3, 12, 3, 6),
+        (2, 10, 5, 9, 7, 9), (6, 8, 5, 10, 1, 4), (2, 9, 7, 3, 7, 5), (3, 8, 7, 1, 5, 1),
+        (9, 10, 6, 6, 11, 11), (6, 10, 8, 10, 3, 9), (2, 12, 5, 8, 10, 11),
+        (5, 11, 10, 11, 1, 10), (5, 7, 11, 6, 0, 5), (8, 6, 3, 10, 1, 2), (8, 1, 4, 5, 5, 2),
+        (12, 4, 7, 7, 7, 9), (2, 3, 8, 7, 8, 11), (5, 3, 7, 9, 4, 8), (12, 7, 6, 11, 3, 8),
+        (4, 3, 2, 3, 8, 1), (4, 11, 4, 1, 10, 3), (10, 3, 5, 5, 2, 0), (3, 7, 9, 6, 5, 8),
+        (3, 9, 10, 11, 2, 11), (12, 1, 8, 11, 4, 11), (7, 12, 7, 7, 1, 3), (8, 11, 7, 1, 7, 3),
+        (2, 4, 8, 3, 2, 1), (6, 10, 1, 2, 9, 0),
+    ],
+    "cor3.12": [
+        (2, 2, 10, 10, 5), (2, 6, 2, 10, 11), (2, 10, 1, 9, 12), (2, 11, 9, 10, 4),
+        (2, 10, 8, 7, 6), (2, 10, 5, 12, 4), (2, 12, 8, 9, 8), (2, 2, 9, 5, 10),
+        (2, 6, 12, 9, 10), (2, 2, 12, 10, 8), (2, 1, 5, 5, 8), (2, 5, 7, 11, 10),
+        (2, 1, 4, 10, 2), (2, 7, 8, 12, 4), (2, 3, 7, 8, 7), (2, 6, 11, 9, 5),
+        (2, 1, 8, 4, 11), (2, 5, 1, 10, 3), (2, 3, 9, 9, 6), (2, 7, 12, 11, 9),
+        (2, 1, 4, 8, 11), (2, 6, 10, 10, 3), (2, 3, 11, 4, 10), (2, 2, 12, 10, 6),
+        (2, 8, 5, 8, 8), (2, 12, 5, 2, 12), (2, 9, 1, 8, 12), (2, 3, 9, 4, 9),
+        (2, 12, 5, 5, 11), (2, 6, 4, 9, 6), (2, 11, 4, 9, 9), (2, 7, 4, 10, 4),
+    ],
+}
+
+
+@pytest.mark.parametrize("theorem", list(PINNED))
+def test_sampled_streams_are_pinned(monkeypatch, theorem):
+    if theorem == "cor3.12":
+        real = verify.pow_nonzero
+        monkeypatch.setattr(verify, "pow_nonzero", lambda pr, b, e: real(pr, b, e) + 1)
+        names = ["part", "a", "b", "m", "n"]  # part 1 holds, part 2 fails
+    else:
+        _force_wrong(monkeypatch, theorem)
+        names = CHECKED[theorem][2].split()
+    rep = run_one(theorem, 13, budget=40, seed=7)
+    assert (rep.grid, rep.exhaustive) == (40, False)
+    assert all(list(f["params"]) == names for f in rep.failures)
+    assert [tuple(f["params"].values()) for f in rep.failures] == PINNED[theorem]
