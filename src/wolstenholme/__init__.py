@@ -18,7 +18,6 @@ from .closedforms import (
     triple_s2,
 )
 from .general import (
-    ESPVector,
     GeneralSumParams,
     bounded_composition_sum,
     coeff_extraction_sum,
@@ -29,7 +28,6 @@ from .general import (
     scaling_reduce,
 )
 from .identities import (
-    IdentityInstance,
     cancellation,
     comp_general,
     cong_general,
@@ -44,8 +42,6 @@ from .modarith import (
     is_prime,
     make_prime,
     mod_inverse,
-    mod_pow,
-    residue,
 )
 from .oracle import (
     ResidueMatrix,

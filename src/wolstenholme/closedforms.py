@@ -8,7 +8,6 @@ cases ahead of the general expression, and returns a canonical residue in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import (
     ConversionInvalidError,
@@ -16,7 +15,7 @@ from .errors import (
     HypothesisViolationError,
     OffsetZeroError,
 )
-from .modarith import Prime, binom, fermat_reduce, pow_nonzero
+from .modarith import Prime, binom, conv, fermat_reduce, pow_nonzero
 from .oracle import SumSpec, auto_exclusions
 
 
@@ -152,22 +151,6 @@ class TripleParams:
         return self.m + self.n + self.s - 2 * (self.pr.p - 1)
 
 
-def _conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:
-    """Sum over j of C(m, t-j) C(n, j) a^(t-j) b^j, zero-binomial convention."""
-    if t < 0:
-        return 0
-    lo = t - m
-    if lo < 0:
-        lo = 0
-    hi = n if n < t else t
-    if hi < lo:
-        return 0
-    wa_rev = pr.weighted_row(m, a)[1]
-    wb = pr.weighted_row(n, b)[0]
-    # wa_rev[m - t + j] == C(m, t-j) a^(t-j)
-    return sum(map(mul, wa_rev[m - t + lo : m - t + hi + 1], wb[lo : hi + 1])) % pr.p
-
-
 def triple_binomial(tp: TripleParams) -> int:
     """Sum over all k of (a+k)^m (b+k)^n k^s via the banded binomial sums."""
     pr = tp.pr
@@ -182,10 +165,10 @@ def triple_binomial(tp: TripleParams) -> int:
     if total < p - 1:
         return 0
     if total < 2 * (p - 1):
-        return -_conv(pr, tp.a, tp.b, tp.m, tp.n, tp.M) % p
+        return -conv(pr, tp.a, tp.b, tp.m, tp.n, tp.M) % p
     if total < 3 * (p - 1):
-        i2 = _conv(pr, tp.a, tp.b, tp.m, tp.n, tp.M)
-        i3 = _conv(pr, tp.a, tp.b, tp.m, tp.n, tp.R)
+        i2 = conv(pr, tp.a, tp.b, tp.m, tp.n, tp.M)
+        i3 = conv(pr, tp.a, tp.b, tp.m, tp.n, tp.R)
         return -(i2 + i3) % p
     return p - 3  # m = n = s = p-1
 
@@ -268,7 +251,7 @@ def triple_general(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> int:
         return (-first - second) % p
     M = m + n + s - (p - 1)
     R = M - (p - 1)
-    return -(_conv(pr, a, b, m, n, R) + _conv(pr, a, b, m, n, M)) % p
+    return -(conv(pr, a, b, m, n, R) + conv(pr, a, b, m, n, M)) % p
 
 
 def quick_case(spec: SumSpec) -> int | None:

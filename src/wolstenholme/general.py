@@ -170,28 +170,13 @@ def root_power_sum(gp: GeneralSumParams, r: int) -> int:
     return acc if r % 2 == 0 else -acc % p
 
 
-@dataclass(frozen=True)
-class ESPVector:
-    """Elementary symmetric polynomial values e_0..e_r of the root multiset."""
-
-    pr: Prime
-    values: tuple[int, ...]
-
-    def __getitem__(self, r: int) -> int:
-        return self.values[r]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def newton_esp(gp: GeneralSumParams, r_max: int) -> ESPVector:
+def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
     """e_0..e_r_max via Newton's identities; valid only for r_max < p.
 
     The recursion divides by r mod p, so indices at or above p would divide
     by zero; those e-values must come from polynomial coefficients instead.
     """
-    pr = gp.pr
-    p = pr.p
+    p = gp.pr.p
     if r_max >= p:
         raise IndexNotInvertibleError(f"r_max = {r_max} >= p = {p}: index not invertible")
     # r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i: one dot product of
@@ -201,7 +186,7 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> ESPVector:
     es = [1]
     for r in range(1, r_max + 1):
         es.append(sum(map(mul, reversed(es), signed)) * mod_inverse(r, p) % p)
-    return ESPVector(pr, tuple(es))
+    return tuple(es)
 
 
 def esp_sum(gp: GeneralSumParams) -> int:

@@ -1,71 +1,37 @@
 """Binomial-coefficient congruence identities, both sides computed separately.
 
 Each operation evaluates its left and right side independently (no shared
-subexpressions) and returns an IdentityInstance exposing both, so a test can
-assert equality rather than trust either side.  These run inside exhaustive
-grids over every prime up to 31 on a single core, so the instances are slim
-(__slots__, params materialized on demand) and the inner sums go through
-slices of cached weighted rows and sum(map(mul, ...)).  The largest grid,
-the weighted-sum identity's, is not swept instance by instance: comp_rows
-builds each side as the rows of a truncated product, and the sweep compares
-whole runs of instances as list slices.
+subexpressions) and returns the pair (lhs, rhs), so a test can assert
+equality rather than trust either side.  The weighted sums on either side
+of comp_general, and the left side of vandermonde, are coefficients
+[x^M] (1+ax)^m (1+bx)^n of a product of shifted binomials, read by the one
+convolution modarith.conv.  The largest grid, the weighted-sum identity's,
+is not swept instance by instance: comp_rows builds each side as the rows
+of a truncated product, and the sweep compares whole runs of instances as
+list slices.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from .errors import (
     EqualOffsetsError,
     HypothesisViolationError,
     RangeViolationError,
 )
-from .modarith import Prime, binom
+from .modarith import Prime, binom, conv
 
 
-class IdentityInstance:
-    """One checked instance: parameters, both sides, and whether they match."""
-
-    __slots__ = ("pr", "_names", "_values", "lhs", "rhs")
-
-    def __init__(self, pr: Prime, names: tuple, values: tuple, lhs: int, rhs: int):
-        self.pr = pr
-        self._names = names
-        self._values = values
-        self.lhs = lhs
-        self.rhs = rhs
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-    @property
-    def params(self) -> dict[str, int]:
-        return dict(zip(self._names, self._values))
-
-    def __repr__(self) -> str:
-        return f"IdentityInstance({self.params}, lhs={self.lhs}, rhs={self.rhs})"
-
-
-_NKS = ("n", "k", "s")
-_KS = ("k", "s")
-_MN = ("m", "n")
-_CONG = ("m", "n", "s", "j", "M")
-_COMP = ("a", "b", "m", "n", "s", "M")
-_VAND = ("m", "n", "M")
-
-
-def cancellation(pr: Prime, n: int, k: int, s: int) -> IdentityInstance:
+def cancellation(pr: Prime, n: int, k: int, s: int) -> tuple[int, int]:
     """C(n,k) C(k,s) = C(n,s) C(n-s,k-s), an exact integer identity."""
     if not 0 <= s <= k <= n < pr.p:
         raise RangeViolationError(f"need 0 <= s <= k <= n < p, got {(n, k, s)}")
     p = pr.p
     lhs = binom(pr, n, k) * binom(pr, k, s) % p
     rhs = binom(pr, n, s) * binom(pr, n - s, k - s) % p
-    return IdentityInstance(pr, _NKS, (n, k, s), lhs, rhs)
+    return lhs, rhs
 
 
-def semi_symmetry(pr: Prime, k: int, s: int) -> tuple[IdentityInstance, IdentityInstance]:
+def semi_symmetry(pr: Prime, k: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """C(k,s) against (-1)^(k+s) C(p-1-s,k-s) and (-1)^s C(p-1-k+s,s)."""
     if not 0 <= s <= k < pr.p:
         raise RangeViolationError(f"need 0 <= s <= k < p, got {(k, s)}")
@@ -77,13 +43,10 @@ def semi_symmetry(pr: Prime, k: int, s: int) -> tuple[IdentityInstance, Identity
     r2 = binom(pr, p - 1 - k + s, s)
     if s % 2 == 1:
         r2 = -r2 % p
-    return (
-        IdentityInstance(pr, _KS, (k, s), lhs, r1),
-        IdentityInstance(pr, _KS, (k, s), lhs, r2),
-    )
+    return (lhs, r1), (lhs, r2)
 
 
-def transpose_binomial(pr: Prime, m: int, n: int) -> IdentityInstance:
+def transpose_binomial(pr: Prime, m: int, n: int) -> tuple[int, int]:
     """C(m, p-1-n) against (-1)^(m+n) C(n, p-1-m)."""
     p = pr.p
     if not (0 <= m <= p - 1 and 0 <= n <= p - 1):
@@ -92,10 +55,10 @@ def transpose_binomial(pr: Prime, m: int, n: int) -> IdentityInstance:
     rhs = binom(pr, n, p - 1 - m)
     if (m + n) % 2 == 1:
         rhs = -rhs % p
-    return IdentityInstance(pr, _MN, (m, n), lhs, rhs)
+    return lhs, rhs
 
 
-def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> IdentityInstance:
+def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> tuple[int, int]:
     """(-1)^j C(m,M-j) C(n,j) against sum over k of C(s,k) C(m,M-k) C(M-k,j-k),
     where M = m+n+s-(p-1).  At s = 0, 1, 2 the right side collapses to one,
     two, and three products respectively.
@@ -123,37 +86,7 @@ def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> IdentityInstance:
             jk = j - k
             if 0 <= jk <= M - k:
                 acc += t * rows(M - k)[jk]
-    rhs = acc % p
-    return IdentityInstance(pr, _CONG, (m, n, s, j, M), lhs, rhs)
-
-
-def comp_sides(pr: Prime, a: int, b: int, m: int, n: int, s: int, M: int) -> tuple[int, int]:
-    """Both sides of the weighted-sum identity, no validation or packaging.
-
-    The single-instance form, behind comp_general and so the sampled sweeps;
-    the exhaustive sweep reads whole runs of instances off comp_rows instead.
-    Callers must guarantee a != b nonzero mod p, exponents in range, and
-    M = m+n+s-(p-1) in [0, p-2].
-    """
-    p = pr.p
-    wr = pr.weighted_row
-    lo = M - m
-    if lo < 0:
-        lo = 0
-    base = m - M  # wa_rev[base + j] == C(m, M-j) a^(M-j)
-    hi = n if n < M else M
-    if hi < lo:
-        lhs = 0
-    else:
-        lhs = sum(map(mul, wr(m, a)[1][base + lo : base + hi + 1],
-                      wr(n, b)[0][lo : hi + 1])) % p
-    hi = s if s < M else M
-    if hi < lo:
-        rhs = 0
-    else:
-        rhs = sum(map(mul, wr(m, a - b)[1][base + lo : base + hi + 1],
-                      wr(s, -b)[0][lo : hi + 1])) % p
-    return lhs, rhs
+    return lhs, acc % p
 
 
 def comp_rows(pr: Prime, u: int, v: int, m: int) -> list[int]:
@@ -161,7 +94,7 @@ def comp_rows(pr: Prime, u: int, v: int, m: int) -> list[int]:
     the coefficient of row t sits at t*(p-1) + M.
 
     Each row is the previous one times (1+vx), truncated at x^(p-2).  Both
-    sides of comp_sides are such coefficients: with (u, v) = (a, b), row n
+    sides of comp_general are such coefficients: with (u, v) = (a, b), row n
     holds the left side at every M, and with (u, v) = (a-b, -b), row s holds
     the right side.
     """
@@ -176,7 +109,7 @@ def comp_rows(pr: Prime, u: int, v: int, m: int) -> list[int]:
     return flat
 
 
-def comp_general(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> IdentityInstance:
+def comp_general(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> tuple[int, int]:
     """The weighted-sum identity behind the triple closed forms:
 
     sum_j C(m,M-j) C(n,j) a^(M-j) b^j  against
@@ -197,21 +130,14 @@ def comp_general(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> IdentityI
     M = m + n + s - (p - 1)
     if not 0 <= M < p - 1:
         raise HypothesisViolationError(f"M = {M} outside [0, p-2]")
-    lhs, rhs = comp_sides(pr, a, b, m, n, s, M)
-    return IdentityInstance(pr, _COMP, (a, b, m, n, s, M), lhs, rhs)
+    return conv(pr, a, b, m, n, M), conv(pr, a - b, -b, m, s, M)
 
 
-def vandermonde(pr: Prime, m: int, n: int, M: int) -> IdentityInstance:
+def vandermonde(pr: Prime, m: int, n: int, M: int) -> tuple[int, int]:
     """sum_j C(m,M-j) C(n,j) against C(m+n,M), tops kept below p."""
     p = pr.p
     if m < 0 or n < 0 or m + n > p - 1:
         raise RangeViolationError(f"need m, n >= 0 with m+n <= p-1, got {(m, n)}")
     if not 0 <= M <= m + n:
         raise RangeViolationError(f"M = {M} outside [0, m+n]")
-    rm = pr.binom_row(m)
-    rn = pr.binom_row(n)
-    lo = M - m if M - m > 0 else 0
-    hi = n if n < M else M
-    lhs = sum(rm[M - j] * rn[j] for j in range(lo, hi + 1)) % p
-    rhs = binom(pr, m + n, M)
-    return IdentityInstance(pr, _VAND, (m, n, M), lhs, rhs)
+    return conv(pr, 1, 1, m, n, M), binom(pr, m + n, M)

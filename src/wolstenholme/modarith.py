@@ -3,10 +3,14 @@
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
 lazily built lookup caches (binomial rows, power tables) that the closed-form
-evaluators lean on in hot verification loops.
+evaluators lean on in hot verification loops.  conv reads the weighted rows
+to give one coefficient of a product of two shifted binomials, the sum that
+the triple closed forms and the weighted-sum identities share.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import (
     NotInvertibleError,
@@ -28,11 +32,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def residue(value: int, modulus: int) -> int:
-    """Canonical representative of value in [0, modulus)."""
-    return value % modulus
 
 
 class Prime:
@@ -113,6 +112,23 @@ class Prime:
         return pair
 
 
+def conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:
+    """[x^t] (1+ax)^m (1+bx)^n, i.e. the sum over j of C(m, t-j) C(n, j)
+    a^(t-j) b^j mod p, with C(., k) = 0 outside 0 <= k <= top."""
+    if t < 0:
+        return 0
+    lo = t - m
+    if lo < 0:
+        lo = 0
+    hi = n if n < t else t
+    if hi < lo:
+        return 0
+    wa_rev = pr.weighted_row(m, a)[1]
+    wb = pr.weighted_row(n, b)[0]
+    # wa_rev[m - t + j] == C(m, t-j) a^(t-j)
+    return sum(map(mul, wa_rev[m - t + lo : m - t + hi + 1], wb[lo : hi + 1])) % pr.p
+
+
 def make_prime(p: int) -> Prime:
     """Validate p and build its factorial tables.
 
@@ -120,15 +136,6 @@ def make_prime(p: int) -> Prime:
     are excluded: several congruences need p >= 5 and nonempty {1,...,p-2}).
     """
     return Prime(p)
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base^exp mod modulus for exp >= 0, with the convention 0^0 = 1."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if exp < 0:
-        raise ValueError("mod_pow requires exp >= 0; invert the base first")
-    return pow(base % modulus, exp, modulus)
 
 
 def mod_inverse(a: int, modulus: int) -> int:

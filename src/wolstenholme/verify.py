@@ -20,14 +20,14 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice, permutations, product, repeat
-from math import perm, prod
+from math import comb, perm, prod
 from operator import mul
 
 from . import closedforms as cf
 from . import general as gen
 from . import identities as ident
 from .errors import BadParamsError, UnknownTheoremError
-from .modarith import Prime, binom, make_prime, pow_nonzero
+from .modarith import Prime, binom, conv, make_prime, pow_nonzero
 from .oracle import SumSpec, auto_exclusions, brute_sum, brute_sum_mod_p2, residue_matrix
 from .polyring import bipoly_add, symbolic_coeff_table, symbolic_sum_table
 
@@ -138,10 +138,6 @@ def _box(names, check, ranges, pair_lo=None) -> Grid:
         return (*pair, *[rng.randrange(r.start, r.stop) for r in ranges(p)])
 
     return Grid(names, check, points, count, draw)
-
-
-def _sides(inst) -> tuple[int, int]:
-    return inst.lhs, inst.rhs
 
 
 def _brute(pr, *terms) -> int:
@@ -305,31 +301,31 @@ def _run_thm4_5(pr, budget, seed, mode):
 
 _run_eq2 = Grid(
     ("n", "k", "s"),
-    lambda pr, n, k, s: _sides(ident.cancellation(pr, n, k, s)),
+    lambda pr, n, k, s: ident.cancellation(pr, n, k, s),
     points=lambda p: ((n, k, s) for n in range(p) for k in range(n + 1) for s in range(k + 1)),
 )
 _run_eq3 = Grid(
     ("k", "s"),  # the last field picks one of the two congruences
-    lambda pr, k, s, i: _sides(ident.semi_symmetry(pr, k, s)[i]),
+    lambda pr, k, s, i: ident.semi_symmetry(pr, k, s)[i],
     points=lambda p: ((k, s, i) for k in range(p) for s in range(k + 1) for i in (0, 1)),
 )
 _run_cor2_7 = Grid(
     ("m", "n"),
-    lambda pr, m, n: _sides(ident.transpose_binomial(pr, m, n)),
+    lambda pr, m, n: ident.transpose_binomial(pr, m, n),
     points=lambda p: product(range(p), repeat=2),
 )
 _run_vandermonde = Grid(
     ("m", "n", "M"),
-    lambda pr, m, n, M: _sides(ident.vandermonde(pr, m, n, M)),
+    lambda pr, m, n, M: ident.vandermonde(pr, m, n, M),
     points=lambda p: ((m, n, M) for m in range(p) for n in range(p - m)
                       for M in range(m + n + 1)),
 )
 
 
-def _window(p, m, n):
-    """The s in [0, p-1] with M = m+n+s-(p-1) in [0, p-2]; empty when
-    s_hi < s_lo."""
-    base = m + n - (p - 1)
+def _window(p, t):
+    """The s in [0, p-1] with M = t+s-(p-1) in [0, p-2], for exponents
+    m + n = t; empty when s_hi < s_lo."""
+    base = t - (p - 1)
     s_lo = -base if base < 0 else 0
     s_hi = p - 2 - base
     if s_hi > p - 1:
@@ -337,9 +333,16 @@ def _window(p, m, n):
     return s_lo, s_hi
 
 
+def _diagonals(p, lo):
+    """(d, pairs, s_lo, s_hi) for each anti-diagonal m + n = d + (p-1) of
+    [lo, p-1]^2: its number of (m, n) pairs and their common s window."""
+    for t in range(2 * lo, 2 * p - 1):
+        yield t - (p - 1), min(t - lo, p - 1) - max(lo, t - p + 1) + 1, *_window(p, t)
+
+
 def _cong_points(p):
     for m, n in product(range(p), repeat=2):
-        s_lo, s_hi = _window(p, m, n)
+        s_lo, s_hi = _window(p, m + n)
         for s in range(s_lo, s_hi + 1):
             M = m + n + s - (p - 1)
             for j in range(M + 1):
@@ -347,18 +350,15 @@ def _cong_points(p):
 
 
 def _cong_grid_count(p):
-    total = 0
-    for m, n in product(range(p), repeat=2):
-        base = m + n - (p - 1)
-        s_lo, s_hi = _window(p, m, n)
-        for s in range(s_lo, s_hi + 1):
-            total += base + s + 1  # j = 0..M
-    return total
+    # each M = d+s of the window has j = 0..M, and the M+1 summed over the
+    # window is a difference of triangular numbers C(M+2, 2)
+    return sum(pairs * (comb(d + s_hi + 2, 2) - comb(d + s_lo + 1, 2))
+               for d, pairs, s_lo, s_hi in _diagonals(p, 0) if s_hi >= s_lo)
 
 
 def _draw_cong(rng, p):
     m, n = rng.randrange(p), rng.randrange(p)
-    s_lo, s_hi = _window(p, m, n)
+    s_lo, s_hi = _window(p, m + n)
     if s_hi < s_lo:
         return None
     s = rng.randrange(s_lo, s_hi + 1)
@@ -368,7 +368,7 @@ def _draw_cong(rng, p):
 
 _run_thm3_11 = Grid(
     ("m", "n", "s", "j", "M"),
-    lambda pr, m, n, s, j, M: _sides(ident.cong_general(pr, m, n, s, j)),
+    lambda pr, m, n, s, j, M: ident.cong_general(pr, m, n, s, j),
     points=_cong_points,
     count=_cong_grid_count,
     draw=_draw_cong,
@@ -376,19 +376,15 @@ _run_thm3_11 = Grid(
 
 
 def _comp_grid_count(p):
-    per_ab = 0
-    for m in range(1, p):
-        for n in range(1, p):
-            s_lo, s_hi = _window(p, m, n)
-            if s_hi >= s_lo:
-                per_ab += s_hi - s_lo + 1
+    per_ab = sum(pairs * (s_hi - s_lo + 1)
+                 for _, pairs, s_lo, s_hi in _diagonals(p, 1) if s_hi >= s_lo)
     return (p - 1) * (p - 2) * per_ab
 
 
 def _draw_comp(rng, p):
     a, b = rng.sample(range(1, p), 2)
     m, n = rng.randrange(1, p), rng.randrange(1, p)
-    s_lo, s_hi = _window(p, m, n)
+    s_lo, s_hi = _window(p, m + n)
     if s_hi < s_lo:
         return None
     s = rng.randrange(s_lo, s_hi + 1)
@@ -398,7 +394,7 @@ def _draw_comp(rng, p):
 # _run_thm3_13 enumerates this grid as product rows; the Grid only samples it
 _comp = Grid(
     ("a", "b", "m", "n", "s", "M"),
-    lambda pr, a, b, m, n, s, M: _sides(ident.comp_general(pr, a, b, m, n, s)),
+    lambda pr, a, b, m, n, s, M: ident.comp_general(pr, a, b, m, n, s),
     draw=_draw_comp,
 )
 
@@ -418,7 +414,7 @@ def _run_thm3_13(pr, budget, seed, mode):
     for m in range(1, p):
         slices = []
         for n in range(1, p):
-            s_lo, s_hi = _window(p, m, n)
+            s_lo, s_hi = _window(p, m + n)
             if s_hi >= s_lo:
                 d = m + n - pm1
                 l0 = n * pm1 + d
@@ -442,11 +438,9 @@ def _run_thm3_13(pr, budget, seed, mode):
 
 
 def _cor312_grid_count(p):
-    pairs = sum(1 for m in range(1, p) for n in range(1, p) if m + n >= p - 1)
-    js = sum(
-        m + n - (p - 1) + 1 for m in range(1, p) for n in range(1, p) if m + n >= p - 1
-    )
-    return js + pairs * (p - 1) * (p - 2)
+    # part 1 has j = 0..M and part 2 every ordered pair a != b, for M = d >= 0
+    return sum(pairs * (d + 1 + (p - 1) * (p - 2))
+               for d, pairs, _, _ in _diagonals(p, 1) if d >= 0)
 
 
 def _draw_cor3_12(rng, p):
@@ -469,10 +463,7 @@ def _check_cor3_12(pr, part, a, b, m, n, j):
         if j % 2 == 1:
             lhs = -lhs % p
         return binom(pr, m, M) * binom(pr, M, j) % p, lhs
-    wa_rev = pr.weighted_row(m, a)[1]
-    wb = pr.weighted_row(n, b)[0]
-    lhs = sum(map(mul, wa_rev[m - M : m + 1], wb[: M + 1])) % p
-    return pow_nonzero(pr, a - b, M) * binom(pr, m, p - n - 1) % p, lhs
+    return pow_nonzero(pr, a - b, M) * binom(pr, m, p - n - 1) % p, conv(pr, a, b, m, n, M)
 
 
 # points (part, a, b, m, n, j): part 1 has no a, b and part 2 no j
@@ -523,7 +514,7 @@ def _run_quickcase(pr, budget, seed, mode):
     specs = []
     # products hitting every constant row: totals p-2, p-1, p, and all p-1
     for arity in (2, 3):
-        for _ in range(min(budget // 8, 200)):
+        for _ in range(max(1, min(budget // 8, 200))):
             offs = rng.sample(range(p), arity)
             for total in (p - 2, p - 1, p):
                 exps = _random_composition(rng, total, arity, p - 1)
@@ -531,7 +522,7 @@ def _run_quickcase(pr, budget, seed, mode):
                     specs.append(tuple(zip(offs, exps)))
             specs.append(tuple((o, p - 1) for o in offs))
     # ratio shapes from the triple corollaries
-    for _ in range(min(budget // 8, 200)):
+    for _ in range(max(1, min(budget // 8, 200))):
         a, b, c = rng.sample(range(p), 3)
         m, n = rng.randrange(1, p - 1), rng.randrange(1, p - 1)
         s = rng.randrange(1, p - 1)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,13 +11,12 @@ from wolstenholme.errors import (
 )
 from wolstenholme.modarith import (
     binom,
+    conv,
     fermat_reduce,
     is_prime,
     make_prime,
     mod_inverse,
-    mod_pow,
     pow_nonzero,
-    residue,
 )
 
 PRIMES = (5, 7, 11, 13, 17)
@@ -48,20 +48,6 @@ def test_factorial_tables():
         for i in range(1, p):
             assert pr.fact[i] == i * pr.fact[i - 1] % p
             assert pr.fact[i] * pr.inv_fact[i] % p == 1
-
-
-def test_residue_normalizes_negatives():
-    assert residue(-1, 11) == 10
-    assert residue(-23, 11) == 10
-    assert residue(22, 11) == 0
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 10, 11) == 1
-    assert mod_pow(0, 0, 7) == 1
-    assert mod_pow(2, 5, 11) == 10
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 11)
 
 
 def test_mod_inverse_examples():
@@ -145,7 +131,7 @@ def test_fermat_reduce_preserves_powers():
 def test_fermat_little_theorem():
     for p in PRIMES:
         for a in range(1, p):
-            assert mod_pow(a, p - 1, p) == 1
+            assert pow(a, p - 1, p) == 1
 
 
 def test_pow_nonzero_negative_exponents():
@@ -163,6 +149,29 @@ def test_prime_lookup_caches():
     w, w_rev = pr.weighted_row(5, 3)
     assert w == tuple(math.comb(5, i) * pow(3, i, 13) % 13 for i in range(6))
     assert w_rev == w[::-1]
+
+
+def _expanded(p, a, b, m, n):
+    """The coefficients of (1+ax)^m (1+bx)^n mod p, multiplied out term by term."""
+    out = [0] * (m + n + 1)
+    for i in range(m + 1):
+        for j in range(n + 1):
+            out[i + j] += math.comb(m, i) * a ** i * math.comb(n, j) * b ** j
+    return [c % p for c in out]
+
+
+def test_conv_matches_expanded_product():
+    # [x^t] (1+ax)^m (1+bx)^n, including t just outside [0, m+n]
+    rng = random.Random(5)
+    cases = [(p, a, b, m, n) for p in (5, 7, 13) for a in range(p) for b in range(p)
+             for m in range(p) for n in range(p)]
+    cases += [(31, rng.randrange(-31, 62), rng.randrange(-31, 62),
+               rng.randrange(31), rng.randrange(31)) for _ in range(500)]
+    primes = {p: make_prime(p) for p in (5, 7, 13, 31)}
+    for p, a, b, m, n in cases:
+        pr = primes[p]
+        want = [0, *_expanded(p, a, b, m, n), 0]  # t = -1 .. m+n+1
+        assert [conv(pr, a, b, m, n, t) for t in range(-1, m + n + 2)] == want, (p, a, b, m, n)
 
 
 def test_is_prime_small():

@@ -1,10 +1,10 @@
 import json
+import time
 
 import pytest
 
 from wolstenholme import closedforms, identities, verify
 from wolstenholme.errors import UnknownTheoremError
-from wolstenholme.identities import IdentityInstance
 from wolstenholme.verify import (
     IDENTITY_SUITE,
     REGISTRY,
@@ -118,7 +118,7 @@ def test_thm3_13_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch):
                         M = m + n + s - (p - 1)
                         if not 0 <= M <= p - 2:
                             continue
-                        lhs, rhs = identities.comp_sides(pr, a, b, m, n, s, M)
+                        lhs, rhs = identities.comp_general(pr, a, b, m, n, s)
                         if (a, b, m, n) == (*table, t0):
                             lhs = (lhs + 1) % p
                         if ((a - b) % p, -b % p, m, s) == (*table, t0):
@@ -162,13 +162,12 @@ CASES = [(t, 7, 10_000) for t in CHECKED if t != "thm3.13"] + [(t, 13, 40) for t
 
 def _off_by_one(value):
     """The same result with its closed-form value or right side one too big."""
-    if isinstance(value, tuple):
-        return tuple(_off_by_one(v) for v in value)
-    if isinstance(value, IdentityInstance):
-        params = value.params
-        return IdentityInstance(value.pr, tuple(params), tuple(params.values()),
-                                value.lhs, value.rhs + 1)
-    return value + 1  # out of [0, p), so never equal to brute force
+    if isinstance(value, int):
+        return value + 1  # out of [0, p), so never equal to brute force
+    if isinstance(value[0], tuple):  # semi_symmetry's two (lhs, rhs) pairs
+        return tuple(map(_off_by_one, value))
+    lhs, rhs = value
+    return lhs, rhs + 1
 
 
 def _force_wrong(monkeypatch, theorem):
@@ -289,3 +288,49 @@ def test_sampled_streams_are_pinned(monkeypatch, theorem):
     assert (rep.grid, rep.exhaustive) == (40, False)
     assert all(list(f["params"]) == names for f in rep.failures)
     assert [tuple(f["params"].values()) for f in rep.failures] == PINNED[theorem]
+
+
+# --- grid sizes ---------------------------------------------------------------
+
+# (thm3.11, thm3.13, cor3.12) grid sizes as the old O(p^3) and O(p^2) loops
+# counted them
+LARGE_GRIDS = {
+    257: (1_451_305_728, 732_247_392_000, 2_166_959_487),
+    1009: (345_324_761_040, 693_588_634_702_992, 517_386_396_071),
+}
+
+
+def _counts(p):
+    return verify._cong_grid_count(p), verify._comp_grid_count(p), verify._cor312_grid_count(p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_grid_sizes_match_enumeration(p):
+    comp = cor = 0
+    for m in range(1, p):
+        for n in range(1, p):
+            comp += sum(1 for s in range(p) if 0 <= m + n + s - (p - 1) <= p - 2)
+            M = m + n - (p - 1)
+            if M >= 0:
+                cor += M + 1 + (p - 1) * (p - 2)  # part 1: j = 0..M; part 2: a != b
+    cong = sum(1 for _ in verify._cong_points(p))
+    assert _counts(p) == (cong, (p - 1) * (p - 2) * comp, cor)
+
+
+@pytest.mark.parametrize("p", list(LARGE_GRIDS))
+def test_grid_sizes_at_large_primes(p):
+    assert _counts(p) == LARGE_GRIDS[p]
+
+
+def test_sampled_thm3_11_at_p_1009_is_fast():
+    # sizing this grid took about 42 s when the count was an O(p^3) loop
+    start = time.perf_counter()
+    rep = run_one("thm3.11", 1009, budget=100)
+    assert rep.passed and not rep.exhaustive and rep.grid == 100
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_quickcase_below_budget_8_still_checks(budget):
+    rep = run_one("quickcase", 13, budget=budget)
+    assert rep.passed and rep.grid >= 1
