@@ -50,6 +50,7 @@ from .oracle import (
     brute_sum,
     brute_sum_mod_p2,
     make_spec,
+    power_moments,
     residue_matrix,
 )
 from .polyring import (

@@ -2,10 +2,11 @@
 
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
-lazily built lookup caches (binomial rows, power tables) that the closed-form
-evaluators lean on in hot verification loops.  conv reads the weighted rows
-to give one coefficient of a product of two shifted binomials, the sum that
-the triple closed forms and the weighted-sum identities share.
+lazily built lookup caches (binomial rows, power tables and their packed
+forms) that the closed-form evaluators and the brute oracle lean on in hot
+verification loops.  conv reads the weighted rows to give one coefficient of
+a product of two shifted binomials, the sum that the triple closed forms and
+the weighted-sum identities share.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class Prime:
     functions), so instances are safe to share.
     """
 
-    __slots__ = ("p", "fact", "inv_fact", "_binom_rows", "_powers", "_wrows")
+    __slots__ = ("p", "fact", "inv_fact", "pack_width", "_binom_rows", "_powers", "_packed",
+                 "_wrows")
 
     def __init__(self, p: int):
         if p < 5:
@@ -58,9 +60,16 @@ class Prime:
             inv_fact[i - 1] = inv_fact[i] * i % p
         self.fact = tuple(fact)
         self.inv_fact = tuple(inv_fact)
+        # bytes per slot of a packed power table, a power of two: a sum of
+        # up to p products of two residues, at most p (p-1)^2, fits in it
+        width = 1
+        while p * (p - 1) ** 2 >> (8 * width):
+            width *= 2
+        self.pack_width = width
         # lazily filled lookup caches, indexed directly for speed in sweeps
         self._binom_rows: list = [None] * p
         self._powers: list = [None] * p
+        self._packed: list = [None] * p
         self._wrows: list = [None] * p
 
     def __repr__(self) -> str:
@@ -89,6 +98,18 @@ class Prime:
             tab = tuple(out)
             self._powers[base] = tab
         return tab
+
+    def packed_powers(self, base: int) -> int:
+        """powers(base) as one int: base^s mod p in bytes s*w .. s*w+w-1,
+        little-endian, with w = pack_width."""
+        base %= self.p
+        packed = self._packed[base]
+        if packed is None:
+            w = self.pack_width
+            packed = int.from_bytes(
+                b"".join([c.to_bytes(w, "little") for c in self.powers(base)]), "little")
+            self._packed[base] = packed
+        return packed
 
     def weighted_row(self, n: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(w, reversed(w)) with w[i] = C(n,i) * base^i mod p.

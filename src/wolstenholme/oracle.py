@@ -2,11 +2,19 @@
 
 Everything here evaluates sums term by term with no algebraic shortcuts, so
 the closed-form evaluators can be checked against it exactly.
+
+power_moments evaluates a whole run of such sums at once, sum of w * x^s for
+every exponent s, by packing each power table (x^0, ..., x^(p-1)) into one
+Python int, one fixed-width slot per exponent.  That is exact integer
+arithmetic, not an algebraic shortcut: every product w * x^s is still formed
+and added, only p of them side by side in one big-integer multiply-add, and
+the slots are wide enough that no carry ever crosses into the next one.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .errors import HypothesisViolationError, ZeroDenominatorError
@@ -71,16 +79,37 @@ def brute_sum(spec: SumSpec) -> int:
         prod = 1
         for off, exp in terms:
             base = (off + k) % p
-            if exp >= 0:
-                prod = prod * pow(base, exp, p) % p
-            else:
-                if base == 0:
-                    raise ZeroDenominatorError(
-                        f"denominator (({off})+k)^{exp} vanishes at unexcluded k = {k}"
-                    )
-                prod = prod * pow(mod_inverse(base, p), -exp, p) % p
+            if exp < 0 and base == 0:
+                raise ZeroDenominatorError(
+                    f"denominator (({off})+k)^{exp} vanishes at unexcluded k = {k}"
+                )
+            prod = prod * pow(base, exp, p) % p
         total += prod
     return total % p
+
+
+# the native unsigned format of each slot width a memoryview can read
+_SLOT_CODES = {memoryview(bytes(8)).cast(code).itemsize: code for code in "QIHB"}
+_NATIVE = sys.byteorder == "little"
+
+
+def power_moments(pr: Prime, weighted) -> list[int]:
+    """[sum of w * x^s over the (w, x) pairs, mod p, for s = 0..p-1].
+
+    Weights must lie in [0, p) and there may be at most p pairs, so that
+    each exponent's exact sum is at most p (p-1)^2 and fits one slot of
+    Prime.packed_powers: the big-integer combination of the packed tables
+    holds every exact sum side by side.  It is unpacked and reduced mod p
+    once.  x^0 = 1 for every x, 0 included.
+    """
+    p, width = pr.p, pr.pack_width
+    packed = pr.packed_powers
+    buf = sum([w * packed(x) for w, x in weighted]).to_bytes(p * width, "little")
+    code = _SLOT_CODES.get(width)
+    if code is None or not _NATIVE:
+        return [int.from_bytes(buf[i : i + width], "little") % p
+                for i in range(0, p * width, width)]
+    return [v % p for v in memoryview(buf).cast(code)]
 
 
 def brute_sum_mod_p2(pr: Prime, exp: int) -> int:
@@ -113,18 +142,17 @@ def residue_matrix(pr: Prime, a: int) -> ResidueMatrix:
     """Fill the grid of ratio sums for offsets 1 <= a <= p-1.
 
     Row m, column n holds sum over k in {1,...,p-1} minus {a} of
-    k^m * (a-k)^(-n).
+    k^m * (a-k)^(-n).  Each row is one power_moments run over those k,
+    weighted by k^m, of the powers of (a-k)^-1; no row is derived from
+    another.
     """
     p = pr.p
     if not 1 <= a <= p - 1:
         raise HypothesisViolationError(f"a = {a} outside [1, p-1]")
     ks = [k for k in range(1, p) if k != a]
     kpow = [pr.powers(k) for k in ks]
-    ipow = [pr.powers(mod_inverse(a - k, p)) for k in ks]
-    entries = []
-    for m in range(p):
-        row = []
-        for n in range(p):
-            row.append(sum(kp[m] * ip[n] for kp, ip in zip(kpow, ipow)) % p)
-        entries.append(tuple(row))
-    return ResidueMatrix(pr, a, tuple(entries))
+    inv = [mod_inverse(a - k, p) for k in ks]
+    entries = tuple(
+        tuple(power_moments(pr, zip([kp[m] for kp in kpow], inv))) for m in range(p)
+    )
+    return ResidueMatrix(pr, a, entries)

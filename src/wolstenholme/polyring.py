@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisViolationError, ModulusMismatchError
 from .modarith import Prime
+from .oracle import power_moments
 
 
 @dataclass(frozen=True)
@@ -226,9 +227,9 @@ def symbolic_sum_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
 
     Expanding both shifted binomials symbolically in a, b gives the cell
     C(m,i1) C(n,i2) S[m-i1+n-i2+s] for the monomial a^i1 b^i2, where
-    S[e] = sum over k = 1..p-1 of k^e is summed literally from the power
-    tables, once per e.  The per-variable degrees stay at m and n < p, so
-    nothing collapses before evaluation.
+    S[e] = sum over k = 1..p-1 of k^e is summed literally, every e at once,
+    by one power_moments run.  The per-variable degrees stay at m and n < p,
+    so nothing collapses before evaluation.
     """
     p = pr.p
     if not 1 <= m <= p - 1 or not 1 <= n <= p - 1:
@@ -237,7 +238,7 @@ def symbolic_sum_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
     rn = pr.binom_row(n)
     # S[e] for e = 0..p-2; k = 0 adds nothing since every exponent is >= 1,
     # and k != 0 repeats with period p-1 (Fermat) up to e = m+n+p-1
-    period = [sum(col) % p for col in zip(*(pr.powers(k)[: p - 1] for k in range(1, p)))]
+    period = power_moments(pr, ((1, k) for k in range(1, p)))[: p - 1]
     sums = [period[e % (p - 1)] for e in range(m + n + p)]
     return [
         bipoly(pr, [

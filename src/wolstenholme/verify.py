@@ -6,9 +6,11 @@ exhaustive enumerator, the exact grid size at p, a seeded draw, and a check
 that evaluates one point both ways (closed form vs brute force, or lhs vs
 rhs).  One driver runs them all: grids at or below the budget are enumerated
 exhaustively, larger ones take budget seeded-uniform draws so failures
-reproduce.  The exhaustive row sweeps of thm3.13 and cor3.12 (kept for speed),
-the three-tier sampling of the n-term sums, and the checks of quickcase,
-tablecorr and figures keep their own loops.
+reproduce.  An exhaustive sweep of a closed-form box grid reads the brute
+side of a whole run of points from one oracle.power_moments row; a sampled
+point gets its own brute_sum.  The exhaustive row sweeps of thm3.13 and
+cor3.12 (kept for speed), the three-tier sampling of the n-term sums, and the
+checks of quickcase, tablecorr and figures keep their own loops.
 """
 
 from __future__ import annotations
@@ -28,7 +30,14 @@ from . import general as gen
 from . import identities as ident
 from .errors import BadParamsError, UnknownTheoremError
 from .modarith import Prime, binom, conv, make_prime, pow_nonzero
-from .oracle import SumSpec, auto_exclusions, brute_sum, brute_sum_mod_p2, residue_matrix
+from .oracle import (
+    SumSpec,
+    auto_exclusions,
+    brute_sum,
+    brute_sum_mod_p2,
+    power_moments,
+    residue_matrix,
+)
 from .polyring import bipoly_add, symbolic_coeff_table, symbolic_sum_table
 
 
@@ -85,8 +94,9 @@ class Grid:
     lhs first.  points(p) yields every point in a fixed order and count(p)
     is their number.  draw(rng, p) returns one seeded point, or None to
     reject the draw and draw again; a grid without one is always enumerated.
-    Called as a Theorem's run, a grid checks every point when they fit the
-    budget, else budget draws.
+    rows(pr), when given, returns the check of the exhaustive sweep, which
+    may share work between consecutive points.  Called as a Theorem's run, a
+    grid checks every point when they fit the budget, else budget draws.
     """
 
     names: tuple[str, ...]
@@ -94,20 +104,23 @@ class Grid:
     points: Callable | None = None
     count: Callable | None = None
     draw: Callable | None = None
+    rows: Callable | None = None
 
     def __call__(self, pr, budget, seed, mode):
         if self.draw is not None and self.count(pr.p) > budget:
             return self.sample(pr, budget, seed)
-        return (*self.sweep(pr, self.points(pr.p)), True)
+        check = self.check if self.rows is None else self.rows(pr)
+        return (*self.sweep(pr, self.points(pr.p), check), True)
 
     def sample(self, pr, budget, seed):
         """Check budget seeded draws, whatever the grid size."""
         draws = map(self.draw, repeat(random.Random(seed)), repeat(pr.p))
         return (*self.sweep(pr, islice(filter(None, draws), budget)), False)
 
-    def sweep(self, pr, points):
-        """Check the given points; returns (grid size, failures)."""
-        check = self.check
+    def sweep(self, pr, points, check=None):
+        """Check the given points, by default with self.check; returns
+        (grid size, failures)."""
+        check = check or self.check
         failures = []
         grid = 0
         for point in points:
@@ -119,9 +132,52 @@ class Grid:
         return grid, failures
 
 
-def _box(names, check, ranges, pair_lo=None) -> Grid:
-    """The grid of every tuple of ranges(p), drawn uniformly.  With pair_lo,
-    each tuple is led by an ordered pair a != b from [pair_lo, p)."""
+def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
+    """A closed form against brute force on every tuple of ranges(p), drawn
+    uniformly.  With pair_lo, each tuple is led by an ordered pair a != b
+    from [pair_lo, p).
+
+    The last field e of a point (*head, e) is an exponent.  sums(pr, *head)
+    returns (terms, (off, sign), exclusions), offsets in [0, p) and the
+    exclusions a frozenset: the brute side is the sum over k in [0, p)
+    outside exclusions of the product of the terms (o+k)^f and of
+    (off+k)^(sign*e), times (-1)^e when alternating.  closed(pr, *point) is
+    the closed side.  A sampled point is one brute_sum; the exhaustive sweep
+    reads the brute side at every e of a head from one power_moments row of
+    weights prod (o+k)^f over the bases (off+k)^sign.
+    """
+
+    def check(pr, *point):
+        e = point[-1]
+        terms, (off, sign), excl = sums(pr, *point[:-1])
+        brute = brute_sum(SumSpec(pr, (*terms, (off, sign * e)), excl))
+        if alternating and e % 2:
+            brute = -brute % pr.p
+        return brute, closed(pr, *point)
+
+    def row(pr, *head):
+        p = pr.p
+        terms, (off, sign), excl = sums(pr, *head)
+        weighted = []
+        for k in range(p):
+            if k not in excl:
+                w = 1
+                for o, f in terms:
+                    w = w * pow(o + k, f, p) % p
+                x = pow(off + k, sign, p)
+                weighted.append((w, -x % p if alternating else x))
+        return power_moments(pr, weighted)
+
+    def rows(pr):
+        current = [None, None]  # the head being swept and its row
+
+        def check(pr, *point):
+            head = point[:-1]
+            if head != current[0]:
+                current[:] = head, row(pr, *head)
+            return current[1][point[-1]], closed(pr, *point)
+
+        return check
 
     def points(p):
         if pair_lo is None:
@@ -137,12 +193,7 @@ def _box(names, check, ranges, pair_lo=None) -> Grid:
         pair = () if pair_lo is None else rng.sample(range(pair_lo, p), 2)
         return (*pair, *[rng.randrange(r.start, r.stop) for r in ranges(p)])
 
-    return Grid(names, check, points, count, draw)
-
-
-def _brute(pr, *terms) -> int:
-    """Brute force of a complete sum of products (off + k)^e."""
-    return brute_sum(SumSpec(pr, tuple((off % pr.p, e) for off, e in terms), frozenset()))
+    return Grid(names, check, points, count, draw, rows)
 
 
 # --- power sums ---------------------------------------------------------------
@@ -189,60 +240,66 @@ def _run_thm1_3(pr, budget, seed, mode):
 # --- closed forms against brute force -----------------------------------------
 
 
-def _check_thm2_1(pr, a, m, n):
-    # k^m (a-k)^-n over k != 0, a is (-1)^n times the sum of k^m (k-a)^-n
-    p = pr.p
-    brute = brute_sum(SumSpec(pr, ((0, m), (-a % p, -n)), frozenset({0, a})))
-    return (-brute if n % 2 else brute) % p, cf.ratio_single(pr, a, m, n)
+# each closed form is looked up at call time, so that it can be patched
 
-
-def _check_thm2_3(pr, a, b, m, n):
-    spec = SumSpec(pr, ((a, m), (b, -n)), frozenset({-a % pr.p, -b % pr.p}))
-    return brute_sum(spec), cf.ratio_pair(pr, a, b, m, n)
-
-
-def _check_rem2_5(pr, a, m, n):
-    spec = SumSpec(pr, ((a, m), (a, -n)), frozenset({-a % pr.p}))
-    return brute_sum(spec), cf.ratio_equal_offsets(pr, a, m, n)
-
-
-def _check_thm3_1(pr, a, b, m, n, s):
-    got = cf.triple_binomial(cf.TripleParams(pr, a, b, 0, m, n, s))
-    return _brute(pr, (a, m), (b, n), (0, s)), got
-
-
-_run_thm2_1 = _box(("a", "m", "n"), _check_thm2_1, lambda p: (range(1, p), range(p), range(p)))
-_run_thm2_3 = _box(("a", "b", "m", "n"), _check_thm2_3, lambda p: (range(p),) * 2, pair_lo=0)
-_run_rem2_5 = _box(("a", "m", "n"), _check_rem2_5, lambda p: (range(p), range(1, p), range(1, p)))
+_run_thm2_1 = _box(  # k^m (a-k)^-n over k != 0, a is (-1)^n k^m (k-a)^-n
+    ("a", "m", "n"),
+    lambda pr, a, m: (((0, m),), (-a % pr.p, -1), frozenset({0, a})),
+    lambda pr, a, m, n: cf.ratio_single(pr, a, m, n),
+    lambda p: (range(1, p), range(p), range(p)),
+    alternating=True,
+)
+_run_thm2_3 = _box(
+    ("a", "b", "m", "n"),
+    lambda pr, a, b, m: (((a, m),), (b, -1), frozenset({-a % pr.p, -b % pr.p})),
+    lambda pr, a, b, m, n: cf.ratio_pair(pr, a, b, m, n),
+    lambda p: (range(p),) * 2,
+    pair_lo=0,
+)
+_run_rem2_5 = _box(
+    ("a", "m", "n"),
+    lambda pr, a, m: (((a, m),), (a, -1), frozenset({-a % pr.p})),
+    lambda pr, a, m, n: cf.ratio_equal_offsets(pr, a, m, n),
+    lambda p: (range(p), range(1, p), range(1, p)),
+)
 _run_thm2_6 = _box(
     ("a", "m", "n"),
-    lambda pr, a, m, n: (_brute(pr, (a, m), (0, n)), cf.product_pair_k(pr, a, m, n)),
+    lambda pr, a, m: (((a, m),), (0, 1), frozenset()),
+    lambda pr, a, m, n: cf.product_pair_k(pr, a, m, n),
     lambda p: (range(1, p),) * 3,
 )
 _run_thm2_8 = _box(
     ("a", "b", "m", "n"),
-    lambda pr, a, b, m, n: (_brute(pr, (a, m), (b, n)), cf.product_pair(pr, a, b, m, n)),
+    lambda pr, a, b, m: (((a, m),), (b, 1), frozenset()),
+    lambda pr, a, b, m, n: cf.product_pair(pr, a, b, m, n),
     lambda p: (range(1, p),) * 2,
     pair_lo=1,
 )
 _run_thm3_1 = _box(
-    ("a", "b", "m", "n", "s"), _check_thm3_1, lambda p: (range(1, p),) * 3, pair_lo=1)
+    ("a", "b", "m", "n", "s"),
+    lambda pr, a, b, m, n: (((a, m), (b, n)), (0, 1), frozenset()),
+    lambda pr, a, b, m, n, s: cf.triple_binomial(cf.TripleParams(pr, a, b, 0, m, n, s)),
+    lambda p: (range(1, p),) * 3,
+    pair_lo=1,
+)
 _run_thm3_4 = _box(
     ("a", "b", "m", "n"),
-    lambda pr, a, b, m, n: (_brute(pr, (a, m), (b, n), (0, 1)), cf.triple_s1(pr, a, b, m, n)),
+    lambda pr, a, b, m: (((a, m), (0, 1)), (b, 1), frozenset()),
+    lambda pr, a, b, m, n: cf.triple_s1(pr, a, b, m, n),
     lambda p: (range(1, p),) * 2,
     pair_lo=1,
 )
 _run_thm3_5 = _box(
     ("a", "b", "m", "n"),
-    lambda pr, a, b, m, n: (_brute(pr, (a, m), (b, n), (0, 2)), cf.triple_s2(pr, a, b, m, n)),
+    lambda pr, a, b, m: (((a, m), (0, 2)), (b, 1), frozenset()),
+    lambda pr, a, b, m, n: cf.triple_s2(pr, a, b, m, n),
     lambda p: (range(1, p),) * 2,
     pair_lo=1,
 )
 _run_thm3_6 = _box(
     ("a", "b", "m", "n", "s"),
-    lambda pr, a, b, m, n, s: (
-        _brute(pr, (a, m), (b, n), (0, s)), cf.triple_general(pr, a, b, m, n, s)),
+    lambda pr, a, b, m, n: (((a, m), (b, n)), (0, 1), frozenset()),
+    lambda pr, a, b, m, n, s: cf.triple_general(pr, a, b, m, n, s),
     lambda p: (range(1, p),) * 3,
     pair_lo=1,
 )
@@ -278,7 +335,8 @@ def _run_general(pr, budget, seed, evaluator):
             points = ((tuple(rng.sample(range(p), arity)), exps()) for _ in range(budget))
         for offs, es in points:
             gp = gen.GeneralSumParams(pr, offs, es)
-            expected, got = _brute(pr, *zip(offs, es)), evaluator(gp)
+            spec = SumSpec(pr, tuple(zip(offs, es)), frozenset())
+            expected, got = brute_sum(spec), evaluator(gp)
             grid += 1
             if expected != got:
                 _fail(failures, {"offsets": list(offs), "exps": list(es)}, expected, got)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wolstenholme import oracle
 from wolstenholme.errors import HypothesisViolationError, ZeroDenominatorError
 from wolstenholme.modarith import make_prime, mod_inverse
 from wolstenholme.oracle import (
@@ -10,6 +11,7 @@ from wolstenholme.oracle import (
     brute_sum,
     brute_sum_mod_p2,
     make_spec,
+    power_moments,
     residue_matrix,
 )
 
@@ -141,6 +143,57 @@ def test_residue_matrix_values_and_independent_route():
                     if k != a
                 ) % 11
                 assert grid[m][n] == direct
+
+
+def _plain_moments(p, weighted):
+    """sum of w * x^s mod p for s = 0..p-1, one term at a time."""
+    out = []
+    powers = [1] * len(weighted)  # x^s of each pair
+    for _ in range(p):
+        out.append(sum(w * xs for (w, _), xs in zip(weighted, powers)) % p)
+        powers = [xs * x % p for (_, x), xs in zip(weighted, powers)]
+    return out
+
+
+# primes on each side of a change of slot width: p (p-1)^2 first outgrows
+# 8, 16 and 32 bits at 11, 41 and 1627
+WIDTHS = {7: 1, 11: 2, 37: 2, 41: 4, 1621: 4, 1627: 8}
+
+
+@pytest.mark.parametrize("p", list(WIDTHS))
+def test_power_moments_at_slot_width_edges(monkeypatch, p):
+    pr = make_prime(p)
+    assert pr.pack_width == WIDTHS[p]
+    # the largest exact sums: p terms of (p-1) (p-1)^s, p (p-1)^2 at even s
+    top = [(p - 1, p - 1)] * p
+    want = _plain_moments(p, top)
+    assert power_moments(pr, top) == want
+    # the slot-by-slot unpacking that big-endian hosts take
+    monkeypatch.setattr(oracle, "_NATIVE", False)
+    assert power_moments(pr, top) == want
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 37, 41])
+def test_power_moments_zero_base_and_excluded_k(p):
+    # every base, 0 among them (0^0 = 1), with one k left out
+    pr = make_prime(p)
+    ks = [(p - 1, k) for k in range(p) if k != p // 2]
+    moments = power_moments(pr, ks)
+    assert moments == _plain_moments(p, ks)
+    assert moments[0] == (p - 1) * (p - 1) % p
+    assert power_moments(pr, []) == [0] * p
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_residue_matrix_matches_double_loop(p):
+    pr = make_prime(p)
+    for a in range(1, p):
+        ks = [k for k in range(1, p) if k != a]
+        want = tuple(
+            tuple(sum(pow(k, m, p) * pow(a - k, -n, p) for k in ks) % p for n in range(p))
+            for m in range(p)
+        )
+        assert residue_matrix(pr, a).entries == want
 
 
 def test_residue_matrix_observations():

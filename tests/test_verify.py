@@ -334,3 +334,84 @@ def test_sampled_thm3_11_at_p_1009_is_fast():
 def test_quickcase_below_budget_8_still_checks(budget):
     rep = run_one("quickcase", 13, budget=budget)
     assert rep.passed and rep.grid >= 1
+
+
+# --- the brute side of the exhaustive box grids ------------------------------
+
+BOXES = ("thm2.1", "thm2.3", "rem2.5", "thm2.6", "thm2.8", "thm3.1", "thm3.4", "thm3.5",
+         "thm3.6")
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("theorem", BOXES)
+def test_box_rows_match_brute_sum(monkeypatch, theorem, p):
+    # with the closed form forced to fail everywhere, each failure's expected
+    # value is the brute side: read off one power_moments row per head in the
+    # exhaustive run, one brute_sum per point in the point-by-point sweep
+    from wolstenholme.modarith import make_prime
+
+    module, name, _ = CHECKED[theorem]
+    monkeypatch.setattr(module, name, lambda *args: -1)
+    grid, pr = REGISTRY[theorem].run, make_prime(p)
+    pointwise = grid.sweep(pr, grid.points(p))
+
+    def no_brute_sum(spec):
+        raise AssertionError("the exhaustive sweep called brute_sum")
+
+    monkeypatch.setattr(verify, "brute_sum", no_brute_sum)
+    rep = run_one(theorem, pr, budget=10**9)
+    assert rep.exhaustive
+    assert (rep.grid, rep.failures) == pointwise
+    assert rep.grid == grid.count(p) > 0
+
+
+@pytest.mark.parametrize("entries", [(3,), tuple(range(7))], ids=["entry", "row"])
+def test_box_sweep_reports_every_instance_of_a_corrupted_kernel_row(monkeypatch, entries):
+    # one wrong entry, then one wrong row, of the brute moments of one head
+    # (a, b, m, n) of thm3.6: exactly the points that read them must fail, in
+    # sweep order, with their params, and the grid must not change.  The
+    # swapped head (b, a, n, m) has the same weights, so it reads them too.
+    from wolstenholme.modarith import make_prime
+    from wolstenholme.oracle import SumSpec, brute_sum
+
+    p, head = 7, (2, 5, 3, 4)
+    pr = make_prime(p)
+
+    def weighted(a, b, m, n):
+        return [(pow(a + k, m, p) * pow(b + k, n, p) % p, k) for k in range(p)]
+
+    heads = [(a, b, m, n) for a in range(1, p) for b in range(1, p) if b != a
+             for m in range(1, p) for n in range(1, p)]
+    hits = [h for h in heads if weighted(*h) == weighted(*head)]
+    assert hits == [head, (5, 2, 4, 3)]
+    clean = run_one("thm3.6", p)
+    real = verify.power_moments
+
+    def corrupted(pr, pairs):
+        pairs = list(pairs)
+        row = real(pr, pairs)
+        if pairs == weighted(*head):
+            for s in entries:
+                row[s] = (row[s] + 1) % p
+        return row
+
+    monkeypatch.setattr(verify, "power_moments", corrupted)
+    rep = run_one("thm3.6", p)
+    expected = []
+    for a, b, m, n in hits:
+        for s in range(1, p):
+            if s in entries:
+                got = brute_sum(SumSpec(pr, ((a, m), (b, n), (0, s)), frozenset()))
+                params = {"a": a, "b": b, "m": m, "n": n, "s": s}
+                expected.append({"params": params, "expected": (got + 1) % p, "got": got})
+    assert clean.passed and len(expected) == 2 * len(set(entries) - {0})
+    assert rep.failures == expected
+    assert (rep.grid, rep.exhaustive) == (clean.grid, True) == (6 * 5 * 6 ** 3, True)
+
+
+def test_figures_at_p_97_is_fast():
+    # every residue matrix was an O(p^3) loop; figures took 9-10 s at p = 97
+    start = time.perf_counter()
+    rep = run_one("figures", 97, budget=500)
+    assert time.perf_counter() - start < 5
+    assert rep.passed and rep.exhaustive and rep.grid == 576
