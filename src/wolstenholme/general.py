@@ -176,16 +176,20 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
     The recursion divides by r mod p, so indices at or above p would divide
     by zero; those e-values must come from polynomial coefficients instead.
     """
-    p = gp.pr.p
+    pr = gp.pr
+    p = pr.p
     if r_max >= p:
         raise IndexNotInvertibleError(f"r_max = {r_max} >= p = {p}: index not invertible")
     # r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i: one dot product of
-    # e_(r-1), ..., e_0 against the signed power sums (map stops after r terms)
-    signed = [root_power_sum(gp, i) if i % 2 else -root_power_sum(gp, i) % p
-              for i in range(1, r_max + 1)]
+    # e_(r-1), ..., e_0 against the signed power sums (map stops after r
+    # terms).  (-1)^(i-1) p_i is -(m_1 b_1^i + ... + m_(n-1) b_(n-1)^i), read
+    # from the power tables; 1/r is (r-1)! / r!.
+    exps = gp.exps[:-1]
+    tables = [pr.powers(b) for b in gp.shifted]
+    signed = [-sum(m * t[i] for m, t in zip(exps, tables)) % p for i in range(1, r_max + 1)]
     es = [1]
     for r in range(1, r_max + 1):
-        es.append(sum(map(mul, reversed(es), signed)) * mod_inverse(r, p) % p)
+        es.append(sum(map(mul, reversed(es), signed)) * pr.fact[r - 1] * pr.inv_fact[r] % p)
     return tuple(es)
 
 

@@ -5,10 +5,12 @@ subexpressions) and returns the pair (lhs, rhs), so a test can assert
 equality rather than trust either side.  The weighted sums on either side
 of comp_general, and the left side of vandermonde, are coefficients
 [x^M] (1+ax)^m (1+bx)^n of a product of shifted binomials, read by the one
-convolution modarith.conv.  The largest grid, the weighted-sum identity's,
-is not swept instance by instance: comp_rows builds each side as the rows
+convolution modarith.conv.  The two largest grids are not swept instance
+by instance.  cong_rows gives both sides of cong_general at every j at
+once.  For the weighted-sum identity, comp_rows builds each side as the rows
 of a truncated product, and the sweep compares whole runs of instances as
-list slices.
+list slices.  The right-side table of (a, b) is the left-side table of
+(a-b, -b) and the other way round, so one table pair serves both pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import (
     RangeViolationError,
 )
 from .modarith import Prime, binom, conv
+from .oracle import unpack
 
 
 def cancellation(pr: Prime, n: int, k: int, s: int) -> tuple[int, int]:
@@ -58,17 +61,24 @@ def transpose_binomial(pr: Prime, m: int, n: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> tuple[int, int]:
-    """(-1)^j C(m,M-j) C(n,j) against sum over k of C(s,k) C(m,M-k) C(M-k,j-k),
-    where M = m+n+s-(p-1).  At s = 0, 1, 2 the right side collapses to one,
-    two, and three products respectively.
-    """
+def _cong_level(pr: Prime, m: int, n: int, s: int) -> int:
+    """M = m+n+s-(p-1), after checking the hypotheses of cong_general."""
     p = pr.p
     if not (0 <= m < p and 0 <= n < p and 0 <= s < p):
         raise HypothesisViolationError(f"need m, n, s in [0, p-1], got {(m, n, s)}")
     M = m + n + s - (p - 1)
     if not 0 <= M < p - 1:
         raise HypothesisViolationError(f"M = {M} outside [0, p-2]")
+    return M
+
+
+def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> tuple[int, int]:
+    """(-1)^j C(m,M-j) C(n,j) against sum over k of C(s,k) C(m,M-k) C(M-k,j-k),
+    where M = m+n+s-(p-1).  At s = 0, 1, 2 the right side collapses to one,
+    two, and three products respectively.
+    """
+    p = pr.p
+    M = _cong_level(pr, m, n, s)
     if not 0 <= j <= M:
         raise HypothesisViolationError(f"j = {j} outside [0, M = {M}]")
     lhs = binom(pr, m, M - j) * binom(pr, n, j) % p
@@ -87,6 +97,27 @@ def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> tuple[int, int]:
             if 0 <= jk <= M - k:
                 acc += t * rows(M - k)[jk]
     return lhs, acc % p
+
+
+def cong_rows(pr: Prime, m: int, n: int, s: int) -> tuple[list[int], list[int]]:
+    """Both sides of cong_general at every j = 0..M, as two lists.
+
+    The left side is one product per j.  The right side is one big-integer
+    combination of the packed binomial rows C(M-k, .), row k shifted by k
+    slots and weighted by C(s,k) C(m,M-k), unpacked and reduced once: each
+    slot sums at most s+1 <= p products of two residues.
+    """
+    p = pr.p
+    M = _cong_level(pr, m, n, s)
+    rm, rn, rs = pr.binom_row(m), pr.binom_row(n), pr.binom_row(s)
+    lhs = [rm[M - j] * rn[j] % p if M - j <= m and j <= n else 0 for j in range(M + 1)]
+    lhs[1::2] = [-x % p for x in lhs[1::2]]
+    bits = 8 * pr.pack_width
+    packed = pr.packed_binom_row
+    acc = 0
+    for k in range(max(0, M - m), min(s, M) + 1):
+        acc += (rs[k] * rm[M - k] % p * packed(M - k)) << k * bits
+    return lhs, unpack(pr, acc, M + 1)
 
 
 def comp_rows(pr: Prime, u: int, v: int, m: int) -> list[int]:

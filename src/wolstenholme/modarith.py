@@ -43,7 +43,7 @@ class Prime:
     """
 
     __slots__ = ("p", "fact", "inv_fact", "pack_width", "_binom_rows", "_powers", "_packed",
-                 "_wrows")
+                 "_packed_binom", "_wrows")
 
     def __init__(self, p: int):
         if p < 5:
@@ -70,6 +70,7 @@ class Prime:
         self._binom_rows: list = [None] * p
         self._powers: list = [None] * p
         self._packed: list = [None] * p
+        self._packed_binom: list = [None] * p
         self._wrows: list = [None] * p
 
     def __repr__(self) -> str:
@@ -99,16 +100,27 @@ class Prime:
             self._powers[base] = tab
         return tab
 
+    def pack(self, row) -> int:
+        """row as one int: row[s] in bytes s*w .. s*w+w-1, little-endian,
+        with w = pack_width."""
+        w = self.pack_width
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in row]), "little")
+
     def packed_powers(self, base: int) -> int:
-        """powers(base) as one int: base^s mod p in bytes s*w .. s*w+w-1,
-        little-endian, with w = pack_width."""
+        """powers(base), packed."""
         base %= self.p
         packed = self._packed[base]
         if packed is None:
-            w = self.pack_width
-            packed = int.from_bytes(
-                b"".join([c.to_bytes(w, "little") for c in self.powers(base)]), "little")
-            self._packed[base] = packed
+            packed = self._packed[base] = self.pack(self.powers(base))
+        return packed
+
+    def packed_binom_row(self, n: int) -> int:
+        """binom_row(n), packed; requires 0 <= n < p."""
+        if not 0 <= n < self.p:
+            raise TopOutOfRangeError(f"binomial top {n} outside [0, {self.p})")
+        packed = self._packed_binom[n]
+        if packed is None:
+            packed = self._packed_binom[n] = self.pack(self.binom_row(n))
         return packed
 
     def weighted_row(self, n: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

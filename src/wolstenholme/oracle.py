@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import HypothesisViolationError, ZeroDenominatorError
 from .modarith import Prime, mod_inverse
@@ -93,6 +94,20 @@ _SLOT_CODES = {memoryview(bytes(8)).cast(code).itemsize: code for code in "QIHB"
 _NATIVE = sys.byteorder == "little"
 
 
+def unpack(pr: Prime, packed: int, count: int) -> list[int]:
+    """The first count slots of a combination of packed rows (see
+    Prime.pack), each reduced mod p.  Every slot must hold at most
+    p (p-1)^2, so that no carry crosses into the next one, and no slot past
+    count may be nonzero."""
+    p, width = pr.p, pr.pack_width
+    buf = packed.to_bytes(count * width, "little")
+    code = _SLOT_CODES.get(width)
+    if code is None or not _NATIVE:
+        return [int.from_bytes(buf[i : i + width], "little") % p
+                for i in range(0, count * width, width)]
+    return [v % p for v in memoryview(buf).cast(code)]
+
+
 def power_moments(pr: Prime, weighted) -> list[int]:
     """[sum of w * x^s over the (w, x) pairs, mod p, for s = 0..p-1].
 
@@ -102,14 +117,8 @@ def power_moments(pr: Prime, weighted) -> list[int]:
     holds every exact sum side by side.  It is unpacked and reduced mod p
     once.  x^0 = 1 for every x, 0 included.
     """
-    p, width = pr.p, pr.pack_width
     packed = pr.packed_powers
-    buf = sum([w * packed(x) for w, x in weighted]).to_bytes(p * width, "little")
-    code = _SLOT_CODES.get(width)
-    if code is None or not _NATIVE:
-        return [int.from_bytes(buf[i : i + width], "little") % p
-                for i in range(0, p * width, width)]
-    return [v % p for v in memoryview(buf).cast(code)]
+    return unpack(pr, sum([w * packed(x) for w, x in weighted]), pr.p)
 
 
 def brute_sum_mod_p2(pr: Prime, exp: int) -> int:
@@ -142,17 +151,15 @@ def residue_matrix(pr: Prime, a: int) -> ResidueMatrix:
     """Fill the grid of ratio sums for offsets 1 <= a <= p-1.
 
     Row m, column n holds sum over k in {1,...,p-1} minus {a} of
-    k^m * (a-k)^(-n).  Each row is one power_moments run over those k,
-    weighted by k^m, of the powers of (a-k)^-1; no row is derived from
-    another.
+    k^m * (a-k)^(-n).  Each row is one packed combination, as in
+    power_moments, over those k: the packed powers of (a-k)^-1, looked up
+    once per matrix, weighted by k^m.  No row is derived from another.
     """
     p = pr.p
     if not 1 <= a <= p - 1:
         raise HypothesisViolationError(f"a = {a} outside [1, p-1]")
     ks = [k for k in range(1, p) if k != a]
-    kpow = [pr.powers(k) for k in ks]
-    inv = [mod_inverse(a - k, p) for k in ks]
-    entries = tuple(
-        tuple(power_moments(pr, zip([kp[m] for kp in kpow], inv))) for m in range(p)
-    )
+    rows = [pr.packed_powers(mod_inverse(a - k, p)) for k in ks]
+    weights = zip(*map(pr.powers, ks))  # (k^m for every k) for m = 0..p-1
+    entries = tuple(tuple(unpack(pr, sum(map(mul, km, rows)), p)) for km in weights)
     return ResidueMatrix(pr, a, entries)

@@ -8,9 +8,12 @@ rhs).  One driver runs them all: grids at or below the budget are enumerated
 exhaustively, larger ones take budget seeded-uniform draws so failures
 reproduce.  An exhaustive sweep of a closed-form box grid reads the brute
 side of a whole run of points from one oracle.power_moments row; a sampled
-point gets its own brute_sum.  The exhaustive row sweeps of thm3.13 and
-cor3.12 (kept for speed), the three-tier sampling of the n-term sums, and the
-checks of quickcase, tablecorr and figures keep their own loops.
+point gets its own brute_sum.  Three exhaustive identity sweeps compare
+whole rows and keep their own loops: thm3.11 both sides at every j of one
+(m, n, s), thm3.13 runs of comp_rows tables (one table pair per orbit of
+pairs), and cor3.12 part 2's left side at every b.  So do the three-tier
+sampling of the n-term sums and the checks of quickcase, tablecorr and
+figures.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .oracle import (
     brute_sum_mod_p2,
     power_moments,
     residue_matrix,
+    unpack,
 )
 from .polyring import bipoly_add, symbolic_coeff_table, symbolic_sum_table
 
@@ -398,15 +402,6 @@ def _diagonals(p, lo):
         yield t - (p - 1), min(t - lo, p - 1) - max(lo, t - p + 1) + 1, *_window(p, t)
 
 
-def _cong_points(p):
-    for m, n in product(range(p), repeat=2):
-        s_lo, s_hi = _window(p, m + n)
-        for s in range(s_lo, s_hi + 1):
-            M = m + n + s - (p - 1)
-            for j in range(M + 1):
-                yield m, n, s, j, M
-
-
 def _cong_grid_count(p):
     # each M = d+s of the window has j = 0..M, and the M+1 summed over the
     # window is a difference of triangular numbers C(M+2, 2)
@@ -424,13 +419,32 @@ def _draw_cong(rng, p):
     return m, n, s, rng.randrange(M + 1), M
 
 
-_run_thm3_11 = Grid(
+# _run_thm3_11 enumerates this grid as whole j-rows; the Grid samples it
+_cong = Grid(
     ("m", "n", "s", "j", "M"),
     lambda pr, m, n, s, j, M: ident.cong_general(pr, m, n, s, j),
-    points=_cong_points,
-    count=_cong_grid_count,
     draw=_draw_cong,
 )
+
+
+def _run_thm3_11(pr, budget, seed, mode):
+    p = pr.p
+    if _cong_grid_count(p) > budget:
+        return _cong.sample(pr, budget, seed)
+    # the instances j = 0..M of one (m, n, s) are compared as two whole rows
+    failures = []
+    grid = 0
+    for m, n in product(range(p), repeat=2):
+        s_lo, s_hi = _window(p, m + n)
+        for s in range(s_lo, s_hi + 1):
+            lhs, rhs = ident.cong_rows(pr, m, n, s)
+            grid += len(lhs)
+            if lhs != rhs:
+                M = len(lhs) - 1
+                for j, (x, y) in enumerate(zip(lhs, rhs)):
+                    if x != y:
+                        _fail(failures, {"m": m, "n": n, "s": s, "j": j, "M": M}, x, y)
+    return grid, failures, True
 
 
 def _comp_grid_count(p):
@@ -465,8 +479,6 @@ def _run_thm3_13(pr, budget, seed, mode):
     # the window's instances have M = d+s with d = m+n-(p-1), so their left
     # sides are one run of left row n, and their right sides one stride-p
     # run down the right rows (cell s*(p-1) + d+s = s*p + d).
-    failures = []
-    grid = 0
     pm1 = p - 1
     runs = []
     for m in range(1, p):
@@ -479,20 +491,32 @@ def _run_thm3_13(pr, budget, seed, mode):
                 slices.append((n, s_lo, l0 + s_lo, l0 + s_hi + 1,
                                s_lo * p + d, s_hi * p + d + 1))
         runs.append((m, slices))
+    # The right table of (a, b) is the left table of its partner
+    # (a-b, -b), whose partner is (a, b) again.  Of the two pairs, the one
+    # with b < p/2 builds the two tables of each m and checks both pairs
+    # with them; failures go back into sweep order at the end.
+    found = {}  # pair -> its failures in (m, n, s) order
+    grid = 0
     rows = ident.comp_rows
     for a, b in permutations(range(1, p), 2):
+        if 2 * b > p:
+            continue
+        partner = ((a - b) % p, p - b)
         for m, slices in runs:
-            lrows = rows(pr, a, b, m)
-            rrows = rows(pr, a - b, -b, m)
-            for n, s_lo, l0, l1, r0, r1 in slices:
-                lhs = lrows[l0:l1]
-                rhs = rrows[r0:r1:p]
-                if lhs != rhs:
-                    for s, x, y in zip(range(s_lo, p), lhs, rhs):
-                        if x != y:
-                            _fail(failures, {"a": a, "b": b, "m": m, "n": n, "s": s}, x, y)
-                grid += l1 - l0
-    return grid, failures, True
+            left = rows(pr, a, b, m)
+            right = rows(pr, *partner, m)
+            for pair, lrows, rrows in (((a, b), left, right), (partner, right, left)):
+                for n, s_lo, l0, l1, r0, r1 in slices:
+                    lhs = lrows[l0:l1]
+                    rhs = rrows[r0:r1:p]
+                    if lhs != rhs:
+                        params = {"a": pair[0], "b": pair[1], "m": m, "n": n}
+                        for s, x, y in zip(range(s_lo, p), lhs, rhs):
+                            if x != y:
+                                _fail(found.setdefault(pair, []), {**params, "s": s}, x, y)
+                    grid += l1 - l0
+    pairs = permutations(range(1, p), 2)
+    return grid, [f for pair in pairs for f in found.get(pair, ())], True
 
 
 def _cor312_grid_count(p):
@@ -541,23 +565,40 @@ def _run_cor3_12(pr, budget, seed, mode):
     part1 = ((1, None, None, m, n, j) for m, n in product(range(1, p), repeat=2)
              for j in range(m + n - (p - 1) + 1))
     grid, failures = _cor3_12.sweep(pr, part1)
-    # part 2 reuses each weighted row slice across b
+    # part 2: the left side at every b at once, the right side per b
+    columns = _power_columns(pr)
     for m, n in product(range(1, p), repeat=2):
         M = m + n - (p - 1)
         if M < 0:
             continue
         cm = binom(pr, m, p - n - 1)
         for a in range(1, p):
-            wa_slice = pr.weighted_row(m, a)[1][m - M : m + 1]
+            lhs = _cor3_12_across_b(pr, columns, a, m, n)
             for b in range(1, p):
                 if b == a:
                     continue
-                lhs = sum(map(mul, wa_slice, pr.weighted_row(n, b)[0][: M + 1])) % p
                 rhs = pow_nonzero(pr, a - b, M) * cm % p
                 grid += 1
-                if lhs != rhs:
-                    _fail(failures, {"part": 2, "a": a, "b": b, "m": m, "n": n}, rhs, lhs)
+                if lhs[b] != rhs:
+                    _fail(failures, {"part": 2, "a": a, "b": b, "m": m, "n": n}, rhs, lhs[b])
     return grid, failures, True
+
+
+def _power_columns(pr):
+    """For each i in [0, p), (b^i for every b in [0, p)), packed."""
+    return [pr.pack(column) for column in zip(*map(pr.powers, range(pr.p)))]
+
+
+def _cor3_12_across_b(pr, columns, a, m, n):
+    """The left side of part 2 at (a, b, m, n) for every b in [0, p), as
+    one big-integer combination of the power columns: the sum over
+    i = 0..M of c_i b^i, c_i = C(m,M-i) a^(M-i) C(n,i), is slot b of
+    the sum of c_i times column i.  At most p terms share a slot."""
+    p = pr.p
+    M = m + n - (p - 1)
+    wa = pr.weighted_row(m, a)[1][m - M : m + 1]  # C(m,M-i) a^(M-i)
+    rn = pr.binom_row(n)
+    return unpack(pr, sum(map(mul, [w * c % p for w, c in zip(wa, rn)], columns)), p)
 
 
 # --- shortcuts, tables and figures --------------------------------------------

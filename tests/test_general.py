@@ -104,6 +104,26 @@ def test_newton_esp_worked_values():
         newton_esp(EXAMPLE_REDUCED, 17)
 
 
+def test_newton_esp_matches_the_recursion_on_root_power_sums():
+    # r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i, with each p_i from
+    # root_power_sum and each 1/r from mod_inverse
+    from wolstenholme.modarith import mod_inverse
+
+    rng = random.Random(97)
+    pr = make_prime(97)
+    for _ in range(200):
+        n = rng.randrange(2, 5)
+        gp = GeneralSumParams(pr, tuple(rng.sample(range(97), n)),
+                              tuple(rng.randrange(1, 97) for _ in range(n)))
+        r_max = rng.randrange(97)
+        sums = [None] + [root_power_sum(gp, i) for i in range(1, r_max + 1)]
+        want = [1]
+        for r in range(1, r_max + 1):
+            acc = sum((-1) ** (i - 1) * want[r - i] * sums[i] for i in range(1, r + 1))
+            want.append(acc * mod_inverse(r, 97) % 97)
+        assert newton_esp(gp, r_max) == tuple(want)
+
+
 def test_newton_esp_matches_polynomial_coefficients():
     rng = random.Random(1)
     for pr in (P7, P11, P17):

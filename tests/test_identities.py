@@ -13,6 +13,7 @@ from wolstenholme.identities import (
     comp_general,
     comp_rows,
     cong_general,
+    cong_rows,
     semi_symmetry,
     transpose_binomial,
     vandermonde,
@@ -115,6 +116,46 @@ def test_cong_general_special_forms():
                                 + binom(pr, m, M - 2) * (binom(pr, M - 2, j - 2) if M >= 2 else 0)
                             ) % p
                         assert rhs == want
+
+
+@pytest.mark.parametrize("pr", SMALL, ids=lambda pr: f"p{pr.p}")
+def test_cong_rows_match_cong_general(pr):
+    # both sides at every j of every (m, n, s) of the exhaustive thm3.11 grid
+    p = pr.p
+    rows = 0
+    for m in range(p):
+        for n in range(p):
+            for s in range(p):
+                M = m + n + s - (p - 1)
+                if not 0 <= M <= p - 2:
+                    with pytest.raises(HypothesisViolationError):
+                        cong_rows(pr, m, n, s)
+                    continue
+                lhs, rhs = cong_rows(pr, m, n, s)
+                assert (len(lhs), len(rhs)) == (M + 1, M + 1)
+                for j in range(M + 1):
+                    assert (lhs[j], rhs[j]) == cong_general(pr, m, n, s, j), (m, n, s, j)
+                rows += 1
+    assert rows > 0
+    with pytest.raises(HypothesisViolationError):
+        cong_rows(pr, p, 0, 0)
+
+
+@pytest.mark.parametrize("p", [7, 11, 37, 41])
+def test_cong_rows_at_slot_width_edges(p):
+    # primes on each side of a change of Prime.pack_width (1 to 2 bytes, 2 to
+    # 4 bytes); s = p-1 puts the most terms into the packed right side
+    pr = make_prime(p)
+    rng = random.Random(p)
+    cases = [(p - 2, 0, p - 1), (p - 3, 1, p - 1), ((p - 1) // 2, (p - 1) // 2, p - 2)]
+    while len(cases) < 12:
+        m, n, s = (rng.randrange(p) for _ in range(3))
+        if 0 <= m + n + s - (p - 1) <= p - 2:
+            cases.append((m, n, s))
+    for m, n, s in cases:
+        lhs, rhs = cong_rows(pr, m, n, s)
+        for j in range(len(lhs)):
+            assert (lhs[j], rhs[j]) == cong_general(pr, m, n, s, j), (m, n, s, j)
 
 
 def test_cong_general_s0_is_single_product():

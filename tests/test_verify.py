@@ -1,5 +1,6 @@
 import json
 import time
+from itertools import product
 
 import pytest
 
@@ -83,15 +84,12 @@ def test_failure_reporting_structure():
     assert failures == [{"params": {"a": 1}, "expected": 0, "got": 3}]
 
 
-def test_thm3_13_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch):
-    # one wrong row in one comp_rows table: the run-at-a-time comparison must
-    # still name each instance that reads it, in sweep order, and count the
-    # whole grid
-    from wolstenholme import identities
+def _corrupted_comp_table(monkeypatch, p, table, t0):
+    """Run the exhaustive thm3.13 at p with row t0 of the comp_rows table of
+    (u, v, m) = table one too big; returns the report and the failures a
+    point-by-point check of the same corruption finds, in sweep order."""
     from wolstenholme.modarith import make_prime
-    from wolstenholme.verify import _comp_grid_count
 
-    p, table, t0 = 7, (2, 3, 4), 3  # the table of (u, v, m) and its bad row
     real = identities.comp_rows
 
     def corrupted(pr, u, v, m):
@@ -104,8 +102,8 @@ def test_thm3_13_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch):
     monkeypatch.setattr(identities, "comp_rows", corrupted)
     rep = run_one("thm3.13", p)
 
-    # the table is the left side of (a, b) = (2, 3) at n = 3, and the right
-    # side of (a - b, -b) = (2, 3), i.e. (a, b) = (6, 4), at s = 3
+    # the table is the left side of (a, b) = (u, v) at n = t0, and the right
+    # side of the pair with (a - b, -b) = (u, v) at s = t0
     pr = make_prime(p)
     expected = []
     for a in range(1, p):
@@ -126,10 +124,89 @@ def test_thm3_13_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch):
                         if lhs != rhs:
                             params = {"a": a, "b": b, "m": m, "n": n, "s": s}
                             expected.append({"params": params, "expected": lhs, "got": rhs})
+    return rep, expected
+
+
+def test_thm3_13_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch):
+    # one wrong row in one comp_rows table: the run-at-a-time comparison must
+    # still name each instance that reads it, in sweep order, and count the
+    # whole grid.  The table (2, 3, 4) is the left table of (2, 3) and the
+    # right table of its partner (6, 4).
+    from wolstenholme.verify import _comp_grid_count
+
+    p = 7
+    rep, expected = _corrupted_comp_table(monkeypatch, p, (2, 3, 4), 3)
     assert {(f["params"]["a"], f["params"]["b"]) for f in expected} == {(2, 3), (6, 4)}
     assert len(expected) > 2
     assert rep.failures == expected
     assert rep.grid == _comp_grid_count(p) and rep.exhaustive
+
+
+def test_thm3_13_sweep_reports_a_corrupted_table_of_a_later_orbit(monkeypatch):
+    # the table (5, 2, 4) is the left table of (5, 2) and the right table of
+    # its partner (3, 5).  The orbit's tables are built when the sweep
+    # reaches (5, 2), the later pair in (a, b) order, so the failures of
+    # (3, 5) are found after those of (5, 2) but must be reported before
+    from wolstenholme.verify import _comp_grid_count
+
+    p = 7
+    rep, expected = _corrupted_comp_table(monkeypatch, p, (5, 2, 4), 2)
+    pairs = [(f["params"]["a"], f["params"]["b"]) for f in expected]
+    assert set(pairs) == {(3, 5), (5, 2)} and pairs == sorted(pairs)
+    assert rep.failures == expected
+    assert rep.grid == _comp_grid_count(p) and rep.exhaustive
+
+
+def test_thm3_13_builds_one_table_per_ordered_pair_and_m(monkeypatch):
+    # each table serves as the left table of one pair and the right table of
+    # its partner, so the sweep builds each (a, b, m) table once
+    p = 7
+    real = identities.comp_rows
+    calls = []
+    monkeypatch.setattr(identities, "comp_rows",
+                        lambda pr, u, v, m: calls.append((u, v, m)) or real(pr, u, v, m))
+    rep = run_one("thm3.13", p)
+    assert rep.passed and rep.exhaustive
+    assert len(calls) == (p - 1) * (p - 2) * (p - 1)
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("entries", [(2,), None], ids=["entry", "row"])
+def test_thm3_11_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch, entries):
+    # one wrong entry, then every entry, of the right-side row of one
+    # (m, n, s): exactly those instances must fail, in sweep order, with
+    # their params, and the grid must not change
+    from wolstenholme.modarith import make_prime
+    from wolstenholme.verify import _cong_grid_count
+
+    p, bad = 7, (4, 5, 2)  # M = 5
+    real = identities.cong_rows
+
+    def corrupted(pr, m, n, s):
+        lhs, rhs = real(pr, m, n, s)
+        if (m, n, s) == bad:
+            for j in range(len(rhs)) if entries is None else entries:
+                rhs[j] = (rhs[j] + 1) % p
+        return lhs, rhs
+
+    monkeypatch.setattr(identities, "cong_rows", corrupted)
+    rep = run_one("thm3.11", p)
+    pr = make_prime(p)
+    expected = []
+    for m in range(p):
+        for n in range(p):
+            for s in range(p):
+                M = m + n + s - (p - 1)
+                for j in range(M + 1) if 0 <= M <= p - 2 else ():
+                    lhs, rhs = identities.cong_general(pr, m, n, s, j)
+                    if (m, n, s) == bad and (entries is None or j in entries):
+                        rhs = (rhs + 1) % p
+                    if lhs != rhs:
+                        params = {"m": m, "n": n, "s": s, "j": j, "M": M}
+                        expected.append({"params": params, "expected": lhs, "got": rhs})
+    assert len(expected) == (6 if entries is None else 1)
+    assert rep.failures == expected
+    assert rep.grid == _cong_grid_count(p) and rep.exhaustive
 
 
 # --- every grid theorem reports every failing instance -----------------------
@@ -155,6 +232,8 @@ CHECKED = {
 }
 SAMPLED = ("thm2.1", "thm2.3", "rem2.5", "thm2.6", "thm2.8", "thm3.1", "thm3.4",
            "thm3.5", "thm3.6", "thm3.11", "thm3.13")
+# the exhaustive thm3.11 compares whole j-rows of both sides instead
+EXHAUSTIVE_CHECKED = {"thm3.11": (identities, "cong_rows")}
 # exhaustive at p = 7 (the exhaustive thm3.13 compares product rows instead),
 # sampled at p = 13
 CASES = [(t, 7, 10_000) for t in CHECKED if t != "thm3.13"] + [(t, 13, 40) for t in SAMPLED]
@@ -164,14 +243,18 @@ def _off_by_one(value):
     """The same result with its closed-form value or right side one too big."""
     if isinstance(value, int):
         return value + 1  # out of [0, p), so never equal to brute force
+    if isinstance(value, list):  # a whole row of right sides
+        return [x + 1 for x in value]
     if isinstance(value[0], tuple):  # semi_symmetry's two (lhs, rhs) pairs
         return tuple(map(_off_by_one, value))
     lhs, rhs = value
-    return lhs, rhs + 1
+    return lhs, _off_by_one(rhs)
 
 
-def _force_wrong(monkeypatch, theorem):
+def _force_wrong(monkeypatch, theorem, exhaustive=False):
     module, name, _ = CHECKED[theorem]
+    if exhaustive:
+        module, name = EXHAUSTIVE_CHECKED.get(theorem, (module, name))
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: _off_by_one(real(*args)))
 
@@ -179,7 +262,7 @@ def _force_wrong(monkeypatch, theorem):
 @pytest.mark.parametrize("theorem, p, budget", CASES)
 def test_driver_reports_every_wrong_instance(monkeypatch, theorem, p, budget):
     clean = run_one(theorem, p, budget=budget, seed=7)
-    _force_wrong(monkeypatch, theorem)
+    _force_wrong(monkeypatch, theorem, exhaustive=budget == 10_000)
     rep = run_one(theorem, p, budget=budget, seed=7)
     assert (rep.grid, rep.exhaustive) == (clean.grid, clean.exhaustive)
     assert rep.exhaustive == (budget == 10_000)
@@ -313,7 +396,11 @@ def test_grid_sizes_match_enumeration(p):
             M = m + n - (p - 1)
             if M >= 0:
                 cor += M + 1 + (p - 1) * (p - 2)  # part 1: j = 0..M; part 2: a != b
-    cong = sum(1 for _ in verify._cong_points(p))
+    cong = 0
+    for m, n, s in product(range(p), repeat=3):
+        M = m + n + s - (p - 1)
+        if 0 <= M <= p - 2:
+            cong += M + 1  # j = 0..M
     assert _counts(p) == (cong, (p - 1) * (p - 2) * comp, cor)
 
 
@@ -415,3 +502,44 @@ def test_figures_at_p_97_is_fast():
     rep = run_one("figures", 97, budget=500)
     assert time.perf_counter() - start < 5
     assert rep.passed and rep.exhaustive and rep.grid == 576
+
+
+# --- the left side of cor3.12 part 2 across b ---------------------------------
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_cor3_12_across_b_matches_the_point_check(p):
+    # every (a, m, n) of part 2: slot b of the across-b row is the left side
+    # _check_cor3_12 computes at (a, b, m, n) with one convolution
+    from wolstenholme.modarith import make_prime
+
+    pr = make_prime(p)
+    columns = verify._power_columns(pr)
+    checked = 0
+    for m in range(1, p):
+        for n in range(1, p):
+            if m + n < p - 1:
+                continue
+            for a in range(1, p):
+                row = verify._cor3_12_across_b(pr, columns, a, m, n)
+                assert len(row) == p
+                for b in range(1, p):
+                    if b != a:
+                        assert row[b] == verify._check_cor3_12(pr, 2, a, b, m, n, None)[1]
+                        checked += 1
+    assert checked == verify._cor312_grid_count(p) - sum(
+        m + n - (p - 1) + 1 for m in range(1, p) for n in range(1, p) if m + n >= p - 1)
+
+
+@pytest.mark.parametrize("p", [7, 11, 37, 41])
+def test_cor3_12_across_b_at_slot_width_edges(p):
+    # primes on each side of a change of Prime.pack_width; m = n = p-1 puts
+    # p terms into each slot, the most there can be
+    from wolstenholme.modarith import make_prime
+
+    pr = make_prime(p)
+    columns = verify._power_columns(pr)
+    for a, m, n in ((1, p - 1, p - 1), (p - 1, p - 1, p - 1), (2, p - 2, p - 1)):
+        row = verify._cor3_12_across_b(pr, columns, a, m, n)
+        for b in {1, 2, p // 2, p - 2, p - 1} - {a}:
+            assert row[b] == verify._check_cor3_12(pr, 2, a, b, m, n, None)[1], (a, b, m, n)
