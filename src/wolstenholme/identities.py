@@ -5,12 +5,14 @@ subexpressions) and returns the pair (lhs, rhs), so a test can assert
 equality rather than trust either side.  The weighted sums on either side
 of comp_general, and the left side of vandermonde, are coefficients
 [x^M] (1+ax)^m (1+bx)^n of a product of shifted binomials, read by the one
-convolution modarith.conv.  The two largest grids are not swept instance
-by instance.  cong_rows gives both sides of cong_general at every j at
-once.  For the weighted-sum identity, comp_rows builds each side as the rows
-of a truncated product, and the sweep compares whole runs of instances as
-list slices.  The right-side table of (a, b) is the left-side table of
-(a-b, -b) and the other way round, so one table pair serves both pairs.
+convolution modarith.conv.  The exhaustive sweeps do not go instance by
+instance.  cong_rows gives both sides of cong_general at every j at once,
+and vandermonde_rows both sides of vandermonde at every M, its left side one
+product of two packed binomial rows.  For the weighted-sum identity,
+comp_rows builds each side as the rows of a truncated product, and the
+sweep compares whole runs of instances as list slices.  The right-side
+table of (a, b) is the left-side table of (a-b, -b) and the other way
+round, so one table pair serves both pairs.
 """
 
 from __future__ import annotations
@@ -172,3 +174,16 @@ def vandermonde(pr: Prime, m: int, n: int, M: int) -> tuple[int, int]:
     if not 0 <= M <= m + n:
         raise RangeViolationError(f"M = {M} outside [0, m+n]")
     return conv(pr, 1, 1, m, n, M), binom(pr, m + n, M)
+
+
+def vandermonde_rows(pr: Prime, m: int, n: int) -> tuple[list[int], list[int]]:
+    """Both sides of vandermonde at every M = 0..m+n, as two lists.
+
+    The left side is the product of the packed binomial rows of m and n,
+    unpacked and reduced once: slot M sums at most p products of two
+    residues.  The right side is the binomial row of m+n.
+    """
+    if m < 0 or n < 0 or m + n > pr.p - 1:
+        raise RangeViolationError(f"need m, n >= 0 with m+n <= p-1, got {(m, n)}")
+    lhs = unpack(pr, pr.packed_binom_row(m) * pr.packed_binom_row(n), m + n + 1)
+    return lhs, list(pr.binom_row(m + n))

@@ -2,16 +2,15 @@
 
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
-lazily built lookup caches (binomial rows, power tables and their packed
-forms) that the closed-form evaluators and the brute oracle lean on in hot
-verification loops.  conv reads the weighted rows to give one coefficient of
-a product of two shifted binomials, the sum that the triple closed forms and
-the weighted-sum identities share.
+lazily built lookup caches (binomial rows, power tables, weighted rows and
+packed forms) that the exhaustive sweeps and the brute oracle lean on in hot
+verification loops.  conv gives one coefficient of a product of two shifted
+binomials, the sum that the triple closed forms and the weighted-sum
+identities share.  It reads only the factorial tables and caches nothing,
+at a cost of O(window) per call, so sampled runs at large p hold no rows.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from .errors import (
     NotInvertibleError,
@@ -124,10 +123,12 @@ class Prime:
         return packed
 
     def weighted_row(self, n: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(w, reversed(w)) with w[i] = C(n,i) * base^i mod p.
+        """(w, reversed(w)) with w[i] = C(n,i) * base^i mod p; both are cached.
 
-        The reversed copy lets convolution-style sums run through
-        sum(map(mul, ...)) without re-slicing; both are cached.
+        The cache holds up to p^2 rows of O(p) entries, so only sweeps that
+        reuse rows read it: identities.comp_rows (its first row),
+        verify._cor3_12_across_b (the reversed row, sliced) and
+        general._composition_sums (both, for its sliced dot products).
         """
         base %= self.p
         bucket = self._wrows[base]
@@ -147,7 +148,15 @@ class Prime:
 
 def conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:
     """[x^t] (1+ax)^m (1+bx)^n, i.e. the sum over j of C(m, t-j) C(n, j)
-    a^(t-j) b^j mod p, with C(., k) = 0 outside 0 <= k <= top."""
+    a^(t-j) b^j mod p, with C(., k) = 0 outside 0 <= k <= top.
+
+    Only the window j = lo..hi of nonzero terms is read, straight from the
+    factorial tables: C(m,t-j) C(n,j) = m! n! / ((t-j)! (m-t+j)! j! (n-j)!).
+    The powers come from one Horner pass in a that carries b^j, and the sum
+    is scaled once by m! n! a^(t-hi).  No inverse of a or b is taken, so
+    zero bases need no special case, and nothing is cached: the cost is
+    O(hi - lo) whatever m, n and the bases.
+    """
     if t < 0:
         return 0
     lo = t - m
@@ -156,10 +165,21 @@ def conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:
     hi = n if n < t else t
     if hi < lo:
         return 0
-    wa_rev = pr.weighted_row(m, a)[1]
-    wb = pr.weighted_row(n, b)[0]
-    # wa_rev[m - t + j] == C(m, t-j) a^(t-j)
-    return sum(map(mul, wa_rev[m - t + lo : m - t + hi + 1], wb[lo : hi + 1])) % pr.p
+    p = pr.p
+    if m >= p or n >= p:
+        raise TopOutOfRangeError(f"binomial tops {(m, n)} outside [0, {p})")
+    a %= p
+    b %= p
+    inv = pr.inv_fact
+    k = m - t  # (m-t+j)! is inv[k + j]
+    bj = pow(b, lo, p) if lo else 1
+    acc = 0
+    for j in range(lo, hi + 1):
+        acc = (acc * a + inv[t - j] * inv[k + j] * inv[j] * inv[n - j] * bj) % p
+        bj = bj * b % p
+    if t > hi:
+        acc *= pow(a, t - hi, p)
+    return acc * pr.fact[m] * pr.fact[n] % p
 
 
 def make_prime(p: int) -> Prime:

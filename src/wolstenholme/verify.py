@@ -8,12 +8,12 @@ rhs).  One driver runs them all: grids at or below the budget are enumerated
 exhaustively, larger ones take budget seeded-uniform draws so failures
 reproduce.  An exhaustive sweep of a closed-form box grid reads the brute
 side of a whole run of points from one oracle.power_moments row; a sampled
-point gets its own brute_sum.  Three exhaustive identity sweeps compare
+point gets its own brute_sum.  Four exhaustive identity sweeps compare
 whole rows and keep their own loops: thm3.11 both sides at every j of one
-(m, n, s), thm3.13 runs of comp_rows tables (one table pair per orbit of
-pairs), and cor3.12 part 2's left side at every b.  So do the three-tier
-sampling of the n-term sums and the checks of quickcase, tablecorr and
-figures.
+(m, n, s), vandermonde both sides at every M of one (m, n), thm3.13 runs of
+comp_rows tables (one table pair per orbit of pairs), and cor3.12 part 2's
+left side at every b.  So do the three-tier sampling of the n-term sums and
+the checks of quickcase, tablecorr and figures.
 """
 
 from __future__ import annotations
@@ -81,6 +81,17 @@ class VerificationReport:
 
 def _fail(failures: list, params: dict, expected: int, got: int) -> None:
     failures.append({"params": params, "expected": expected, "got": got})
+
+
+def _compare_rows(failures: list, lhs: list, rhs: list, params: Callable) -> int:
+    """Compare two whole rows of sides, instance i at index i; on a
+    mismatch, each differing instance fails with params(i).  Returns the
+    number of instances."""
+    if lhs != rhs:
+        for i, (x, y) in enumerate(zip(lhs, rhs)):
+            if x != y:
+                _fail(failures, params(i), x, y)
+    return len(lhs)
 
 
 # --- the driver ---------------------------------------------------------------
@@ -376,12 +387,18 @@ _run_cor2_7 = Grid(
     lambda pr, m, n: ident.transpose_binomial(pr, m, n),
     points=lambda p: product(range(p), repeat=2),
 )
-_run_vandermonde = Grid(
-    ("m", "n", "M"),
-    lambda pr, m, n, M: ident.vandermonde(pr, m, n, M),
-    points=lambda p: ((m, n, M) for m in range(p) for n in range(p - m)
-                      for M in range(m + n + 1)),
-)
+
+
+def _run_vandermonde(pr, budget, seed, mode):
+    # the instances M = 0..m+n of one (m, n) are compared as two whole rows
+    p = pr.p
+    failures = []
+    grid = 0
+    for m in range(p):
+        for n in range(p - m):
+            lhs, rhs = ident.vandermonde_rows(pr, m, n)
+            grid += _compare_rows(failures, lhs, rhs, lambda M: {"m": m, "n": n, "M": M})
+    return grid, failures, True
 
 
 def _window(p, t):
@@ -438,12 +455,9 @@ def _run_thm3_11(pr, budget, seed, mode):
         s_lo, s_hi = _window(p, m + n)
         for s in range(s_lo, s_hi + 1):
             lhs, rhs = ident.cong_rows(pr, m, n, s)
-            grid += len(lhs)
-            if lhs != rhs:
-                M = len(lhs) - 1
-                for j, (x, y) in enumerate(zip(lhs, rhs)):
-                    if x != y:
-                        _fail(failures, {"m": m, "n": n, "s": s, "j": j, "M": M}, x, y)
+            M = len(lhs) - 1
+            grid += _compare_rows(failures, lhs, rhs,
+                                  lambda j: {"m": m, "n": n, "s": s, "j": j, "M": M})
     return grid, failures, True
 
 

@@ -17,6 +17,7 @@ from wolstenholme.identities import (
     semi_symmetry,
     transpose_binomial,
     vandermonde,
+    vandermonde_rows,
 )
 from wolstenholme.modarith import binom, make_prime, pow_nonzero
 
@@ -277,6 +278,31 @@ def test_vandermonde_exhaustive_small():
                 for M in range(m + n + 1):
                     lhs, rhs = vandermonde(pr, m, n, M)
                     assert lhs == rhs
+
+
+def test_vandermonde_rows_match_vandermonde():
+    for pr in SMALL:
+        p = pr.p
+        for m in range(p):
+            for n in range(p - m):
+                lhs, rhs = vandermonde_rows(pr, m, n)
+                assert list(zip(lhs, rhs)) == [vandermonde(pr, m, n, M)
+                                               for M in range(m + n + 1)], (p, m, n)
+    with pytest.raises(RangeViolationError):
+        vandermonde_rows(P11, 6, 5)
+    with pytest.raises(RangeViolationError):
+        vandermonde_rows(P11, -1, 3)
+
+
+@pytest.mark.parametrize("p", [7, 11, 37, 41])
+def test_vandermonde_rows_at_slot_width_edges(p):
+    # primes on each side of a change of Prime.pack_width; m = n = (p-1)/2
+    # puts the most terms, (p+1)/2, into the middle slot
+    pr = make_prime(p)
+    h = (p - 1) // 2
+    for m, n in ((h, h), (0, p - 1), (p - 1, 0), (1, p - 2), (h - 1, h + 1)):
+        lhs, rhs = vandermonde_rows(pr, m, n)
+        assert lhs == rhs == [binom(pr, m + n, M) for M in range(m + n + 1)], (p, m, n)
 
 
 def test_full_grids_hold_small():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -172,6 +173,55 @@ def test_conv_matches_expanded_product():
         pr = primes[p]
         want = [0, *_expanded(p, a, b, m, n), 0]  # t = -1 .. m+n+1
         assert [conv(pr, a, b, m, n, t) for t in range(-1, m + n + 2)] == want, (p, a, b, m, n)
+
+
+@functools.cache
+def _comb_row(p, m):
+    return [math.comb(m, k) % p for k in range(m + 1)]
+
+
+def _conv_sum(p, a, b, m, n, t):
+    """[x^t] (1+ax)^m (1+bx)^n mod p as the plain sum over j."""
+    cm, cn = _comb_row(p, m), _comb_row(p, n)
+    return sum(cm[t - j] * cn[j] * pow(a, t - j, p) * pow(b, j, p)
+               for j in range(max(0, t - m), min(n, t) + 1)) % p
+
+
+@pytest.mark.parametrize("p", [257, 1009])
+def test_conv_at_large_p_and_its_edges(p):
+    pr = make_prime(p)
+    rng = random.Random(p)
+    bases = (0, 1, 2, p - 1, -1, -p - 3, p, p + 5, 2 * p + 1)
+    cases = [(p - 1, p - 1, a, b, t) for a in (0, 3, p - 1) for b in (0, 5, p - 1)
+             for t in (-1, 0, 1, p - 2, p - 1, p, 2 * p - 2, 2 * p - 1)]
+    for _ in range(20):
+        m, n = rng.randrange(p), rng.randrange(p)
+        cases += [(m, n, rng.choice(bases), rng.choice(bases), t)
+                  for t in (-1, 0, m, n, rng.randrange(m + n + 1), m + n, m + n + 1)]
+    for m, n, a, b, t in cases:
+        assert conv(pr, a, b, m, n, t) == _conv_sum(p, a, b, m, n, t), (m, n, a, b, t)
+    # the full window: every j = 0..p-1 contributes at t = p-1
+    assert conv(pr, 3, 5, p - 1, p - 1, p - 1) == _conv_sum(p, 3, 5, p - 1, p - 1, p - 1)
+
+
+def test_conv_caches_nothing():
+    pr = make_prime(257)
+    rng = random.Random(3)
+    for _ in range(300):
+        m, n = rng.randrange(257), rng.randrange(257)
+        conv(pr, rng.randrange(-300, 600), rng.randrange(-300, 600), m, n,
+             rng.randrange(-1, m + n + 2))
+    for cache in (pr._wrows, pr._powers, pr._binom_rows):
+        assert cache == [None] * 257
+
+
+def test_conv_rejects_tops_at_or_above_p():
+    pr = make_prime(11)
+    with pytest.raises(TopOutOfRangeError):
+        conv(pr, 1, 1, 11, 3, 4)
+    with pytest.raises(TopOutOfRangeError):
+        conv(pr, 1, 1, 3, 11, 4)
+    assert conv(pr, 1, 1, 11, 3, -1) == 0  # an empty window reads no table
 
 
 def test_is_prime_small():

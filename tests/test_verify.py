@@ -209,6 +209,59 @@ def test_thm3_11_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch, en
     assert rep.grid == _cong_grid_count(p) and rep.exhaustive
 
 
+@pytest.mark.parametrize("entries", [(3,), None], ids=["entry", "row"])
+def test_vandermonde_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch, entries):
+    # one wrong entry, then every entry, of the right-side row of one
+    # (m, n): exactly those instances must fail, in sweep order, with their
+    # params, and the grid must not change
+    from wolstenholme.modarith import make_prime
+
+    p, bad = 7, (2, 3)  # M = 0..5
+    real = identities.vandermonde_rows
+
+    def corrupted(pr, m, n):
+        lhs, rhs = real(pr, m, n)
+        if (m, n) == bad:
+            for M in range(len(rhs)) if entries is None else entries:
+                rhs[M] = (rhs[M] + 1) % p
+        return lhs, rhs
+
+    monkeypatch.setattr(identities, "vandermonde_rows", corrupted)
+    rep = run_one("vandermonde", p)
+    pr = make_prime(p)
+    expected = []
+    for m in range(p):
+        for n in range(p - m):
+            for M in range(m + n + 1):
+                lhs, rhs = identities.vandermonde(pr, m, n, M)
+                if (m, n) == bad and (entries is None or M in entries):
+                    rhs = (rhs + 1) % p
+                if lhs != rhs:
+                    expected.append({"params": {"m": m, "n": n, "M": M},
+                                     "expected": lhs, "got": rhs})
+    assert len(expected) == (6 if entries is None else 1)
+    assert rep.failures == expected
+    assert rep.grid == sum((d + 1) ** 2 for d in range(p)) and rep.exhaustive
+
+
+@pytest.mark.parametrize("theorem", ["thm3.13", "cor3.12"])
+def test_sampled_runs_at_p_1009_cache_no_rows(monkeypatch, theorem):
+    # every sampled draw reads its conv window from the factorial tables, so
+    # no weighted row and no other lookup row is built
+    from wolstenholme.modarith import Prime, make_prime
+
+    real = Prime.weighted_row
+    calls = []
+    monkeypatch.setattr(Prime, "weighted_row",
+                        lambda pr, n, base: calls.append((n, base)) or real(pr, n, base))
+    pr = make_prime(1009)
+    rep = run_one(theorem, pr, budget=1000, seed=0)
+    assert rep.passed and not rep.exhaustive and rep.grid == 1000
+    assert calls == []
+    for cache in (pr._wrows, pr._powers, pr._binom_rows):
+        assert cache == [None] * 1009
+
+
 # --- every grid theorem reports every failing instance -----------------------
 
 # theorem id -> (module, name) of the closed form or right side its check
@@ -232,8 +285,10 @@ CHECKED = {
 }
 SAMPLED = ("thm2.1", "thm2.3", "rem2.5", "thm2.6", "thm2.8", "thm3.1", "thm3.4",
            "thm3.5", "thm3.6", "thm3.11", "thm3.13")
-# the exhaustive thm3.11 compares whole j-rows of both sides instead
-EXHAUSTIVE_CHECKED = {"thm3.11": (identities, "cong_rows")}
+# the exhaustive thm3.11 and vandermonde compare whole rows of both sides
+# instead
+EXHAUSTIVE_CHECKED = {"thm3.11": (identities, "cong_rows"),
+                      "vandermonde": (identities, "vandermonde_rows")}
 # exhaustive at p = 7 (the exhaustive thm3.13 compares product rows instead),
 # sampled at p = 13
 CASES = [(t, 7, 10_000) for t in CHECKED if t != "thm3.13"] + [(t, 13, 40) for t in SAMPLED]
