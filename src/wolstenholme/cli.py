@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure or strategy disagreement,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import closedforms as cf
@@ -27,7 +28,7 @@ from .oracle import (
     residue_matrix,
 )
 from .polyring import symbolic_coeff_table, symbolic_sum_table, table_to_json
-from .verify import REGISTRY, resolve_theorems, run_verification
+from .verify import REGISTRY, check_request, resolve_theorems, run_verification
 
 STRATEGIES = ("brute", "closed", "coeff", "esp", "all")
 
@@ -210,21 +211,47 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _check_output(path: str | None) -> None:
+    """Raise BadParamsError unless -o names a file that can be written.
+
+    Checked before any work, and without opening the file, so that a bad
+    path fails at once and an existing file is not truncated before its
+    new contents are ready.
+    """
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise BadParamsError(f"-o {path}: is a directory")
+    if not os.path.isdir(folder):
+        raise BadParamsError(f"-o {path}: no such directory {folder}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise BadParamsError(f"-o {path}: not writable")
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write text to the -o file, or to stdout without one."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadParamsError(f"-o {path}: {exc.strerror}") from None
+
+
 def cmd_verify(args) -> int:
     theorems = resolve_theorems([t for t in args.theorems.split(",") if t.strip()])
     primes = _parse_primes(args.primes)
     for q in primes:
         make_prime(q)  # validate early: composites are usage errors
+    check_request(theorems, primes, args.budget)
+    _check_output(args.output)
     print(f"seed {args.seed}", file=sys.stderr)
     reports = run_verification(theorems, primes, budget=args.budget, seed=args.seed,
                                mode=args.mod)
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for rep in reports:
-            out.write(rep.to_json_line() + "\n")
-    finally:
-        if args.output:
-            out.close()
+    _emit(args.output, "".join(rep.to_json_line() + "\n" for rep in reports))
     ok = all(rep.passed for rep in reports)
     for rep in reports:
         status = "pass" if rep.passed else f"FAIL ({len(rep.failures)} failures)"
@@ -253,6 +280,7 @@ def _render_table(rows, start_index: int, fmt: str, pr: Prime, signed: bool) -> 
 
 def cmd_table(args) -> int:
     pr = make_prime(args.prime)
+    _check_output(args.output)
     if args.kind == "residue-matrix":
         if args.a is None:
             raise BadParamsError("residue-matrix needs -a")
@@ -276,11 +304,7 @@ def cmd_table(args) -> int:
             rows = symbolic_sum_table(pr, args.m, args.n)
             start = 1
         text = _render_table(rows, start, args.format, pr, args.signed)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.output, text)
     return 0
 
 

@@ -2,17 +2,21 @@
 
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
-lazily built lookup caches (binomial rows, power tables, weighted rows and
-packed forms) that the exhaustive sweeps and the brute oracle lean on in hot
-verification loops.  conv gives one coefficient of a product of two shifted
-binomials, the sum that the triple closed forms and the weighted-sum
-identities share.  It reads only the factorial tables and caches nothing,
-at a cost of O(window) per call, so sampled runs at large p hold no rows.
+lazily built lookup caches (binomial rows, power tables, weighted rows,
+packed forms and power columns) that the exhaustive sweeps and the brute
+oracle lean on in hot verification loops.  conv gives one coefficient of a
+product of two shifted binomials, the sum that the triple closed forms and
+the weighted-sum identities share.  It reads only the factorial tables and
+caches nothing, at a cost of O(window) per call, so sampled runs at large p
+hold no rows.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from .errors import (
+    HypothesisViolationError,
     NotInvertibleError,
     NotPrimeError,
     TooSmallError,
@@ -38,11 +42,15 @@ class Prime:
     """Validated prime modulus p >= 5 with tables of i! and (i!)^-1 mod p.
 
     Immutable after construction (the internal caches only memoize pure
-    functions), so instances are safe to share.
+    functions), so instances are safe to share.  The power columns that the
+    brute oracle reads, one per exponent |e| <= p-1, hold at most (2p-1) p
+    entries of column_code, at most 4 bytes each below p = 2^32: about 4 MB
+    at p = 1009.  Each entry is one exact pow of its own base, with no
+    exponent reduced mod p-1, so reading it is still brute force.
     """
 
-    __slots__ = ("p", "fact", "inv_fact", "pack_width", "_binom_rows", "_powers", "_packed",
-                 "_packed_binom", "_wrows")
+    __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "_binom_rows",
+                 "_powers", "_packed", "_packed_binom", "_wrows", "_columns")
 
     def __init__(self, p: int):
         if p < 5:
@@ -65,12 +73,15 @@ class Prime:
         while p * (p - 1) ** 2 >> (8 * width):
             width *= 2
         self.pack_width = width
+        # the narrowest unsigned array type that holds every residue
+        self.column_code = next(c for c in "BHIQ" if p <= 1 << 8 * array(c).itemsize)
         # lazily filled lookup caches, indexed directly for speed in sweeps
         self._binom_rows: list = [None] * p
         self._powers: list = [None] * p
         self._packed: list = [None] * p
         self._packed_binom: list = [None] * p
         self._wrows: list = [None] * p
+        self._columns: list = [None] * (2 * p - 1)  # exponent e at index e + p - 1
 
     def __repr__(self) -> str:
         return f"Prime({self.p})"
@@ -98,6 +109,19 @@ class Prime:
             tab = tuple(out)
             self._powers[base] = tab
         return tab
+
+    def power_column(self, e: int) -> array:
+        """(x^e mod p for x = 0..p-1), one pow(x, e, p) per x, built once;
+        requires |e| <= p-1.  0^0 = 1.  For e < 0 the slot of x = 0, which
+        has no inverse, holds 0."""
+        p = self.p
+        if not -p < e < p:
+            raise HypothesisViolationError(f"|exponent| {e} exceeds p-1 = {p - 1}")
+        col = self._columns[e + p - 1]
+        if col is None:
+            col = array(self.column_code, [pow(x, e, p) if x or e >= 0 else 0 for x in range(p)])
+            self._columns[e + p - 1] = col
+        return col
 
     def pack(self, row) -> int:
         """row as one int: row[s] in bytes s*w .. s*w+w-1, little-endian,

@@ -3,6 +3,14 @@
 Everything here evaluates sums term by term with no algebraic shortcuts, so
 the closed-form evaluators can be checked against it exactly.
 
+brute_sum reads each value (off+k)^e from Prime.power_column(e), x^e for
+every x built once with one pow(x, e, p) per x: at most 2p-1 columns of p
+entries per Prime.  Term (off, e) at k = 0..p-1 is that column rotated by
+off.  This is still literal: every value is an exactly computed pow of its
+own base, every product over the terms is formed, and no exponent is reduced
+mod p-1 and no discrete log or primitive root is used, the theory that the
+congruences under test rest on.  Only the reuse across calls is new.
+
 power_moments evaluates a whole run of such sums at once, sum of w * x^s for
 every exponent s, by packing each power table (x^0, ..., x^(p-1)) into one
 Python int, one fixed-width slot per exponent.  That is exact integer
@@ -16,6 +24,8 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import repeat
 from operator import mul
 
 from .errors import HypothesisViolationError, ZeroDenominatorError
@@ -68,25 +78,36 @@ def make_spec(pr: Prime, terms, exclusions=None) -> SumSpec:
     return SumSpec(pr, norm, excl)
 
 
+def term_products(pr: Prime, terms):
+    """For k = 0..p-1 in order, the exact integer product over the terms
+    (off, e), offsets in [0, p), of the residues (off+k)^e mod p: one
+    map(mul) chain over the power columns, each rotated by its offset.  A
+    negative exponent's vanishing base reads 0; brute_sum raises there
+    unless that k is excluded."""
+    column = pr.power_column
+    rotated = [col[off:] + col[:off] for off, e in terms for col in (column(e),)]
+    return reduce(partial(map, mul), rotated) if rotated else repeat(1, pr.p)
+
+
 def brute_sum(spec: SumSpec) -> int:
-    """Evaluate the sum literally; exact ground truth for all closed forms."""
+    """Evaluate the sum literally; exact ground truth for all closed forms.
+
+    The exact products at the unexcluded k are summed and reduced mod p once.
+    An unexcluded vanishing denominator raises ZeroDenominatorError, naming
+    the smallest such k and, at it, the first such term.
+    """
     p = spec.pr.p
-    terms = spec.terms
     excl = spec.exclusions
-    total = 0
-    for k in range(p):
-        if k in excl:
-            continue
-        prod = 1
-        for off, exp in terms:
-            base = (off + k) % p
-            if exp < 0 and base == 0:
-                raise ZeroDenominatorError(
-                    f"denominator (({off})+k)^{exp} vanishes at unexcluded k = {k}"
-                )
-            prod = prod * pow(base, exp, p) % p
-        total += prod
-    return total % p
+    zeros = [((-off) % p, i) for i, (off, exp) in enumerate(spec.terms)
+             if exp < 0 and (-off) % p not in excl]
+    if zeros:
+        k, i = min(zeros)
+        off, exp = spec.terms[i]
+        raise ZeroDenominatorError(f"denominator (({off})+k)^{exp} vanishes at unexcluded k = {k}")
+    values = list(term_products(spec.pr, spec.terms))
+    for k in excl:
+        values[k] = 0
+    return sum(values) % p
 
 
 # the native unsigned format of each slot width a memoryview can read

@@ -40,6 +40,7 @@ from .oracle import (
     brute_sum_mod_p2,
     power_moments,
     residue_matrix,
+    term_products,
     unpack,
 )
 from .polyring import bipoly_add, symbolic_coeff_table, symbolic_sum_table
@@ -159,7 +160,8 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
     (off+k)^(sign*e), times (-1)^e when alternating.  closed(pr, *point) is
     the closed side.  A sampled point is one brute_sum; the exhaustive sweep
     reads the brute side at every e of a head from one power_moments row of
-    weights prod (o+k)^f over the bases (off+k)^sign.
+    weights prod (o+k)^f over the bases (off+k)^sign, both read through
+    term_products as brute_sum reads its terms.
     """
 
     def check(pr, *point):
@@ -173,15 +175,9 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
     def row(pr, *head):
         p = pr.p
         terms, (off, sign), excl = sums(pr, *head)
-        weighted = []
-        for k in range(p):
-            if k not in excl:
-                w = 1
-                for o, f in terms:
-                    w = w * pow(o + k, f, p) % p
-                x = pow(off + k, sign, p)
-                weighted.append((w, -x % p if alternating else x))
-        return power_moments(pr, weighted)
+        pairs = zip(term_products(pr, terms), term_products(pr, ((off, sign),)))
+        return power_moments(pr, [(w % p, -x % p if alternating else x)
+                                  for k, (w, x) in enumerate(pairs) if k not in excl])
 
     def rows(pr):
         current = [None, None]  # the head being swept and its row
@@ -794,8 +790,7 @@ def run_one(theorem_id: str, p: int | Prime, budget: int = 10_000, seed: int = 0
     thm = REGISTRY.get(theorem_id)
     if thm is None:
         raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}")
-    if budget < 1:
-        raise BadParamsError(f"budget must be at least 1, got {budget}")
+    _check_budget(budget)
     start = time.perf_counter()
     grid, failures, exhaustive = thm.run(pr, budget, seed, mode)
     elapsed = time.perf_counter() - start
@@ -811,14 +806,27 @@ def run_one(theorem_id: str, p: int | Prime, budget: int = 10_000, seed: int = 0
     )
 
 
-def run_verification(theorem_ids, primes, budget: int = 10_000, seed: int = 0,
-                     mode: str = "p2") -> list[VerificationReport]:
-    """Run every (theorem, prime) pair; reports sorted by theorem then prime."""
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise BadParamsError(f"budget must be at least 1, got {budget}")
+
+
+def check_request(theorem_ids, primes, budget: int) -> list[str]:
+    """The theorem names of a run, or BadParamsError for a run that would
+    check nothing; raised before any work is done."""
     names = resolve_theorems(theorem_ids)
     if not names:
         raise BadParamsError("no theorem ids to verify")
     if not primes:
         raise BadParamsError("no primes to verify at")
+    _check_budget(budget)
+    return names
+
+
+def run_verification(theorem_ids, primes, budget: int = 10_000, seed: int = 0,
+                     mode: str = "p2") -> list[VerificationReport]:
+    """Run every (theorem, prime) pair; reports sorted by theorem then prime."""
+    names = check_request(theorem_ids, primes, budget)
     return sorted(
         [run_one(name, p, budget, seed, mode) for name in names for p in primes],
         key=lambda r: (r.theorem, r.prime),

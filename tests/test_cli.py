@@ -244,3 +244,60 @@ def test_table_output_file_lf_endings(tmp_path, capsys):
     raw = target.read_bytes()
     assert b"\r" not in raw
     assert raw.decode("utf-8").endswith("10\n")
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("run_verification was called")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorems", "thm2.1", "--primes", "7", "-o", "{missing}/x.json"),
+    ("verify", "--theorems", "thm2.1", "--primes", "7", "-o", "{dir}"),
+    ("table", "sum-table", "-p", "11", "-m", "3", "-n", "4", "-o", "{missing}/x"),
+    ("table", "residue-matrix", "-p", "11", "-a", "2", "-o", "{dir}"),
+])
+def test_unwritable_output_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    import wolstenholme.cli as cli
+
+    monkeypatch.setattr(cli, "run_verification", _no_run)
+    monkeypatch.setattr(cli, "symbolic_sum_table", _no_run)
+    monkeypatch.setattr(cli, "residue_matrix", _no_run)
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: -o ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--budget", "0"), ("--theorems", ",,"),
+                                  ("--primes", "90..96")])
+def test_usage_errors_print_nothing_before_the_error(tmp_path, capsys, monkeypatch, argv):
+    import wolstenholme.cli as cli
+
+    monkeypatch.setattr(cli, "run_verification", _no_run)
+    target = tmp_path / "report.jsonl"
+    target.write_text("old\n")
+    code, out, err = run_cli(capsys, "verify", "--theorems", "thm2.1", "--primes", "5",
+                             *argv, "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target.read_text() == "old\n"
+
+
+def test_verify_output_file_is_replaced_only_when_the_reports_are_ready(tmp_path, capsys,
+                                                                       monkeypatch):
+    import wolstenholme.cli as cli
+
+    target = tmp_path / "report.jsonl"
+    target.write_text("old\n")
+    real = cli.run_verification
+
+    def run(*args, **kwargs):
+        assert target.read_text() == "old\n"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_verification", run)
+    code, out, err = run_cli(capsys, "verify", "--theorems", "eq2", "--primes", "5",
+                             "-o", str(target))
+    assert code == 0 and out == "" and err.startswith("seed 0\n")
+    assert json.loads(target.read_text())["grid"] == 35

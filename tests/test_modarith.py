@@ -5,6 +5,7 @@ import random
 import pytest
 
 from wolstenholme.errors import (
+    HypothesisViolationError,
     NotInvertibleError,
     NotPrimeError,
     TooSmallError,
@@ -202,6 +203,20 @@ def test_conv_at_large_p_and_its_edges(p):
         assert conv(pr, a, b, m, n, t) == _conv_sum(p, a, b, m, n, t), (m, n, a, b, t)
     # the full window: every j = 0..p-1 contributes at t = p-1
     assert conv(pr, 3, 5, p - 1, p - 1, p - 1) == _conv_sum(p, 3, 5, p - 1, p - 1, p - 1)
+
+
+@pytest.mark.parametrize("p,code", [(5, "B"), (251, "B"), (257, "H"), (1009, "H")])
+def test_power_column_values_and_range(p, code):
+    pr = make_prime(p)
+    assert pr.column_code == code
+    for e in (0, 1, 2, p - 1, -1, -2, -(p - 1)):
+        col = pr.power_column(e)
+        assert col.typecode == code and pr.power_column(e) is col
+        assert list(col) == [pow(x, e, p) if x or e >= 0 else 0 for x in range(p)]
+    assert pr.power_column(0)[0] == 1 and pr.power_column(3)[0] == 0  # 0^0 = 1
+    for e in (p, -p):
+        with pytest.raises(HypothesisViolationError):
+            pr.power_column(e)
 
 
 def test_conv_caches_nothing():

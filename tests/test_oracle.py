@@ -71,6 +71,72 @@ def test_brute_sum_exponent_zero_counts_excluded_terms():
     assert skipped == 6
 
 
+def _plain_sum(p, terms, exclusions):
+    """The sum over k outside exclusions of the product of (off+k)^e, one
+    pow at a time."""
+    total = 0
+    for k in range(p):
+        if k not in exclusions:
+            prod = 1
+            for off, e in terms:
+                prod = prod * pow(off + k, e, p) % p
+            total += prod
+    return total % p
+
+
+def _seeded_specs(pr, count, rng):
+    """count specs of 0 to 5 terms: offsets drawn from a small pool (so they
+    repeat) that holds 0 and the offsets near p-1 where a rotation wraps;
+    exponents 0, 1, +-(p-1) and random signed ones, so that zero bases meet
+    exponent 0, positive and negative exponents.  Each negative exponent's
+    zero is excluded, and up to two more k besides."""
+    p = pr.p
+    for _ in range(count):
+        pool = [0, 1, p - 2, p - 1, rng.randrange(p), rng.randrange(p)]
+        exps = [0, 1, p - 1, -1, -(p - 1), rng.randrange(-(p - 1), p)]
+        terms = tuple((rng.choice(pool), rng.choice(exps)) for _ in range(rng.randrange(6)))
+        extra = rng.sample(range(p), rng.randrange(3))
+        yield terms, auto_exclusions(pr, terms) | frozenset(extra)
+
+
+@pytest.mark.parametrize("p,count", [(5, 400), (7, 400), (11, 400), (13, 400),
+                                     (257, 150), (1009, 40)])
+def test_brute_sum_matches_a_plain_double_loop(p, count):
+    pr = make_prime(p)
+    for terms, excl in _seeded_specs(pr, count, random.Random(p)):
+        assert brute_sum(SumSpec(pr, terms, excl)) == _plain_sum(p, terms, excl), (terms, excl)
+    # every base at exponent 0: 0^0 = 1, so each k counts once
+    assert brute_sum(SumSpec(pr, ((0, 0),), frozenset())) == 0
+    assert brute_sum(SumSpec(pr, ((p - 1, 0), (1, 0)), frozenset({3}))) == p - 1
+    # a zero base at a positive exponent vanishes; the rotation wraps at p-1
+    assert brute_sum(SumSpec(pr, ((p - 1, 1), (0, p - 1)), frozenset())) == _plain_sum(
+        p, ((p - 1, 1), (0, p - 1)), ())
+
+
+@pytest.mark.parametrize("p,code", [(65521, "H"), (65537, "I")])
+def test_brute_sum_at_the_column_typecode_edge(p, code):
+    # p-1 is the largest residue a column holds: it fits 16 bits at 65521,
+    # not at 65537
+    pr = make_prime(p)
+    terms = ((0, 1), (p - 1, -1), (p - 2, p - 1))
+    excl = frozenset({1, 5})
+    assert brute_sum(SumSpec(pr, terms, excl)) == _plain_sum(p, terms, excl)
+    assert pr.column_code == code and pr.power_column(1)[p - 1] == p - 1
+
+
+def test_brute_sum_zero_denominator_message():
+    # two denominators vanish unexcluded, (3+k) at k = 8 and (5+k) at k = 6:
+    # the smaller k is named, and at one k the first such term
+    pr = make_prime(11)
+    spec = SumSpec(pr, ((3, -2), (1, 4), (5, -1)), frozenset())
+    with pytest.raises(ZeroDenominatorError) as err:
+        brute_sum(spec)
+    assert str(err.value) == "denominator ((5)+k)^-1 vanishes at unexcluded k = 6"
+    with pytest.raises(ZeroDenominatorError) as err:
+        brute_sum(SumSpec(pr, ((3, -2), (5, -3), (5, -1)), frozenset({8})))
+    assert str(err.value) == "denominator ((5)+k)^-3 vanishes at unexcluded k = 6"
+
+
 def test_power_sums_match_divisibility_rule():
     for p in (5, 7, 11):
         for n in range(0, 3 * (p - 1) + 1):

@@ -262,6 +262,34 @@ def test_sampled_runs_at_p_1009_cache_no_rows(monkeypatch, theorem):
         assert cache == [None] * 1009
 
 
+def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
+    # each brute_sum reads its terms from the Prime's power columns: at most
+    # 2p-1 of them, p entries of at most 4 bytes each, each built once and
+    # then shared by every later draw, and no other lookup row is built
+    from wolstenholme.modarith import Prime, make_prime
+
+    real = Prime.power_column
+    served = {}  # exponent -> every column handed out for it, kept alive
+
+    def spy(pr, e):
+        col = real(pr, e)
+        served.setdefault(e, []).append(col)
+        return col
+
+    monkeypatch.setattr(Prime, "power_column", spy)
+    p = 1009
+    pr = make_prime(p)
+    rep = run_one("thm3.6", pr, budget=1000, seed=0)
+    assert rep.passed and not rep.exhaustive and rep.grid == 1000
+    built = [col for col in pr._columns if col is not None]
+    assert len(pr._columns) == 2 * p - 1 and len(built) == len(served)
+    assert all(len(col) == p and col.itemsize <= 4 for col in built)
+    assert all(col is cols[0] for cols in served.values() for col in cols)
+    assert sum(map(len, served.values())) == 3 * 1000  # three terms a draw
+    for cache in (pr._wrows, pr._powers, pr._binom_rows):
+        assert cache == [None] * p
+
+
 # --- every grid theorem reports every failing instance -----------------------
 
 # theorem id -> (module, name) of the closed form or right side its check

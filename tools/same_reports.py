@@ -1,0 +1,91 @@
+"""Check that two source trees write the same `verify` reports.
+
+    python3 tools/same_reports.py PARENT_DIR [--tree TREE_DIR]
+
+Runs every command of COMMANDS as `python3 -m wolstenholme.cli verify ...
+-o FILE` in PARENT_DIR and in TREE_DIR (by default the tree holding this
+script), each with PYTHONPATH=<tree>/src, the two trees side by side.  Every
+report line loses its `elapsed_s` field, the only one that may differ, and
+the two reports are compared byte for byte.  Prints one line per command and
+a diff of any report that differs; exits 1 if any does (or if a command
+fails to run), else 0.  A full run takes a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# the arguments after `verify` of each command whose reports must match
+COMMANDS = (
+    "--theorems all --primes 5,7,11,13 --seed 0",
+    "--theorems all --primes 17,31,97 --budget 500 --seed 7",
+    "--theorems thm3.11,thm3.13,cor3.12 --primes 257,1009 --budget 1000 --seed 3",
+    "--theorems thm2.1,thm2.3,rem2.5,thm2.6,thm2.8,thm3.1,thm3.4,thm3.5,thm3.6,figures"
+    " --primes 5,7,11,13 --budget 100000",
+    "--theorems thm3.11,thm3.13,cor3.12 --primes 5..23 --budget 100000000 --seed 0",
+    "--theorems vandermonde,thm3.13,cor3.12 --primes 5..97 --seed 0",
+    "--theorems thm2.1,thm2.3,rem2.5,thm2.6,thm2.8,thm3.1,thm3.4,thm3.5,thm3.6,quickcase,"
+    "thm4.1,thm4.4,thm4.5 --primes 257 --budget 300 --seed 5",
+    "--theorems thm2.3,thm3.6 --primes 1009 --budget 300 --seed 2",
+)
+
+_ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
+
+
+def without_elapsed(report: str) -> list[str]:
+    """The lines of a JSON-lines report, each without its elapsed_s field."""
+    return [_ELAPSED.sub("", line) for line in report.splitlines()]
+
+
+def diff_reports(old: str, new: str) -> list[str]:
+    """A unified diff of two reports once elapsed_s is removed; empty when
+    they are the same."""
+    return list(difflib.unified_diff(without_elapsed(old), without_elapsed(new),
+                                     "parent", "tree", lineterm=""))
+
+
+def run(tree: Path, args: str, out: Path) -> subprocess.Popen:
+    """Start `verify ARGS -o OUT` in tree; its stderr goes to OUT.err."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, "-m", "wolstenholme.cli", "verify", *args.split(), "-o", str(out)]
+    with open(out.with_suffix(".err"), "w") as err:
+        return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="the tree to compare against")
+    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="the tree under test (default: the one holding this script)")
+    args = parser.parse_args(argv)
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, command in enumerate(COMMANDS):
+            outs = [Path(tmp) / f"{side}{i}.jsonl" for side in ("parent", "tree")]
+            procs = [run(tree, command, out) for tree, out in zip((args.parent, args.tree), outs)]
+            codes = [proc.wait() for proc in procs]
+            if any(code not in (0, 1) or not out.exists() for code, out in zip(codes, outs)):
+                print(f"ERROR verify {command}")
+                for code, out in zip(codes, outs):
+                    last = out.with_suffix(".err").read_text().strip().splitlines()[-1:]
+                    print(f"  exit {code}: {' '.join(last)}")
+                bad += 1
+                continue
+            diff = diff_reports(outs[0].read_text(), outs[1].read_text())
+            print(f"{'DIFFER' if diff else 'same'} verify {command}", flush=True)
+            if diff:
+                print("\n".join(diff))
+                bad += 1
+    print(f"{len(COMMANDS) - bad} of {len(COMMANDS)} commands wrote the same reports")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
