@@ -273,8 +273,7 @@ def _render_table(rows, start_index: int, fmt: str, pr: Prime, signed: bool) -> 
     # csv: one monomial per line
     lines = ["row,a_exp,b_exp,coeff"]
     for i, row in enumerate(rows):
-        for ai, bi, c in row.monomials():
-            lines.append(f"{start_index + i},{ai},{bi},{c}")
+        lines += [f"{start_index + i},{ai},{bi},{c}" for ai, bi, c in row.terms]
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,10 @@
-"""Dense univariate and bivariate polynomials over Z/pZ.
+"""Dense univariate and sparse bivariate polynomials over Z/pZ.
 
 PolyZp backs coefficient extraction for the n-term sums; BiPolyZp reproduces
 the symbolic coefficient and sum tables exactly, keeping a and b as formal
-symbols (no Fermat reduction of their exponents) until evaluation.
+symbols (no Fermat reduction of their exponents) until evaluation.  A table
+row holds only its nonzero monomials, a few anti-diagonals i1 + i2 = t, so a
+table costs O(p^2) for its power sums plus O(1) per monomial, not O(p·m·n).
 """
 
 from __future__ import annotations
@@ -111,41 +113,51 @@ def build_product(pr: Prime, offsets, exps) -> PolyZp:
 
 @dataclass(frozen=True)
 class BiPolyZp:
-    """Dense bivariate grid, coeffs[i][j] = coefficient of a^i b^j."""
+    """A polynomial in formal a and b, held as its nonzero monomials.
+
+    `terms` lists each once as (a_exp, b_exp, coeff), in monomials() order:
+    ascending total degree, then descending a-exponent.  `shape` = (rows,
+    cols) <= (p, p) bounds a_exp < rows and b_exp < cols; it is the shape of
+    the dense grid `coeffs`.
+    """
 
     pr: Prime
-    coeffs: tuple[tuple[int, ...], ...]
+    shape: tuple[int, int]
+    terms: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         p = self.pr.p
-        if len(self.coeffs) > p:
-            raise HypothesisViolationError("degree in a must stay below p")
-        for row in self.coeffs:
-            if len(row) > p:
-                raise HypothesisViolationError("degree in b must stay below p")
-            for c in row:
-                if not 0 <= c < p:
-                    raise ValueError("coefficients must be canonical residues")
+        rows, cols = self.shape
+        if max(rows, cols) > p:
+            raise HypothesisViolationError("degrees in a and b must stay below p")
+        if self.terms:
+            ia, ib, cs = zip(*self.terms)
+            if min(ia) < 0 or max(ia) >= rows or min(ib) < 0 or max(ib) >= cols:
+                raise ValueError("monomial exponents must lie inside the shape")
+            if min(cs) < 1 or max(cs) >= p:
+                raise ValueError("coefficients must be canonical nonzero residues")
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, ...], ...]:
+        """The dense grid, coeffs[i][j] = coefficient of a^i b^j."""
+        rows, cols = self.shape
+        grid = [[0] * cols for _ in range(rows)]
+        for i, j, c in self.terms:
+            grid[i][j] = c
+        return tuple(map(tuple, grid))
 
     def monomials(self) -> list[tuple[int, int, int]]:
         """Nonzero (a_exp, b_exp, coeff), ascending total degree then descending a."""
-        out = [
-            (i, j, c)
-            for i, row in enumerate(self.coeffs)
-            for j, c in enumerate(row)
-            if c
-        ]
-        out.sort(key=lambda t: (t[0] + t[1], -t[0]))
-        return out
+        return list(self.terms)
 
     def evaluate(self, a: int, b: int) -> int:
         p = self.pr.p
         pa = self.pr.powers(a % p)
         pb = self.pr.powers(b % p)
-        return sum(c * pa[i] % p * pb[j] for i, j, c in self.monomials()) % p
+        return sum(c * pa[i] % p * pb[j] for i, j, c in self.terms) % p
 
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.coeffs for c in row)
+        return not self.terms
 
     def render(self, signed: bool = False) -> str:
         """Canonical text form, e.g. "10 + 9 a^7 b^3 + 8 a^6 b^4".
@@ -153,73 +165,58 @@ class BiPolyZp:
         Coefficients print in [0, p); signed mode shows balanced residues
         instead (purely a display choice).
         """
-        mons = self.monomials()
-        if not mons:
+        if not self.terms:
             return "0"
         p = self.pr.p
-        parts: list[str] = []
-        for i, j, c in mons:
-            cc = c
-            neg = False
-            if signed and c > p // 2:
-                cc, neg = p - c, True
-            bits = []
-            if cc != 1 or (i == 0 and j == 0):
-                bits.append(str(cc))
+        half = p // 2 if signed else p
+        parts = []
+        for i, j, c in self.terms:
+            cc = p - c if c > half else c
+            bits = [str(cc)] if cc != 1 or i == j == 0 else []
             if i:
                 bits.append("a" if i == 1 else f"a^{i}")
             if j:
                 bits.append("b" if j == 1 else f"b^{j}")
-            term = " ".join(bits)
-            if not parts:
-                parts.append(f"-{term}" if neg else term)
-            else:
-                parts.append(f"- {term}" if neg else f"+ {term}")
-        return " ".join(parts)
+            parts.append(("- " if c > half else "+ ") + " ".join(bits))
+        text = " ".join(parts)  # "+ t1 - t2 ...": the leading sign is "" or "-"
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def bipoly(pr: Prime, grid) -> BiPolyZp:
-    return BiPolyZp(pr, tuple(tuple(c % pr.p for c in row) for row in grid))
+    """The BiPolyZp of a dense grid, grid[i][j] = coefficient of a^i b^j."""
+    p = pr.p
+    terms = [(i, j, c % p) for i, row in enumerate(grid) for j, c in enumerate(row) if c % p]
+    terms.sort(key=lambda t: (t[0] + t[1], -t[0]))
+    shape = (len(grid), max(map(len, grid), default=0))
+    return BiPolyZp(pr, shape, tuple(terms))
 
 
-def bipoly_add(f: BiPolyZp, g: BiPolyZp) -> BiPolyZp:
-    if f.pr.p != g.pr.p:
-        raise ModulusMismatchError(f"moduli differ: {f.pr.p} vs {g.pr.p}")
-    rows = max(len(f.coeffs), len(g.coeffs))
-    cols = max(
-        max((len(r) for r in f.coeffs), default=0),
-        max((len(r) for r in g.coeffs), default=0),
-    )
-    grid = [[0] * cols for _ in range(rows)]
-    for src in (f, g):
-        for i, row in enumerate(src.coeffs):
-            for j, c in enumerate(row):
-                grid[i][j] += c
-    return bipoly(f.pr, grid)
+def _anti_diagonal(rm, rn, t: int, scale: int, p: int) -> list[tuple[int, int, int]]:
+    """The monomials a^i1 b^i2 with i1 + i2 = t in descending i1, coefficient
+    rm[i1] rn[i2] scale mod p (rm, rn: the binomial rows of m and n)."""
+    hi = min(len(rm) - 1, t)
+    lo = max(0, t - (len(rn) - 1))
+    cs = [x * y * scale % p for x, y in zip(rm[lo : hi + 1][::-1], rn[t - hi : t - lo + 1])]
+    return list(zip(range(hi, lo - 1, -1), range(t - hi, t - lo + 1), cs))
 
 
 def symbolic_coeff_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
     """Row j = the bivariate polynomial -[x^j] (a+x)^m (b+x)^n, j = 0..m+n.
 
     The coefficient of a^i1 b^i2 in row j is -C(m,i1) C(n,i2) whenever
-    (m-i1) + (n-i2) = j, so row j collects the monomials of total degree
-    m+n-j.
+    (m-i1) + (n-i2) = j, so row j is the one anti-diagonal i1 + i2 = m+n-j:
+    at most min(m, n)+1 monomials, all nonzero since m, n < p.
     """
     p = pr.p
     if not 1 <= m <= p - 1 or not 1 <= n <= p - 1:
         raise HypothesisViolationError("table exponents must lie in [1, p-1]")
     rm = pr.binom_row(m)
     rn = pr.binom_row(n)
-    rows = []
-    for j in range(m + n + 1):
-        grid = [[0] * (n + 1) for _ in range(m + 1)]
-        # (m - i1) + (n - i2) = j  =>  i2 = m + n - j - i1
-        for i1 in range(m + 1):
-            i2 = m + n - j - i1
-            if 0 <= i2 <= n:
-                grid[i1][i2] = -(rm[i1] * rn[i2]) % p
-        rows.append(bipoly(pr, grid))
-    return rows
+    shape = (m + 1, n + 1)
+    return [
+        BiPolyZp(pr, shape, tuple(_anti_diagonal(rm, rn, m + n - j, p - 1, p)))
+        for j in range(m + n + 1)
+    ]
 
 
 def symbolic_sum_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
@@ -228,8 +225,10 @@ def symbolic_sum_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
     Expanding both shifted binomials symbolically in a, b gives the cell
     C(m,i1) C(n,i2) S[m-i1+n-i2+s] for the monomial a^i1 b^i2, where
     S[e] = sum over k = 1..p-1 of k^e is summed literally, every e at once,
-    by one power_moments run.  The per-variable degrees stay at m and n < p,
-    so nothing collapses before evaluation.
+    by one power_moments run.  A cell's S depends only on its anti-diagonal
+    t = i1 + i2, so row s visits just the t whose computed S is nonzero.
+    The per-variable degrees stay at m and n < p, so nothing collapses
+    before evaluation.
     """
     p = pr.p
     if not 1 <= m <= p - 1 or not 1 <= n <= p - 1:
@@ -240,26 +239,21 @@ def symbolic_sum_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
     # and k != 0 repeats with period p-1 (Fermat) up to e = m+n+p-1
     period = power_moments(pr, ((1, k) for k in range(1, p)))[: p - 1]
     sums = [period[e % (p - 1)] for e in range(m + n + p)]
-    return [
-        bipoly(pr, [
-            [c1 * c2 % p * sums[m - i1 + n - i2 + s] for i2, c2 in enumerate(rn)]
-            for i1, c1 in enumerate(rm)
-        ])
-        for s in range(1, p)
-    ]
+    shape = (m + 1, n + 1)
+    rows = []
+    for s in range(1, p):
+        terms = []
+        for t in range(m + n + 1):
+            if sums[m + n + s - t]:
+                terms += _anti_diagonal(rm, rn, t, sums[m + n + s - t], p)
+        rows.append(BiPolyZp(pr, shape, tuple(terms)))
+    return rows
 
 
 def table_to_json(pr: Prime, rows: list[BiPolyZp], start_index: int = 0) -> str:
-    payload = {
-        "p": pr.p,
-        "rows": [
-            {
-                "index": start_index + i,
-                "monomials": [
-                    {"ca": ai, "cb": bi, "coeff": c} for ai, bi, c in row.monomials()
-                ],
-            }
-            for i, row in enumerate(rows)
-        ],
-    }
-    return json.dumps(payload)
+    """{"p", "rows": [{"index", "monomials"}]}, encoded one row at a time so
+    that only one row's monomial dicts exist at once."""
+    encoded = (json.dumps({"index": start_index + i, "monomials": [
+        {"ca": ai, "cb": bi, "coeff": c} for ai, bi, c in row.terms]})
+        for i, row in enumerate(rows))
+    return f'{{"p": {pr.p}, "rows": [{", ".join(encoded)}]}}'

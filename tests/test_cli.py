@@ -1,4 +1,14 @@
+import functools
+import importlib.util
 import json
+import math
+import os
+import random
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +311,53 @@ def test_verify_output_file_is_replaced_only_when_the_reports_are_ready(tmp_path
                              "-o", str(target))
     assert code == 0 and out == "" and err.startswith("seed 0\n")
     assert json.loads(target.read_text())["grid"] == 35
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_BIG_TABLE = """
+import resource, sys
+from wolstenholme.cli import main
+code = main(["table", "sum-table", "-p", "1009", "-m", "500", "-n", "600", "-o", sys.argv[1]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _rendered_monomials(text, p):
+    """{(a_exp, b_exp): coeff} of one rendered row, e.g. "3 a^2 b - a + 1"."""
+    parts = re.split(r" ([+-]) ", text)
+    signs = ["-" if parts[0].startswith("-") else "+"] + parts[1::2]
+    out = {}
+    for sign, body in zip(signs, [parts[0].lstrip("-")] + parts[2::2]):
+        c, a, b = 1, 0, 0
+        for tok in body.split():
+            if tok[0] == "a":
+                a = int(tok[2:] or 1)
+            elif tok[0] == "b":
+                b = int(tok[2:] or 1)
+            else:
+                c = int(tok)
+        out[a, b] = c if sign == "+" else -c % p
+    return out
+
+
+def test_big_sum_table_is_fast_and_small(tmp_path):
+    # dense rows held all p*m*n = 3*10^8 cells here: 91 s, and about 2.4 GB
+    target = tmp_path / "table.txt"
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    start = time.perf_counter()
+    child = subprocess.run([sys.executable, "-c", _BIG_TABLE, str(target)], env=env,
+                           capture_output=True, text=True, check=True)
+    elapsed = time.perf_counter() - start
+    code, max_rss_kib = map(int, child.stdout.split())  # Linux reports KiB
+    assert code == 0 and elapsed < 10 and max_rss_kib < 200 * 1024
+    lines = target.read_text().splitlines()
+    assert [line.split(":")[0] for line in lines] == [str(s) for s in range(1, 1009)]
+    spec = importlib.util.spec_from_file_location("reference", _ROOT / "perfbench" / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    reference.comb = functools.cache(math.comb)  # the same binomials, each computed once
+    # rows s < 916 have one nonzero anti-diagonal (e = 1008), later rows two (e = 2016 too)
+    rng = random.Random(10)
+    for s in rng.sample(range(1, 916), 2) + rng.sample(range(916, 1009), 2):
+        got = _rendered_monomials(lines[s - 1].split(": ", 1)[1], 1009)
+        assert got == reference.sum_row(1009, 500, 600, s), s

@@ -10,7 +10,6 @@ from wolstenholme.oracle import SumSpec, brute_sum
 from wolstenholme.polyring import (
     BiPolyZp,
     bipoly,
-    bipoly_add,
     build_product,
     coeff,
     evaluate,
@@ -128,10 +127,31 @@ def test_coeff_of_x14_instantiated():
 
 def test_bipoly_validation_and_eval():
     with pytest.raises(HypothesisViolationError):
-        BiPolyZp(P5, tuple(tuple([0] * 3) for _ in range(6)))
+        bipoly(P5, [[0] * 3 for _ in range(6)])
     row = bipoly(P11, [[0, 4], [7, 0]])  # 4b + 7a
     assert row.evaluate(2, 3) == (4 * 3 + 7 * 2) % 11
     assert row.monomials() == [(1, 0, 7), (0, 1, 4)]
+
+
+def test_bipoly_validates_every_stored_monomial():
+    ok = ((1, 0, 7), (0, 1, 4))
+    assert BiPolyZp(P11, (2, 2), ok).coeffs == ((0, 4), (7, 0))
+    for terms in (ok + ((1, 1, 0),), ok + ((1, 1, 11),), ok + ((2, 0, 1),), ok + ((0, -1, 1),)):
+        with pytest.raises(ValueError):
+            BiPolyZp(P11, (2, 2), terms)
+    with pytest.raises(HypothesisViolationError):
+        BiPolyZp(P11, (11, 12), ())
+
+
+def test_sparse_rows_hold_only_their_anti_diagonals():
+    pr = make_prime(97)
+    for j, row in enumerate(symbolic_coeff_table(pr, 48, 50)):
+        assert {i + k for i, k, _ in row.terms} <= {98 - j}
+        assert len(row.terms) <= 49 and row.shape == (49, 51)
+    for s, row in enumerate(symbolic_sum_table(pr, 48, 50), start=1):
+        # S[e] != 0 only for p-1 | e, so row s is the diagonal t = 2+s (and t = s-94)
+        assert {i + k for i, k, _ in row.terms} == {t for t in (2 + s, s - 94) if t >= 0}
+        assert row.terms == tuple(sorted(row.terms, key=lambda m: (m[0] + m[1], -m[0])))
 
 
 def test_render_canonical_and_signed():
@@ -194,17 +214,13 @@ def test_table_correspondence_small():
                 coeffs = symbolic_coeff_table(pr, m, n)
                 sums = symbolic_sum_table(pr, m, n)
                 for s in range(1, p):
-                    want = None
+                    want = [[0] * (n + 1) for _ in range(m + 1)]
                     i = 1
                     while i * (p - 1) - s <= m + n:
-                        j = i * (p - 1) - s
-                        want = coeffs[j] if want is None else bipoly_add(want, coeffs[j])
+                        for a_exp, b_exp, c in coeffs[i * (p - 1) - s].monomials():
+                            want[a_exp][b_exp] += c
                         i += 1
-                    got = sums[s - 1]
-                    if want is None:
-                        assert got.is_zero()
-                    else:
-                        assert want.coeffs == got.coeffs
+                    assert sums[s - 1].coeffs == bipoly(pr, want).coeffs
 
 
 def test_table_json():

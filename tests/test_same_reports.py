@@ -23,3 +23,34 @@ def test_any_other_difference_is_reported():
     assert any(line.startswith("+") and '"grid": 293' in line for line in diff)
     # a missing or an extra line differs too
     assert same_reports.diff_reports(old, old + old) != []
+
+
+def test_tables_must_match_byte_for_byte():
+    table = "table sum-table -p 11 -m 6 -n 9"
+    text = "1: 10 a^6 + a^5 b\n"
+    assert same_reports.diff_outputs(table, text, text) == []
+    assert same_reports.diff_outputs(table, text, text.replace("10", "9")) != []
+    assert same_reports.diff_outputs(table, text, text.replace("\n", "\r\n")) != []
+    # only a verify report loses its elapsed_s field
+    assert same_reports.diff_outputs("verify --primes 7", LINE % "0.1", LINE % "0.2") == []
+
+
+def test_table_commands_cover_kinds_formats_and_corners():
+    tables = [c.split()[1:] for c in same_reports.COMMANDS if c.startswith("table ")]
+    for kind in ("coeff-table", "sum-table"):
+        argvs = [a for a in tables if a[0] == kind]
+        assert {a[a.index("-f") + 1] if "-f" in a else "text" for a in argvs} == {
+            "text", "json", "csv"}
+        assert any("--signed" in a for a in argvs)
+        assert any(a[a.index("-m") + 1] == "1" for a in argvs)
+        assert any(a[a.index("-m") + 1] == a[a.index("-n") + 1] == str(int(a[2]) - 1)
+                   for a in argvs)
+    assert any(a[0] == "residue-matrix" for a in tables)
+
+
+def test_a_table_command_runs_and_matches_its_golden_file(tmp_path):
+    tree = Path(__file__).resolve().parents[1]
+    out = tmp_path / "table.out"
+    assert same_reports.run(tree, "table sum-table -p 11 -m 6 -n 9", out).wait() == 0
+    golden = (tree / "tests" / "golden" / "sum_table_p11_m6_n9.txt").read_bytes()
+    assert out.read_bytes() == golden

@@ -6,6 +6,7 @@ import pytest
 
 from wolstenholme import closedforms, identities, verify
 from wolstenholme.errors import UnknownTheoremError
+from wolstenholme.polyring import bipoly
 from wolstenholme.verify import (
     IDENTITY_SUITE,
     REGISTRY,
@@ -66,6 +67,31 @@ def test_run_verification_ordering():
     keys = [(r.theorem, r.prime) for r in reports]
     assert keys == [("eq2", 5), ("eq2", 7), ("thm2.6", 5), ("thm2.6", 7)]
     assert all(r.passed for r in reports)
+
+
+def test_run_verification_builds_one_prime_per_p(monkeypatch):
+    built = []
+    real = verify.make_prime
+
+    def spy(p):
+        built.append(p)
+        return real(p)
+
+    monkeypatch.setattr(verify, "make_prime", spy)
+    names, primes = ["thm2.1", "thm3.13", "cor3.12", "quickcase", "tablecorr"], [11, 7]
+    reports = run_verification(names, primes, budget=500, seed=3)
+    assert built == primes
+    monkeypatch.setattr(verify, "make_prime", real)
+    alone = sorted((run_one(name, p, 500, 3) for name in names for p in primes),
+                   key=lambda r: (r.theorem, r.prime))
+    assert any(not r.exhaustive for r in alone)
+    assert [_without_elapsed(r) for r in reports] == [_without_elapsed(r) for r in alone]
+
+
+def _without_elapsed(report):
+    payload = json.loads(report.to_json_line())
+    del payload["elapsed_s"]
+    return payload
 
 
 def test_mode_p_downgrades_p2_checks():
@@ -585,6 +611,53 @@ def test_figures_at_p_97_is_fast():
     rep = run_one("figures", 97, budget=500)
     assert time.perf_counter() - start < 5
     assert rep.passed and rep.exhaustive and rep.grid == 576
+
+
+def test_tablecorr_at_p_97_is_fast():
+    # dense (m+1) x (n+1) rows made tablecorr take about 14 s at p = 97
+    start = time.perf_counter()
+    rep = run_one("tablecorr", 97)
+    assert time.perf_counter() - start < 5
+    assert rep.passed and not rep.exhaustive and rep.grid == (10_000 // 96) * 96
+
+
+def _perturbed(pr, row, i, j):
+    """row with its a^i b^j coefficient one bigger."""
+    grid = [list(r) for r in row.coeffs]
+    grid[i][j] += 1
+    return bipoly(pr, grid)
+
+
+def test_tablecorr_sweep_reports_exactly_the_corrupted_rows(monkeypatch):
+    # coeff row j serves the one s with j = i(p-1) - s; row 2(p-1) at
+    # m = n = p-1 is the i = 3 corner of s = p-1.  Sum row 2 of (1, 2) is
+    # zero, so its corruption adds a monomial.
+    p = 7
+    real_coeffs, real_sums = verify.symbolic_coeff_table, verify.symbolic_sum_table
+
+    def coeffs(pr, m, n):
+        rows = real_coeffs(pr, m, n)
+        if (m, n) == (6, 6):
+            rows[12] = _perturbed(pr, rows[12], 0, 0)
+        return rows
+
+    def sums(pr, m, n):
+        rows = real_sums(pr, m, n)
+        if (m, n) == (1, 2):
+            assert rows[1].is_zero()
+            rows[1] = _perturbed(pr, rows[1], 1, 1)
+        return rows
+
+    clean = run_one("tablecorr", p)
+    monkeypatch.setattr(verify, "symbolic_coeff_table", coeffs)
+    monkeypatch.setattr(verify, "symbolic_sum_table", sums)
+    rep = run_one("tablecorr", p)
+    assert clean.passed
+    assert (clean.grid, clean.exhaustive) == (rep.grid, rep.exhaustive) == (216, True)
+    assert rep.failures == [
+        {"params": {"m": m, "n": n, "s": s}, "expected": 0, "got": 1}
+        for m, n, s in ((1, 2, 2), (6, 6, 6))
+    ]
 
 
 # --- the left side of cor3.12 part 2 across b ---------------------------------

@@ -1,14 +1,15 @@
-"""Check that two source trees write the same `verify` reports.
+"""Check that two source trees write the same `verify` reports and tables.
 
     python3 tools/same_reports.py PARENT_DIR [--tree TREE_DIR]
 
-Runs every command of COMMANDS as `python3 -m wolstenholme.cli verify ...
--o FILE` in PARENT_DIR and in TREE_DIR (by default the tree holding this
-script), each with PYTHONPATH=<tree>/src, the two trees side by side.  Every
-report line loses its `elapsed_s` field, the only one that may differ, and
-the two reports are compared byte for byte.  Prints one line per command and
-a diff of any report that differs; exits 1 if any does (or if a command
-fails to run), else 0.  A full run takes a few minutes on two cores.
+Runs every command of COMMANDS as `python3 -m wolstenholme.cli ARGS` in
+PARENT_DIR and in TREE_DIR (by default the tree holding this script), each
+with PYTHONPATH=<tree>/src, the two trees side by side, and compares their
+stdout.  A `verify` report loses the `elapsed_s` field of every line, the
+only one that may differ, before the comparison; a table must match byte for
+byte.  Prints one line per command and a diff of any output that differs;
+exits 1 if any does (or if a command fails to run), else 0.  A full run takes
+a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-# the arguments after `verify` of each command whose reports must match
-COMMANDS = (
+# the arguments of each command whose stdout must match
+COMMANDS = tuple("verify " + args for args in (
     "--theorems all --primes 5,7,11,13 --seed 0",
     "--theorems all --primes 17,31,97 --budget 500 --seed 7",
     "--theorems thm3.11,thm3.13,cor3.12 --primes 257,1009 --budget 1000 --seed 3",
@@ -34,7 +35,22 @@ COMMANDS = (
     "--theorems thm2.1,thm2.3,rem2.5,thm2.6,thm2.8,thm3.1,thm3.4,thm3.5,thm3.6,quickcase,"
     "thm4.1,thm4.4,thm4.5 --primes 257 --budget 300 --seed 5",
     "--theorems thm2.3,thm3.6 --primes 1009 --budget 300 --seed 2",
-)
+)) + tuple("table " + args for args in (
+    "coeff-table -p 11 -m 7 -n 7",
+    "coeff-table -p 97 -m 48 -n 50 -f json",
+    "coeff-table -p 89 -m 40 -n 37 -f csv",
+    "coeff-table -p 61 -m 30 -n 25 --signed",
+    "coeff-table -p 31 -m 1 -n 17",
+    "coeff-table -p 13 -m 12 -n 12 -f csv",
+    "sum-table -p 11 -m 6 -n 9",
+    "sum-table -p 53 -m 27 -n 25 -f json",
+    "sum-table -p 47 -m 20 -n 22 -f csv",
+    "sum-table -p 41 -m 18 -n 16 --signed",
+    "sum-table -p 31 -m 1 -n 1 -f json",
+    "sum-table -p 13 -m 12 -n 12",
+    "sum-table -p 13 -m 12 -n 12 -f csv --signed",
+    "residue-matrix -p 31 -a 5",
+))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
 
@@ -51,12 +67,25 @@ def diff_reports(old: str, new: str) -> list[str]:
                                      "parent", "tree", lineterm=""))
 
 
-def run(tree: Path, args: str, out: Path) -> subprocess.Popen:
-    """Start `verify ARGS -o OUT` in tree; its stderr goes to OUT.err."""
+def diff_outputs(command: str, old: str, new: str) -> list[str]:
+    """A unified diff of two outputs of command, empty when they are the
+    same: reports without elapsed_s, tables byte for byte."""
+    if command.startswith("verify "):
+        return diff_reports(old, new)
+    if old == new:
+        return []
+    diff = difflib.unified_diff(old.splitlines(), new.splitlines(), "parent", "tree",
+                                lineterm="")
+    return list(diff) or ["(the outputs differ only in line endings)"]
+
+
+def run(tree: Path, command: str, out: Path) -> subprocess.Popen:
+    """Start `wolstenholme.cli COMMAND` in tree; its stdout goes to OUT and
+    its stderr to OUT.err."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-m", "wolstenholme.cli", "verify", *args.split(), "-o", str(out)]
-    with open(out.with_suffix(".err"), "w") as err:
-        return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+    argv = [sys.executable, "-m", "wolstenholme.cli", *command.split()]
+    with open(out, "w") as fh, open(out.with_suffix(".err"), "w") as err:
+        return subprocess.Popen(argv, env=env, stdout=fh, stderr=err)
 
 
 def main(argv=None) -> int:
@@ -68,22 +97,22 @@ def main(argv=None) -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, command in enumerate(COMMANDS):
-            outs = [Path(tmp) / f"{side}{i}.jsonl" for side in ("parent", "tree")]
+            outs = [Path(tmp) / f"{side}{i}.out" for side in ("parent", "tree")]
             procs = [run(tree, command, out) for tree, out in zip((args.parent, args.tree), outs)]
             codes = [proc.wait() for proc in procs]
-            if any(code not in (0, 1) or not out.exists() for code, out in zip(codes, outs)):
-                print(f"ERROR verify {command}")
+            if any(code not in (0, 1) for code in codes):
+                print(f"ERROR {command}")
                 for code, out in zip(codes, outs):
                     last = out.with_suffix(".err").read_text().strip().splitlines()[-1:]
                     print(f"  exit {code}: {' '.join(last)}")
                 bad += 1
                 continue
-            diff = diff_reports(outs[0].read_text(), outs[1].read_text())
-            print(f"{'DIFFER' if diff else 'same'} verify {command}", flush=True)
+            diff = diff_outputs(command, *(out.read_bytes().decode() for out in outs))
+            print(f"{'DIFFER' if diff else 'same'} {command}", flush=True)
             if diff:
                 print("\n".join(diff))
                 bad += 1
-    print(f"{len(COMMANDS) - bad} of {len(COMMANDS)} commands wrote the same reports")
+    print(f"{len(COMMANDS) - bad} of {len(COMMANDS)} commands wrote the same output")
     return 1 if bad else 0
 
 
