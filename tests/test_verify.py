@@ -699,3 +699,113 @@ def test_cor3_12_across_b_at_slot_width_edges(p):
         row = verify._cor3_12_across_b(pr, columns, a, m, n)
         for b in {1, 2, p // 2, p - 2, p - 1} - {a}:
             assert row[b] == verify._check_cor3_12(pr, 2, a, b, m, n, None)[1], (a, b, m, n)
+
+
+# --- the failure lists of the runners outside PINNED --------------------------
+
+
+def _wrong_evaluator(name):
+    """Patch general.<name>, the evaluator of one n-term theorem, to a wrong
+    constant, so that every point fails."""
+    from wolstenholme import general
+    return lambda monkeypatch: monkeypatch.setattr(general, name, lambda gp: -1)
+
+
+def _quick_case_off_by_one(monkeypatch):
+    real = closedforms.quick_case
+
+    def wrong(spec):
+        got = real(spec)
+        return None if got is None else got + 1
+
+    monkeypatch.setattr(closedforms, "quick_case", wrong)
+
+
+def _sum_rows_off(monkeypatch):
+    # one cell of sum row (m+n) mod (p-1) one too big, at every (m, n)
+    real = verify.symbolic_sum_table
+
+    def corrupted(pr, m, n):
+        rows = real(pr, m, n)
+        s = (m + n) % (pr.p - 1)
+        rows[s] = _perturbed(pr, rows[s], m // 2, n // 2)
+        return rows
+
+    monkeypatch.setattr(verify, "symbolic_sum_table", corrupted)
+
+
+def _residue_matrix_off(monkeypatch):
+    # entry (0, 0) one too big for a = 3, entry (2, 1) for a = 5
+    from dataclasses import replace
+
+    real = verify.residue_matrix
+
+    def corrupted(pr, a):
+        mat = real(pr, a)
+        cell = {3: (0, 0), 5: (2, 1)}.get(a)
+        if cell is None:
+            return mat
+        rows = [list(r) for r in mat.entries]
+        rows[cell[0]][cell[1]] = (rows[cell[0]][cell[1]] + 1) % pr.p
+        return replace(mat, entries=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(verify, "residue_matrix", corrupted)
+
+
+def _harmonic_off_by_p_plus_one(monkeypatch):
+    # one too big mod p, and p+1 too big mod p^2
+    real = verify.brute_sum_mod_p2
+    monkeypatch.setattr(verify, "brute_sum_mod_p2", lambda pr, e: real(pr, e) + pr.p + 1)
+
+
+def _pow_nonzero_off_by_one(monkeypatch):
+    real = verify.pow_nonzero
+    monkeypatch.setattr(verify, "pow_nonzero", lambda pr, b, e: real(pr, b, e) + 1)
+
+
+# (theorem, p, budget, seed, mode, patch) -> (grid, exhaustive, failure count,
+# SHA-256 prefix of the failure list as JSON): params, expected and got of
+# every failure, in order
+RUNNER_PINS = {
+    # arities 2 and 3 exhaustive, 4 by offset tuple; all three draw the same points
+    ("thm4.1", 5, 10_000, 7, "p2", _wrong_evaluator("multi_index_J")):
+        (14120, False, 14120, "334f416061bbbab0"),
+    ("thm4.4", 5, 10_000, 7, "p2", _wrong_evaluator("coeff_extraction_sum")):
+        (14120, False, 14120, "334f416061bbbab0"),
+    ("thm4.5", 5, 10_000, 7, "p2", _wrong_evaluator("esp_sum")):
+        (14120, False, 14120, "334f416061bbbab0"),
+    # every arity fully sampled
+    ("thm4.1", 13, 40, 7, "p2", _wrong_evaluator("multi_index_J")):
+        (120, False, 120, "9c3f2c7c6b0608ab"),
+    ("thm4.4", 13, 40, 7, "p2", _wrong_evaluator("coeff_extraction_sum")):
+        (120, False, 120, "9c3f2c7c6b0608ab"),
+    ("thm4.5", 13, 40, 7, "p2", _wrong_evaluator("esp_sum")):
+        (120, False, 120, "9c3f2c7c6b0608ab"),
+    ("quickcase", 13, 40, 7, "p2", _quick_case_off_by_one):
+        (46, False, 46, "c0a60a5337d58a10"),
+    ("tablecorr", 13, 40, 7, "p2", _sum_rows_off): (36, False, 3, "7d5300020e0da8ce"),
+    ("figures", 7, 10_000, 0, "p2", _residue_matrix_off): (36, True, 6, "805f042120736753"),
+    ("thm1.2", 7, 10_000, 0, "p2", _harmonic_off_by_p_plus_one):
+        (4, True, 4, "25dade80c1ce5459"),
+    ("thm1.2", 7, 10_000, 0, "p", _harmonic_off_by_p_plus_one):
+        (4, True, 4, "03624474426b2a25"),
+    ("thm1.3", 11, 10_000, 0, "p2", _harmonic_off_by_p_plus_one):
+        (9, True, 9, "4a74de0ca6d9c9ba"),
+    ("thm1.3", 11, 10_000, 0, "p", _harmonic_off_by_p_plus_one):
+        (9, True, 9, "cf1b60a42a51c442"),
+    # part 1 (82 instances) holds and every instance of part 2 fails
+    ("cor3.12", 7, 10_000, 0, "p2", _pow_nonzero_off_by_one):
+        (862, True, 780, "c8b15a68e99cd2cd"),
+}
+
+
+@pytest.mark.parametrize("case", list(RUNNER_PINS),
+                         ids=lambda c: f"{c[0]}-p{c[1]}-b{c[2]}-{c[4]}")
+def test_runner_failure_lists_are_pinned(monkeypatch, case):
+    import hashlib
+
+    theorem, p, budget, seed, mode, patch = case
+    patch(monkeypatch)
+    rep = run_one(theorem, p, budget=budget, seed=seed, mode=mode)
+    digest = hashlib.sha256(json.dumps(rep.failures).encode()).hexdigest()[:16]
+    assert (rep.grid, rep.exhaustive, len(rep.failures), digest) == RUNNER_PINS[case]
