@@ -163,6 +163,8 @@ def evaluate_all(spec: SumSpec) -> dict[str, int]:
     corollary shortcut when it answers; raises DisagreementError on any
     mismatch (that is always a bug, never a data problem)."""
     results: dict[str, int] = {"brute": brute_sum(spec)}
+    # eval_closed of four or more merged terms is multi_index_J itself
+    shared = len(_merged_positive_terms(spec.pr, spec)[0]) >= 4
     for name, fn in (
         ("closed", eval_closed),
         ("multi-index", eval_multi_index),
@@ -170,7 +172,10 @@ def evaluate_all(spec: SumSpec) -> dict[str, int]:
         ("esp", eval_esp),
     ):
         try:
-            results[name] = fn(spec)
+            if shared and name == "multi-index" and "closed" in results:
+                results[name] = results["closed"]  # one multi_index_J for both rows
+            else:
+                results[name] = fn(spec)
         except StrategyInapplicableError:
             continue
     quick = cf.quick_case(spec)
@@ -196,7 +201,7 @@ def _parse_primes(text: str) -> list[int]:
                 out.append(int(part))
         except ValueError:
             raise BadParamsError(f"--primes: {part!r} is not a prime or a range a..b") from None
-    return out
+    return list(dict.fromkeys(out))  # a repeated prime is verified once
 
 
 def cmd_eval(args) -> int:

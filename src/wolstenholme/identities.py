@@ -10,7 +10,7 @@ instance.  cong_rows gives both sides of cong_general at every j at once,
 and vandermonde_rows both sides of vandermonde at every M, its left side one
 product of two packed binomial rows.  For the weighted-sum identity,
 comp_rows builds each side as the rows of a truncated product, and the
-sweep compares whole runs of instances as list slices.  The right-side
+sweep reads all the instances of one (a, b, m) from two such tables.  The right-side
 table of (a, b) is the left-side table of (a-b, -b) and the other way
 round, so one table pair serves both pairs.
 """

@@ -1,19 +1,15 @@
-"""Theorem verification registry: every theorem is a grid plus a check.
+"""Theorem verification registry: every theorem is a Grid.
 
-Every congruence the library implements is registered here under a stable id.
-Most are described as data, a Grid: the names of a point's parameters, an
-exhaustive enumerator, the exact grid size at p, a seeded draw, and a check
-that evaluates one point both ways (closed form vs brute force, or lhs vs
-rhs).  One driver runs them all: grids at or below the budget are enumerated
-exhaustively, larger ones take budget seeded-uniform draws so failures
-reproduce.  An exhaustive sweep of a closed-form box grid reads the brute
-side of a whole run of points from one oracle.power_moments row; a sampled
-point gets its own brute_sum.  Four exhaustive identity sweeps compare
-whole rows and keep their own loops: thm3.11 both sides at every j of one
-(m, n, s), vandermonde both sides at every M of one (m, n), thm3.13 runs of
-comp_rows tables (one table pair per orbit of pairs), and cor3.12 part 2's
-left side at every b.  So do the three-tier sampling of the n-term sums and
-the checks of quickcase, tablecorr and figures.
+Every congruence the library implements is registered here under a stable
+id, as a Grid: its hypothesis grid at a prime p and how to check it.  One
+driver runs them all.  A grid that fits the budget is enumerated
+exhaustively; a larger one takes its seeded sample, so failures reproduce.
+Either way the grid is read as chunks (points, lhs, rhs): the two sides at
+a run of instances, brute force or left side first, each side computed on
+its own, and the instances' points.  Point checks come in runs, a chunk
+per run; a row sweep yields whole rows, such as a box's brute side at every
+exponent of one head from one power_moments row.  _compare_rows compares
+the chunks, counts the instances and names each failing one.
 """
 
 from __future__ import annotations
@@ -24,8 +20,8 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import islice, permutations, product, repeat
-from math import comb, perm, prod
-from operator import mul
+from math import comb, inf, perm, prod
+from operator import itemgetter, mul
 
 from . import closedforms as cf
 from . import general as gen
@@ -83,68 +79,86 @@ def _fail(failures: list, params: dict, expected: int, got: int) -> None:
     failures.append({"params": params, "expected": expected, "got": got})
 
 
-def _compare_rows(failures: list, lhs: list, rhs: list, params: Callable) -> int:
-    """Compare two whole rows of sides, instance i at index i; on a
-    mismatch, each differing instance fails with params(i).  Returns the
-    number of instances."""
-    if lhs != rhs:
-        for i, (x, y) in enumerate(zip(lhs, rhs)):
-            if x != y:
-                _fail(failures, params(i), x, y)
-    return len(lhs)
+def _compare_rows(names, chunks) -> tuple[int, list]:
+    """Compare the two sides of every chunk (points, lhs, rhs), instance i
+    at index i: each differing instance fails with its point as params,
+    named by names, a None field left out.  Returns (grid size, failures)."""
+    failures = []
+    grid = 0
+    for points, lhs, rhs in chunks:
+        grid += len(lhs)
+        if lhs != rhs:
+            for point, x, y in zip(points, lhs, rhs):
+                if x != y:
+                    _fail(failures, {k: v for k, v in zip(names, point) if v is not None}, x, y)
+    return grid, failures
 
 
 # --- the driver ---------------------------------------------------------------
-# Every run returns (grid_size, failures, exhaustive); mode is "p2" (full
-# stated moduli) or "p" (reduce the mod-p^2 statements to mod p).
 
 
 @dataclass(frozen=True)
 class Grid:
-    """A theorem's hypothesis grid at a prime p, and the check of one point.
+    """A theorem's hypothesis grid at a prime p, read as chunks.  Called as
+    a Theorem's run it returns (grid size, failures, exhaustive); mode is
+    "p2" (the stated moduli) or "p" (mod-p^2 statements reduced mod p).
 
     names are a point's parameter names in report order: a field that is
     None is left out of that point's report, and fields past the last name
     are not parameters.  check(pr, *point) returns (expected, got), brute or
-    lhs first.  points(p) yields every point in a fixed order and count(p)
-    is their number.  draw(rng, p) returns one seeded point, or None to
-    reject the draw and draw again; a grid without one is always enumerated.
-    rows(pr), when given, returns the check of the exhaustive sweep, which
-    may share work between consecutive points.  Called as a Theorem's run, a
-    grid checks every point when they fit the budget, else budget draws.
+    lhs first; the exhaustive sweep checks the points of points(p) in runs,
+    a chunk per run, unless rows(pr, mode) yields its chunks.  count(p) is
+    the grid size held against the budget; sample(pr, budget, seed) yields a
+    seeded sample's chunks.  A grid without a sample is always enumerated,
+    one without a count always sampled.  order names the params that sort
+    the failures of rows walking the grid out of report order.
     """
 
     names: tuple[str, ...]
-    check: Callable
+    check: Callable | None = None
     points: Callable | None = None
-    count: Callable | None = None
-    draw: Callable | None = None
     rows: Callable | None = None
+    count: Callable | None = None
+    sample: Callable | None = None
+    order: tuple[str, ...] = ()
 
     def __call__(self, pr, budget, seed, mode):
-        if self.draw is not None and self.count(pr.p) > budget:
-            return self.sample(pr, budget, seed)
-        check = self.check if self.rows is None else self.rows(pr)
-        return (*self.sweep(pr, self.points(pr.p), check), True)
+        if self.sample is not None and (self.count is None or self.count(pr.p) > budget):
+            return (*_compare_rows(self.names, self.sample(pr, budget, seed)), False)
+        if self.rows is None:
+            return (*self.sweep(pr, self.points(pr.p)), True)
+        grid, failures = _compare_rows(self.names, self.rows(pr, mode))
+        failures.sort(key=lambda f: [f["params"][k] for k in self.order])
+        return grid, failures, True
 
-    def sample(self, pr, budget, seed):
-        """Check budget seeded draws, whatever the grid size."""
-        draws = map(self.draw, repeat(random.Random(seed)), repeat(pr.p))
-        return (*self.sweep(pr, islice(filter(None, draws), budget)), False)
+    def sweep(self, pr, points):
+        """Check the given points; returns (grid size, failures)."""
+        return _compare_rows(self.names, _each(pr, self.check, points))
 
-    def sweep(self, pr, points, check=None):
-        """Check the given points, by default with self.check; returns
-        (grid size, failures)."""
-        check = check or self.check
-        failures = []
-        grid = 0
-        for point in points:
-            expected, got = check(pr, *point)
-            grid += 1
-            if expected != got:
-                params = {k: v for k, v in zip(self.names, point) if v is not None}
-                _fail(failures, params, expected, got)
-        return grid, failures
+
+def _each(pr, check, points):
+    """The points in runs of up to 64, a chunk each, every point's sides
+    from check(pr, *point)."""
+    points = iter(points)
+    while run := tuple(islice(points, 64)):
+        expected, got = zip(*[check(pr, *point) for point in run])
+        yield run, expected, got
+
+
+def _drawn(check, draw):
+    """The sample of budget seeded draws, checked as _each checks points:
+    draw(rng, p) returns one point, or None to reject it and draw again."""
+
+    def sample(pr, budget, seed):
+        draws = map(draw, repeat(random.Random(seed)), repeat(pr.p))
+        return _each(pr, check, islice(filter(None, draws), budget))
+
+    return sample
+
+
+def _row(head, values):
+    """The points (*head, v) for v in values, in order."""
+    return ((*head, v) for v in values)
 
 
 def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
@@ -158,9 +172,9 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
     outside exclusions of the product of the terms (o+k)^f and of
     (off+k)^(sign*e), times (-1)^e when alternating.  closed(pr, *point) is
     the closed side.  A sampled point is one brute_sum; the exhaustive sweep
-    reads the brute side at every e of a head from one power_moments row of
-    weights prod (o+k)^f over the bases (off+k)^sign, both read through
-    term_products as brute_sum reads its terms.
+    yields one row per head, its brute side at every e read from one
+    power_moments row of weights prod (o+k)^f over the bases (off+k)^sign,
+    both read through term_products as brute_sum reads its terms.
     """
 
     def check(pr, *point):
@@ -171,29 +185,22 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
             brute = -brute % pr.p
         return brute, closed(pr, *point)
 
-    def row(pr, *head):
+    def rows(pr, mode):
         p = pr.p
-        terms, (off, sign), excl = sums(pr, *head)
-        pairs = zip(term_products(pr, terms), term_products(pr, ((off, sign),)))
-        return power_moments(pr, [(w % p, -x % p if alternating else x)
-                                  for k, (w, x) in enumerate(pairs) if k not in excl])
+        *heads, exps = ranges(p)
+        for head in tuples(p, heads):
+            terms, (off, sign), excl = sums(pr, *head)
+            pairs = zip(term_products(pr, terms), term_products(pr, ((off, sign),)))
+            brute = power_moments(pr, [(w % p, -x % p if alternating else x)
+                                       for k, (w, x) in enumerate(pairs) if k not in excl])
+            closed_row = [closed(pr, *head, e) for e in exps]
+            yield _row(head, exps), brute[exps.start : exps.stop], closed_row
 
-    def rows(pr):
-        current = [None, None]  # the head being swept and its row
-
-        def check(pr, *point):
-            head = point[:-1]
-            if head != current[0]:
-                current[:] = head, row(pr, *head)
-            return current[1][point[-1]], closed(pr, *point)
-
-        return check
-
-    def points(p):
+    def tuples(p, ranges):
         if pair_lo is None:
-            return product(*ranges(p))
+            return product(*ranges)
         pairs = permutations(range(pair_lo, p), 2)
-        return ((a, b, *rest) for (a, b), *rest in product(pairs, *ranges(p)))
+        return ((a, b, *rest) for (a, b), *rest in product(pairs, *ranges))
 
     def count(p):
         box = prod(map(len, ranges(p)))
@@ -203,7 +210,7 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
         pair = () if pair_lo is None else rng.sample(range(pair_lo, p), 2)
         return (*pair, *[rng.randrange(r.start, r.stop) for r in ranges(p)])
 
-    return Grid(names, check, points, count, draw, rows)
+    return Grid(names, check, lambda p: tuples(p, ranges(p)), rows, count, _drawn(check, draw))
 
 
 # --- power sums ---------------------------------------------------------------
@@ -215,24 +222,23 @@ _run_thm1_1 = Grid(
 )
 
 
-# a point (exp, mod, modulus): the sum over k of k^-exp vanishes mod modulus
-_harmonic = Grid(
-    ("exp", "mod"),
-    lambda pr, exp, mod, modulus: (0, brute_sum_mod_p2(pr, exp) % modulus),
-)
+def _harmonic(pr, exp, mod, modulus):
+    """The sum over k of k^-exp vanishes mod modulus; under mode p the
+    modulus of a mod-p^2 point is p."""
+    return 0, brute_sum_mod_p2(pr, exp) % modulus
 
 
-def _run_thm1_2(pr, budget, seed, mode):
+def _thm1_2_rows(pr, mode):
     p = pr.p
     p2 = p * p if mode == "p2" else p
     points = [(1, "p2", p2), (2, "p", p), (3, "p", p)]
     if p > 5:
         # the strengthening of the cubic harmonic sum, verified numerically
         points.append((3, "p2", p2))
-    return (*_harmonic.sweep(pr, points), True)
+    return _each(pr, _harmonic, points)
 
 
-def _run_thm1_3(pr, budget, seed, mode):
+def _thm1_3_rows(pr, mode):
     p = pr.p
     p2 = p * p if mode == "p2" else p
     points = []
@@ -244,7 +250,11 @@ def _run_thm1_3(pr, budget, seed, mode):
             points += [(2 * n - 1, "p2", p2), (2 * n, "p", p)]
         else:
             points.append((2 * n - 1, "p", p))
-    return (*_harmonic.sweep(pr, points), True)
+    return _each(pr, _harmonic, points)
+
+
+_run_thm1_2 = Grid(("exp", "mod"), rows=_thm1_2_rows)
+_run_thm1_3 = Grid(("exp", "mod"), rows=_thm1_3_rows)
 
 
 # --- closed forms against brute force -----------------------------------------
@@ -315,18 +325,31 @@ _run_thm3_6 = _box(
 )
 
 
-def _run_general(pr, budget, seed, evaluator):
-    """The n-term sums at arity 2, 3 and 4, each drawn on seed + arity.
+def _general(evaluator) -> Grid:
+    """The n-term sums at arity 2, 3 and 4 against brute force, on points
+    (offsets, exps); evaluator(gp) is the side checked.  Each arity is held
+    to the budget on its own, so count is that of arity 4, the largest."""
 
-    A grid that fits the budget is exhaustive.  Otherwise every
+    def check(pr, offsets, exps):
+        gp = gen.GeneralSumParams(pr, offsets, exps)
+        spec = SumSpec(pr, tuple(zip(offsets, exps)), frozenset())
+        return brute_sum(spec), evaluator(gp)
+
+    return Grid(("offsets", "exps"), check, lambda p: _general_points(p, inf, 0),
+                count=lambda p: perm(p, 4) * (p - 1) ** 4,
+                sample=lambda pr, budget, seed: _each(pr, check,
+                                                      _general_points(pr.p, budget, seed)))
+
+
+def _general_points(p, budget, seed):
+    """The points of arity 2, 3 and 4 in turn, each arity drawn on
+    seed + arity.
+
+    An arity whose grid fits the budget is enumerated.  Otherwise every
     distinct-offset tuple still gets budget // count seeded exponent tuples
     (at least one), and when even the offset tuples exceed the budget both
     are sampled.
     """
-    p = pr.p
-    grid = 0
-    failures = []
-    exhaustive = True
     for arity in (2, 3, 4):
         rng = random.Random(seed + arity)
 
@@ -338,31 +361,15 @@ def _run_general(pr, budget, seed, evaluator):
         if count * (p - 1) ** arity <= budget:
             points = product(offsets, product(range(1, p), repeat=arity))
         elif count <= budget:
-            exhaustive = False
             points = ((offs, exps()) for offs in offsets for _ in range(max(1, budget // count)))
         else:
-            exhaustive = False
             points = ((tuple(rng.sample(range(p), arity)), exps()) for _ in range(budget))
-        for offs, es in points:
-            gp = gen.GeneralSumParams(pr, offs, es)
-            spec = SumSpec(pr, tuple(zip(offs, es)), frozenset())
-            expected, got = brute_sum(spec), evaluator(gp)
-            grid += 1
-            if expected != got:
-                _fail(failures, {"offsets": list(offs), "exps": list(es)}, expected, got)
-    return grid, failures, exhaustive
+        yield from points
 
 
-def _run_thm4_1(pr, budget, seed, mode):
-    return _run_general(pr, budget, seed, gen.multi_index_J)
-
-
-def _run_thm4_4(pr, budget, seed, mode):
-    return _run_general(pr, budget, seed, gen.coeff_extraction_sum)
-
-
-def _run_thm4_5(pr, budget, seed, mode):
-    return _run_general(pr, budget, seed, gen.esp_sum)
+_run_thm4_1 = _general(lambda gp: gen.multi_index_J(gp))
+_run_thm4_4 = _general(lambda gp: gen.coeff_extraction_sum(gp))
+_run_thm4_5 = _general(lambda gp: gen.esp_sum(gp))
 
 
 # --- binomial identities, lhs against rhs -------------------------------------
@@ -384,27 +391,25 @@ _run_cor2_7 = Grid(
 )
 
 
-def _run_vandermonde(pr, budget, seed, mode):
-    # the instances M = 0..m+n of one (m, n) are compared as two whole rows
-    p = pr.p
-    failures = []
-    grid = 0
-    for m in range(p):
-        for n in range(p - m):
-            lhs, rhs = ident.vandermonde_rows(pr, m, n)
-            grid += _compare_rows(failures, lhs, rhs, lambda M: {"m": m, "n": n, "M": M})
-    return grid, failures, True
+def _vandermonde_row(pr, m):
+    # the instances (n, M) of one m, M = 0..m+n, one vandermonde_rows pair per n
+    lhs, rhs = [], []
+    for n in range(pr.p - m):
+        left, right = ident.vandermonde_rows(pr, m, n)
+        lhs += left
+        rhs += right
+    return ((m, n, M) for n in range(pr.p - m) for M in range(m + n + 1)), lhs, rhs
+
+
+_run_vandermonde = Grid(
+    ("m", "n", "M"), rows=lambda pr, mode: (_vandermonde_row(pr, m) for m in range(pr.p)))
 
 
 def _window(p, t):
     """The s in [0, p-1] with M = t+s-(p-1) in [0, p-2], for exponents
     m + n = t; empty when s_hi < s_lo."""
     base = t - (p - 1)
-    s_lo = -base if base < 0 else 0
-    s_hi = p - 2 - base
-    if s_hi > p - 1:
-        s_hi = p - 1
-    return s_lo, s_hi
+    return max(0, -base), min(p - 1, p - 2 - base)
 
 
 def _diagonals(p, lo):
@@ -431,29 +436,25 @@ def _draw_cong(rng, p):
     return m, n, s, rng.randrange(M + 1), M
 
 
-# _run_thm3_11 enumerates this grid as whole j-rows; the Grid samples it
-_cong = Grid(
-    ("m", "n", "s", "j", "M"),
-    lambda pr, m, n, s, j, M: ident.cong_general(pr, m, n, s, j),
-    draw=_draw_cong,
-)
-
-
-def _run_thm3_11(pr, budget, seed, mode):
+def _cong_row(pr, m, n):
+    # the instances (s, j) of one (m, n), j = 0..M, one cong_rows pair per s
     p = pr.p
-    if _cong_grid_count(p) > budget:
-        return _cong.sample(pr, budget, seed)
-    # the instances j = 0..M of one (m, n, s) are compared as two whole rows
-    failures = []
-    grid = 0
-    for m, n in product(range(p), repeat=2):
-        s_lo, s_hi = _window(p, m + n)
-        for s in range(s_lo, s_hi + 1):
-            lhs, rhs = ident.cong_rows(pr, m, n, s)
-            M = len(lhs) - 1
-            grid += _compare_rows(failures, lhs, rhs,
-                                  lambda j: {"m": m, "n": n, "s": s, "j": j, "M": M})
-    return grid, failures, True
+    s_lo, s_hi = _window(p, m + n)
+    sms = [(s, m + n + s - (p - 1)) for s in range(s_lo, s_hi + 1)]
+    lhs, rhs = [], []
+    for s, _ in sms:
+        left, right = ident.cong_rows(pr, m, n, s)
+        lhs += left
+        rhs += right
+    return ((m, n, s, j, M) for s, M in sms for j in range(M + 1)), lhs, rhs
+
+
+_run_thm3_11 = Grid(
+    ("m", "n", "s", "j", "M"),
+    rows=lambda pr, mode: (_cong_row(pr, m, n) for m, n in product(range(pr.p), repeat=2)),
+    count=_cong_grid_count,
+    sample=_drawn(lambda pr, m, n, s, j, M: ident.cong_general(pr, m, n, s, j), _draw_cong),
+)
 
 
 def _comp_grid_count(p):
@@ -472,60 +473,54 @@ def _draw_comp(rng, p):
     return a, b, m, n, s, m + n + s - (p - 1)
 
 
-# _run_thm3_13 enumerates this grid as product rows; the Grid only samples it
-_comp = Grid(
-    ("a", "b", "m", "n", "s", "M"),
-    lambda pr, a, b, m, n, s, M: ident.comp_general(pr, a, b, m, n, s),
-    draw=_draw_comp,
-)
+def _comp_rows(pr, mode):
+    """The instances (n, s) of one (a, b, m) as one chunk, both pairs of an
+    orbit read from one table pair.
 
-
-def _run_thm3_13(pr, budget, seed, mode):
+    comp_rows puts [x^M] of row t at t*(p-1) + M.  For fixed (a, b, m, n)
+    the window's instances have M = d+s with d = m+n-(p-1), so their left
+    sides are one run of left row n, and their right sides one stride-p run
+    down the right rows (cell s*(p-1) + d+s = s*p + d).  The right table of
+    (a, b) is the left table of its partner (a-b, -b), whose partner is
+    (a, b) again.  Of the two pairs, the one with b < p/2 builds the two
+    tables of each m and yields the chunks of both, so the grid's order puts
+    the failures back into (a, b) order.
+    """
     p = pr.p
-    if _comp_grid_count(p) > budget:
-        return _comp.sample(pr, budget, seed)
-    # comp_rows puts [x^M] of row t at t*(p-1) + M.  For fixed (a, b, m, n)
-    # the window's instances have M = d+s with d = m+n-(p-1), so their left
-    # sides are one run of left row n, and their right sides one stride-p
-    # run down the right rows (cell s*(p-1) + d+s = s*p + d).
-    pm1 = p - 1
-    runs = []
+    runs = []  # for each m: its left cells, its right cells, their (n, s)
     for m in range(1, p):
-        slices = []
+        left, right, ns = [], [], []
         for n in range(1, p):
             s_lo, s_hi = _window(p, m + n)
-            if s_hi >= s_lo:
-                d = m + n - pm1
-                l0 = n * pm1 + d
-                slices.append((n, s_lo, l0 + s_lo, l0 + s_hi + 1,
-                               s_lo * p + d, s_hi * p + d + 1))
-        runs.append((m, slices))
-    # The right table of (a, b) is the left table of its partner
-    # (a-b, -b), whose partner is (a, b) again.  Of the two pairs, the one
-    # with b < p/2 builds the two tables of each m and checks both pairs
-    # with them; failures go back into sweep order at the end.
-    found = {}  # pair -> its failures in (m, n, s) order
-    grid = 0
+            d = m + n - (p - 1)
+            left += range(n * (p - 1) + d + s_lo, n * (p - 1) + d + s_hi + 1)
+            right += range(s_lo * p + d, s_hi * p + d + 1, p)
+            ns += zip(repeat(n), range(s_lo, s_hi + 1))
+        runs.append((m, itemgetter(*left), itemgetter(*right), ns))
     rows = ident.comp_rows
     for a, b in permutations(range(1, p), 2):
         if 2 * b > p:
             continue
         partner = ((a - b) % p, p - b)
-        for m, slices in runs:
+        for m, lcells, rcells, ns in runs:
             left = rows(pr, a, b, m)
             right = rows(pr, *partner, m)
-            for pair, lrows, rrows in (((a, b), left, right), (partner, right, left)):
-                for n, s_lo, l0, l1, r0, r1 in slices:
-                    lhs = lrows[l0:l1]
-                    rhs = rrows[r0:r1:p]
-                    if lhs != rhs:
-                        params = {"a": pair[0], "b": pair[1], "m": m, "n": n}
-                        for s, x, y in zip(range(s_lo, p), lhs, rhs):
-                            if x != y:
-                                _fail(found.setdefault(pair, []), {**params, "s": s}, x, y)
-                    grid += l1 - l0
-    pairs = permutations(range(1, p), 2)
-    return grid, [f for pair in pairs for f in found.get(pair, ())], True
+            yield _comp_points(a, b, m, ns), lcells(left), rcells(right)
+            yield _comp_points(*partner, m, ns), lcells(right), rcells(left)
+
+
+def _comp_points(a, b, m, ns):
+    return ((a, b, m, n, s) for n, s in ns)
+
+
+_run_thm3_13 = Grid(
+    ("a", "b", "m", "n", "s", "M"),
+    rows=_comp_rows,
+    count=_comp_grid_count,
+    sample=_drawn(lambda pr, a, b, m, n, s, M: ident.comp_general(pr, a, b, m, n, s),
+                  _draw_comp),
+    order=("a", "b"),
+)
 
 
 def _cor312_grid_count(p):
@@ -557,40 +552,44 @@ def _check_cor3_12(pr, part, a, b, m, n, j):
     return pow_nonzero(pr, a - b, M) * binom(pr, m, p - n - 1) % p, conv(pr, a, b, m, n, M)
 
 
-# points (part, a, b, m, n, j): part 1 has no a, b and part 2 no j
-_cor3_12 = Grid(("part", "a", "b", "m", "n", "j"), _check_cor3_12, draw=_draw_cor3_12)
-
-
-def _run_cor3_12(pr, budget, seed, mode):
-    """Both parts of the s = 0 corollary, including the m = n = p-1 corner
-    that the stricter general hypothesis excludes.
-
-    part 1: (-1)^j C(m,M-j) C(n,j) == C(m,M) C(M,j)
-    part 2: sum_j C(m,M-j) C(n,j) a^(M-j) b^j == (a-b)^M C(m,p-n-1)
-    """
+def _cor3_12_rows(pr, mode):
+    """Part 1, then part 2, one row per (m, n)."""
     p = pr.p
-    if _cor312_grid_count(p) > budget:
-        return _cor3_12.sample(pr, budget, seed)
-    part1 = ((1, None, None, m, n, j) for m, n in product(range(1, p), repeat=2)
-             for j in range(m + n - (p - 1) + 1))
-    grid, failures = _cor3_12.sweep(pr, part1)
-    # part 2: the left side at every b at once, the right side per b
+    heads = [(m, n, m + n - (p - 1)) for m, n in product(range(1, p), repeat=2)
+             if m + n >= p - 1]
+    for m, n, M in heads:
+        rhs, lhs = zip(*[_check_cor3_12(pr, 1, None, None, m, n, j) for j in range(M + 1)])
+        yield _row((1, None, None, m, n), range(M + 1)), rhs, lhs
     columns = _power_columns(pr)
-    for m, n in product(range(1, p), repeat=2):
-        M = m + n - (p - 1)
-        if M < 0:
-            continue
-        cm = binom(pr, m, p - n - 1)
-        for a in range(1, p):
-            lhs = _cor3_12_across_b(pr, columns, a, m, n)
-            for b in range(1, p):
-                if b == a:
-                    continue
-                rhs = pow_nonzero(pr, a - b, M) * cm % p
-                grid += 1
-                if lhs[b] != rhs:
-                    _fail(failures, {"part": 2, "a": a, "b": b, "m": m, "n": n}, rhs, lhs[b])
-    return grid, failures, True
+    pairs = list(permutations(range(1, p), 2))
+    yield from (_cor3_12_part_2(pr, columns, pairs, *head) for head in heads)
+
+
+def _cor3_12_part_2(pr, columns, pairs, m, n, M):
+    """Part 2 at every pair (a, b) of one (m, n): the left side at every b
+    of one a at once, the right side read from the (a-b)^M of each a-b."""
+    p = pr.p
+    cm = binom(pr, m, p - n - 1)
+    powers = [0, *(pow_nonzero(pr, d, M) * cm % p for d in range(1, p))]
+    lhs = []
+    for a in range(1, p):
+        row = _cor3_12_across_b(pr, columns, a, m, n)
+        lhs += row[1:a] + row[a + 1 :]
+    rhs = [powers[(a - b) % p] for a, b in pairs]
+    return ((2, a, b, m, n) for a, b in pairs), rhs, lhs
+
+
+# Both parts of the s = 0 corollary on points (part, a, b, m, n, j), part 1
+# without a, b and part 2 without j, including the m = n = p-1 corner that
+# the stricter general hypothesis excludes.
+#   part 1: (-1)^j C(m,M-j) C(n,j) == C(m,M) C(M,j)
+#   part 2: sum_j C(m,M-j) C(n,j) a^(M-j) b^j == (a-b)^M C(m,p-n-1)
+_run_cor3_12 = Grid(
+    ("part", "a", "b", "m", "n", "j"),
+    rows=_cor3_12_rows,
+    count=_cor312_grid_count,
+    sample=_drawn(_check_cor3_12, _draw_cor3_12),
+)
 
 
 def _power_columns(pr):
@@ -613,11 +612,10 @@ def _cor3_12_across_b(pr, columns, a, m, n):
 # --- shortcuts, tables and figures --------------------------------------------
 
 
-def _run_quickcase(pr, budget, seed, mode):
-    """quick_case never disagrees with brute force when it answers."""
+def _quickcase(pr, budget, seed):
+    """quick_case never disagrees with brute force when it answers; a spec
+    it does not answer is an empty chunk."""
     p = pr.p
-    failures = []
-    grid = 0
     rng = random.Random(seed)
     specs = []
     # products hitting every constant row: totals p-2, p-1, p, and all p-1
@@ -640,15 +638,12 @@ def _run_quickcase(pr, budget, seed, mode):
         if m != n:
             specs.append(((a, min(m, n)), (b, -max(m, n))))
     for terms in specs:
-        spec = SumSpec(pr, tuple(terms), auto_exclusions(pr, terms))
+        spec = SumSpec(pr, terms, auto_exclusions(pr, terms))
         got = cf.quick_case(spec)
         if got is None:
-            continue
-        expected = brute_sum(spec)
-        grid += 1
-        if expected != got:
-            _fail(failures, {"terms": [list(t) for t in terms]}, expected, got)
-    return grid, failures, False
+            yield (), (), ()
+        else:
+            yield ((terms,),), (brute_sum(spec),), (got,)
 
 
 def _random_composition(rng, total, arity, cap):
@@ -660,62 +655,69 @@ def _random_composition(rng, total, arity, cap):
     return None
 
 
-def _run_tablecorr(pr, budget, seed, mode):
-    """Sum-table row s equals the sum of coeff-table rows i(p-1)-s, i >= 1.
+# always sampled: the specs are drawn on the seed, not enumerated
+_run_quickcase = Grid(("terms",), sample=_quickcase)
+
+
+def _tablecorr_row(pr, m, n):
+    """Sum-table row s equals the sum of coeff-table rows i(p-1)-s, i >= 1,
+    at every s of one (m, n): an instance's sides are 0 and whether their
+    difference is nonzero (1).
 
     Only i = 1, 2 contribute except at the m = n = p-1, s = p-1 corner,
     where row 3(p-1)-s = m+n joins in.  Rows are summed as monomial maps.
     """
     p = pr.p
-    failures = []
-    grid = 0
-    exhaustive = (p - 1) ** 3 <= budget
-    if exhaustive:
-        pairs = product(range(1, p), repeat=2)
-    else:
-        rng = random.Random(seed)
-        wanted = max(1, budget // (p - 1))
-        pairs = [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(wanted)]
-    for m, n in pairs:
-        coeffs = symbolic_coeff_table(pr, m, n)
-        sums = symbolic_sum_table(pr, m, n)
-        for s in range(1, p):
-            want = {}
-            for row in coeffs[p - 1 - s :: p - 1]:
-                for i, j, c in row.terms:
-                    want[i, j] = (want.get((i, j), 0) + c) % p
-            got = {(i, j): c for i, j, c in sums[s - 1].terms}
-            grid += 1
-            if {key: c for key, c in want.items() if c} != got:
-                _fail(failures, {"m": m, "n": n, "s": s}, 0, 1)
-    return grid, failures, exhaustive
+    coeffs = symbolic_coeff_table(pr, m, n)
+    sums = symbolic_sum_table(pr, m, n)
+    nonzero = []
+    for s in range(1, p):
+        diff = {(i, j): -c for i, j, c in sums[s - 1].terms}
+        for row in coeffs[p - 1 - s :: p - 1]:
+            for i, j, c in row.terms:
+                diff[i, j] = diff.get((i, j), 0) + c
+        nonzero.append(int(any(c % p for c in diff.values())))
+    return _row((m, n), range(1, p)), [0] * (p - 1), nonzero
 
 
-def _run_figures(pr, budget, seed, mode):
-    """The five residue-matrix observations, for every offset a."""
+def _draw_tables(p, budget, seed):
+    rng = random.Random(seed)
+    return [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(max(1, budget // (p - 1)))]
+
+
+_run_tablecorr = Grid(
+    ("m", "n", "s"),
+    rows=lambda pr, mode: (_tablecorr_row(pr, m, n)
+                           for m, n in product(range(1, pr.p), repeat=2)),
+    count=lambda p: (p - 1) ** 3,
+    sample=lambda pr, budget, seed: (_tablecorr_row(pr, m, n)
+                                     for m, n in _draw_tables(pr.p, budget, seed)),
+)
+
+
+def _figures_row(pr, a):
+    """The five residue-matrix observations for one offset a, each 1 if it
+    holds and 0 if not."""
     p = pr.p
-    failures = []
-    grid = 0
+    mat = residue_matrix(pr, a).entries
     corners = ((0, 0), (0, p - 1), (p - 1, 0), (p - 1, p - 1))
-    for a in range(1, p):
-        mat = residue_matrix(pr, a).entries
-        checks = {
-            "corners": all(mat[i][j] == p - 2 for i, j in corners),
-            "row_wrap": mat[0] == mat[p - 1],
-            "col_wrap": all(mat[i][0] == mat[i][p - 1] for i in range(p)),
-            "row0_reversed_is_col0": all(mat[0][p - 1 - m] == mat[m][0] for m in range(p)),
-            "col0_powers": all(mat[m][0] == (-pow(a, m, p)) % p for m in range(1, p - 1)),
-            "modified_pascal": all(
-                (mat[i][j - 1] + mat[i + 1][j]) % p == a * mat[i][j] % p
-                for i in range(p - 1)
-                for j in range(1, p)
-            ),
-        }
-        for name, ok in checks.items():
-            grid += 1
-            if not ok:
-                _fail(failures, {"a": a, "check": name}, 1, 0)
-    return grid, failures, True
+    checks = {
+        "corners": all(mat[i][j] == p - 2 for i, j in corners),
+        "row_wrap": mat[0] == mat[p - 1],
+        "col_wrap": all(mat[i][0] == mat[i][p - 1] for i in range(p)),
+        "row0_reversed_is_col0": all(mat[0][p - 1 - m] == mat[m][0] for m in range(p)),
+        "col0_powers": all(mat[m][0] == (-pow(a, m, p)) % p for m in range(1, p - 1)),
+        "modified_pascal": all(
+            (mat[i][j - 1] + mat[i + 1][j]) % p == a * mat[i][j] % p
+            for i in range(p - 1)
+            for j in range(1, p)
+        ),
+    }
+    return _row((a,), checks), [1] * len(checks), [int(ok) for ok in checks.values()]
+
+
+_run_figures = Grid(
+    ("a", "check"), rows=lambda pr, mode: (_figures_row(pr, a) for a in range(1, pr.p)))
 
 
 @dataclass(frozen=True)
@@ -757,15 +759,7 @@ REGISTRY: dict[str, Theorem] = {
     ]
 }
 
-IDENTITY_SUITE = (
-    "eq2",
-    "eq3",
-    "cor2.7",
-    "thm3.11",
-    "thm3.13",
-    "cor3.12",
-    "vandermonde",
-)
+IDENTITY_SUITE = tuple(t.id for t in REGISTRY.values() if t.strategies == ("lhs", "rhs"))
 
 
 def resolve_theorems(ids) -> list[str]:

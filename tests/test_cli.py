@@ -123,6 +123,21 @@ def test_evaluate_all_detects_disagreement(monkeypatch):
         evaluate_all(spec)
 
 
+def test_evaluate_all_runs_the_multi_index_route_once(capsys, monkeypatch):
+    # with four or more merged terms the closed form is multi_index_J, so one
+    # call serves the closed row and the multi-index row
+    import wolstenholme.general as gen
+
+    real = gen.multi_index_J
+    calls = []
+    monkeypatch.setattr(gen, "multi_index_J", lambda gp: calls.append(gp) or real(gp))
+    code, out, _ = run_cli(capsys, "eval", "-p", "31", "(1+k)^5 (2+k)^6 (3+k)^7 k^9")
+    assert code == 0 and len(calls) == 1
+    values = dict(line.split() for line in out.strip().splitlines())
+    assert list(values)[:5] == ["brute", "closed", "multi-index", "coeff", "esp"]
+    assert len(set(values.values())) == 1
+
+
 def test_cli_disagreement_exit_code(capsys, monkeypatch):
     import wolstenholme.cli as cli_mod
 
@@ -158,6 +173,14 @@ def test_verify_prime_range_syntax(capsys):
     assert code == 0
     reports = [json.loads(line) for line in out.strip().splitlines()]
     assert [r["p"] for r in reports] == [5, 7, 11, 13]
+
+
+def test_verify_repeated_primes_are_verified_once(capsys):
+    code, out, err = run_cli(capsys, "verify", "--theorems", "thm1.1", "--primes", "5,5..7")
+    assert code == 0
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["p"] for r in reports] == [5, 7]
+    assert [line.split()[1] for line in err.splitlines()[1:]] == ["p=5", "p=7"]
 
 
 def test_verify_composite_prime_rejected(capsys):

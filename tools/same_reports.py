@@ -35,6 +35,7 @@ COMMANDS = tuple("verify " + args for args in (
     "--theorems thm2.1,thm2.3,rem2.5,thm2.6,thm2.8,thm3.1,thm3.4,thm3.5,thm3.6,quickcase,"
     "thm4.1,thm4.4,thm4.5 --primes 257 --budget 300 --seed 5",
     "--theorems thm2.3,thm3.6 --primes 1009 --budget 300 --seed 2",
+    "--theorems thm1.2,thm1.3 --primes 5..97 --mod p",
 )) + tuple("table " + args for args in (
     "coeff-table -p 11 -m 7 -n 7",
     "coeff-table -p 97 -m 48 -n 50 -f json",
