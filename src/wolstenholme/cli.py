@@ -201,7 +201,7 @@ def _parse_primes(text: str) -> list[int]:
                 out.append(int(part))
         except ValueError:
             raise BadParamsError(f"--primes: {part!r} is not a prime or a range a..b") from None
-    return list(dict.fromkeys(out))  # a repeated prime is verified once
+    return out
 
 
 def cmd_eval(args) -> int:

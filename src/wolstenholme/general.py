@@ -17,8 +17,8 @@ from .errors import (
     IndexNotInvertibleError,
     ZeroPivotError,
 )
-from .modarith import Prime, mod_inverse
-from .polyring import build_product, coeff
+from .modarith import Prime, mod_inverse, unpack_slots
+from .polyring import build_product, coeff, cyclic_product
 
 
 @dataclass(frozen=True)
@@ -141,20 +141,14 @@ def multi_index_J(gp: GeneralSumParams) -> int:
 def coeff_extraction_sum(gp: GeneralSumParams) -> int:
     """Same sum via coefficients of the shifted product polynomial.
 
-    Evaluates -sum over i >= 1 of [x^(i(p-1) - m_n)] of the product of
-    (b_i + x)^m_i; only i with that index <= deg contribute.
+    The sum is -sum over i >= 1 of [x^(i(p-1) - m_n)] of the product of
+    (b_i + x)^m_i.  Since 1 <= m_n <= p-1, those indices are exactly the
+    j >= 0 with j = -m_n mod p-1, so the sum is minus one coefficient of that
+    product taken mod x^(p-1) - 1, which polyring.cyclic_product builds in
+    p-1 packed slots whatever the degree.
     """
-    pr = gp.pr
-    p = pr.p
-    f = build_product(pr, gp.shifted, gp.exps[:-1])
-    cap = sum(gp.exps[:-1])
-    m_last = gp.exps[-1]
-    acc = 0
-    i = 1
-    while i * (p - 1) - m_last <= cap:
-        acc += coeff(f, i * (p - 1) - m_last)
-        i += 1
-    return -acc % p
+    p = gp.pr.p
+    return -cyclic_product(gp.pr, gp.shifted, gp.exps[:-1])[-gp.exps[-1] % (p - 1)] % p
 
 
 def root_power_sum(gp: GeneralSumParams, r: int) -> int:
@@ -173,6 +167,9 @@ def root_power_sum(gp: GeneralSumParams, r: int) -> int:
 def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
     """e_0..e_r_max via Newton's identities; valid only for r_max < p.
 
+    The power sums p_1..p_r_max of the roots are read from one combination
+    of the cached packed power tables, m_i times that of b_i, unpacked once.
+
     The recursion divides by r mod p, so indices at or above p would divide
     by zero; those e-values must come from polynomial coefficients instead.
     """
@@ -182,11 +179,13 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
         raise IndexNotInvertibleError(f"r_max = {r_max} >= p = {p}: index not invertible")
     # r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i: one dot product of
     # e_(r-1), ..., e_0 against the signed power sums (map stops after r
-    # terms).  (-1)^(i-1) p_i is -(m_1 b_1^i + ... + m_(n-1) b_(n-1)^i), read
-    # from the power tables; 1/r is (r-1)! / r!.
-    exps = gp.exps[:-1]
-    tables = [pr.powers(b) for b in gp.shifted]
-    signed = [-sum(m * t[i] for m, t in zip(exps, tables)) % p for i in range(1, r_max + 1)]
+    # terms).  (-1)^(i-1) p_i is -(m_1 b_1^i + ... + m_(n-1) b_(n-1)^i), slot
+    # i of one combination of packed power tables: at most n-1 <= p-1
+    # products of two residues a slot.  1/r is (r-1)! / r!.
+    packed = pr.packed_powers
+    combo = sum([m * packed(b) for m, b in zip(gp.exps[:-1], gp.shifted)])
+    # every slot, since the ones past r_max are nonzero too
+    signed = [-s % p for s in unpack_slots(combo, pr.pack_width, p)[1 : r_max + 1]]
     es = [1]
     for r in range(1, r_max + 1):
         es.append(sum(map(mul, reversed(es), signed)) * pr.fact[r - 1] * pr.inv_fact[r] % p)
@@ -196,9 +195,12 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
 def esp_sum(gp: GeneralSumParams) -> int:
     """Same sum once more, as -sum over i of (-1)^(M_i) e_(M_i).
 
-    e-values come from Newton's identities when every needed index stays
-    below p, and from polynomial coefficients otherwise (M_1 can reach
-    (n-1)(p-1) >= p for n >= 3, where Newton's recursion breaks down).
+    e-values come from Newton's identities (newton_esp) when every needed
+    index stays below p, and otherwise from the coefficients of the whole
+    product, built factor by factor with polyring.build_product (M_1 can
+    reach (n-1)(p-1) >= p for n >= 3, where Newton's recursion breaks down).
+    That product is a PolyZp, not the coefficient route's cyclic product, so
+    the two routes share no kernel.
     """
     pr = gp.pr
     p = pr.p

@@ -13,7 +13,9 @@ hold no rows.
 
 from __future__ import annotations
 
+import sys
 from array import array
+from collections.abc import Sequence
 
 from .errors import (
     HypothesisViolationError,
@@ -36,6 +38,31 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+# the array type code of each slot width that a native little-endian array
+# holds; empty on a big-endian host, where every width takes the byte path
+_SLOT_CODES = {array(code).itemsize: code for code in "QIHB"} if sys.byteorder == "little" else {}
+
+
+def pack_slots(values, width: int) -> int:
+    """values as one int, values[s] in bytes s*width .. s*width+width-1,
+    little-endian; every value must lie in [0, 2^(8 width))."""
+    code = _SLOT_CODES.get(width)
+    if code is None:
+        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+    return int.from_bytes(array(code, values), "little")
+
+
+def unpack_slots(packed: int, width: int, count: int) -> Sequence[int]:
+    """The count slots of a nonnegative int, width bytes each, as a sequence
+    (a memoryview on the native path): the inverse of pack_slots.
+    OverflowError if packed does not fit in count slots."""
+    buf = packed.to_bytes(count * width, "little")
+    code = _SLOT_CODES.get(width)
+    if code is None:
+        return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+    return memoryview(buf).cast(code)
 
 
 class Prime:
@@ -124,10 +151,8 @@ class Prime:
         return col
 
     def pack(self, row) -> int:
-        """row as one int: row[s] in bytes s*w .. s*w+w-1, little-endian,
-        with w = pack_width."""
-        w = self.pack_width
-        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in row]), "little")
+        """row as one int, pack_width bytes per slot (see pack_slots)."""
+        return pack_slots(row, self.pack_width)
 
     def packed_powers(self, base: int) -> int:
         """powers(base), packed."""

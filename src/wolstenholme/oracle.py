@@ -22,14 +22,13 @@ the slots are wide enough that no carry ever crosses into the next one.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from operator import mul
 
 from .errors import HypothesisViolationError, ZeroDenominatorError
-from .modarith import Prime, mod_inverse
+from .modarith import Prime, mod_inverse, unpack_slots
 
 Term = tuple[int, int]  # (offset, signed exponent)
 
@@ -110,23 +109,13 @@ def brute_sum(spec: SumSpec) -> int:
     return sum(values) % p
 
 
-# the native unsigned format of each slot width a memoryview can read
-_SLOT_CODES = {memoryview(bytes(8)).cast(code).itemsize: code for code in "QIHB"}
-_NATIVE = sys.byteorder == "little"
-
-
 def unpack(pr: Prime, packed: int, count: int) -> list[int]:
     """The first count slots of a combination of packed rows (see
     Prime.pack), each reduced mod p.  Every slot must hold at most
     p (p-1)^2, so that no carry crosses into the next one, and no slot past
     count may be nonzero."""
-    p, width = pr.p, pr.pack_width
-    buf = packed.to_bytes(count * width, "little")
-    code = _SLOT_CODES.get(width)
-    if code is None or not _NATIVE:
-        return [int.from_bytes(buf[i : i + width], "little") % p
-                for i in range(0, count * width, width)]
-    return [v % p for v in memoryview(buf).cast(code)]
+    p = pr.p
+    return [v % p for v in unpack_slots(packed, pr.pack_width, count)]
 
 
 def power_moments(pr: Prime, weighted) -> list[int]:

@@ -1,6 +1,8 @@
 """Dense univariate and sparse bivariate polynomials over Z/pZ.
 
-PolyZp backs coefficient extraction for the n-term sums; BiPolyZp reproduces
+PolyZp and build_product back the esp route's polynomial coefficients for
+the n-term sums; cyclic_product gives the coefficient route its product in
+Z_p[x]/(x^(p-1) - 1), every factor a packed row.  BiPolyZp reproduces
 the symbolic coefficient and sum tables exactly, keeping a and b as formal
 symbols (no Fermat reduction of their exponents) until evaluation.  A table
 row holds only its nonzero monomials, a few anti-diagonals i1 + i2 = t, so a
@@ -13,8 +15,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import HypothesisViolationError, ModulusMismatchError
-from .modarith import Prime
-from .oracle import power_moments
+from .modarith import Prime, pack_slots, unpack_slots
+from .oracle import power_moments, unpack
 
 
 @dataclass(frozen=True)
@@ -57,14 +59,10 @@ def poly_mul(f: PolyZp, g: PolyZp) -> PolyZp:
         return PolyZp(f.pr, ())
     bound = min(len(f.coeffs), len(g.coeffs)) * (f.pr.p - 1) ** 2
     width = (bound.bit_length() + 7) // 8
-    packed_f, packed_g = (
-        int.from_bytes(b"".join([c.to_bytes(width, "little") for c in h.coeffs]), "little")
-        for h in (f, g)
-    )
-    size = (len(f.coeffs) + len(g.coeffs) - 1) * width
-    buf = (packed_f * packed_g).to_bytes(size, "little")
-    out = [int.from_bytes(buf[i : i + width], "little") for i in range(0, size, width)]
-    return poly(f.pr, out)
+    if width <= 8:  # a native array's slot: 1, 2, 4 or 8 bytes
+        width = 1 << (width - 1).bit_length()
+    packed = pack_slots(f.coeffs, width) * pack_slots(g.coeffs, width)
+    return poly(f.pr, unpack_slots(packed, width, len(f.coeffs) + len(g.coeffs) - 1))
 
 
 def poly_add(f: PolyZp, g: PolyZp) -> PolyZp:
@@ -109,6 +107,36 @@ def build_product(pr: Prime, offsets, exps) -> PolyZp:
         factor = binomial_power(pr, b % pr.p, m)
         out = factor if out is None else poly_mul(out, factor)
     return poly(pr, [1]) if out is None else out
+
+
+def cyclic_product(pr: Prime, offsets, exps) -> list[int]:
+    """The p-1 coefficients of the product of (b_i + x)^(m_i) mod
+    x^(p-1) - 1: slot j sums the product's coefficients at every index
+    congruent to j mod p-1.  Requires 1 <= m_i <= p-1; the empty product is 1.
+
+    A factor's row C(m, j) b^(m-j), j = 0..m, is reduced mod p, its x^(p-1)
+    (at m = p-1) folded onto x^0, and packed at Prime.pack_width.  Its
+    product with the packed running product has at most 2p-3 slots; one
+    shift, one mask and one add fold the top p-2 onto the bottom, and the
+    result is reduced and repacked.  A folded slot sums at most p-1 products
+    of two residues, below p (p-1)^2, so no carry crosses a slot.
+    """
+    p = pr.p
+    n = p - 1
+    shift = 8 * pr.pack_width * n
+    mask = (1 << shift) - 1
+    out = [1]
+    for b, m in zip(offsets, exps):
+        if not 1 <= m <= n:
+            raise HypothesisViolationError("cyclic_product requires exponents in [1, p-1]")
+        row = [c * x % p for c, x in zip(pr.binom_row(m), pr.powers(b)[m::-1])]
+        if m == n:
+            row[0] = (row[0] + row.pop()) % p
+        if len(out) > 1:  # else out is the empty product 1
+            full = pr.pack(out) * pr.pack(row)
+            row = unpack(pr, (full & mask) + (full >> shift), n)
+        out = row
+    return out + [0] * (n - len(out))
 
 
 @dataclass(frozen=True)

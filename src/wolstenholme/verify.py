@@ -230,24 +230,24 @@ def _harmonic(pr, exp, mod, modulus):
 
 def _thm1_2_rows(pr, mode):
     p = pr.p
-    p2 = p * p if mode == "p2" else p
-    points = [(1, "p2", p2), (2, "p", p), (3, "p", p)]
+    p2 = (mode, p * p if mode == "p2" else p)  # the (mod, modulus) of a mod-p^2 point
+    points = [(1, *p2), (2, "p", p), (3, "p", p)]
     if p > 5:
         # the strengthening of the cubic harmonic sum, verified numerically
-        points.append((3, "p2", p2))
+        points.append((3, *p2))
     return _each(pr, _harmonic, points)
 
 
 def _thm1_3_rows(pr, mode):
     p = pr.p
-    p2 = p * p if mode == "p2" else p
+    p2 = (mode, p * p if mode == "p2" else p)
     points = []
     for n in range(1, (p - 1) // 2 + 1):
         # the mod-p^2 congruence needs (p-1) to not divide 2n; at the edge
         # 2n = p-1 the odd-exponent sum is only divisible by p, not p^2, and
         # the even one is -1 (every term is 1), not 0
         if 2 * n < p - 1:
-            points += [(2 * n - 1, "p2", p2), (2 * n, "p", p)]
+            points += [(2 * n - 1, *p2), (2 * n, "p", p)]
         else:
             points.append((2 * n - 1, "p", p))
     return _each(pr, _harmonic, points)
@@ -820,11 +820,12 @@ def check_request(theorem_ids, primes, budget: int) -> list[str]:
 
 def run_verification(theorem_ids, primes, budget: int = 10_000, seed: int = 0,
                      mode: str = "p2") -> list[VerificationReport]:
-    """Run every (theorem, prime) pair; reports sorted by theorem then prime.
-    The theorems at one p share one Prime, so its columns and rows are built once."""
+    """Run every (theorem, prime) pair once; reports sorted by theorem then
+    prime.  The theorems at one p share one Prime, so its columns and rows
+    are built once."""
     names = check_request(theorem_ids, primes, budget)
     reports = []
-    for p in primes:
+    for p in dict.fromkeys(primes):
         pr = make_prime(p)
         reports += [run_one(name, pr, budget, seed, mode) for name in names]
     return sorted(reports, key=lambda r: (r.theorem, r.prime))

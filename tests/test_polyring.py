@@ -4,6 +4,7 @@ import random
 import pytest
 
 from reference_tables import COEFF_6_9, COEFF_7_7, SUM_6_9, SUM_7_7, grid_of
+from wolstenholme import modarith
 from wolstenholme.errors import HypothesisViolationError, ModulusMismatchError
 from wolstenholme.modarith import make_prime
 from wolstenholme.oracle import SumSpec, brute_sum
@@ -12,6 +13,7 @@ from wolstenholme.polyring import (
     bipoly,
     build_product,
     coeff,
+    cyclic_product,
     evaluate,
     poly,
     poly_add,
@@ -70,6 +72,49 @@ def test_poly_mul_matches_schoolbook():
         g = [p - 1] * (length - 3)
         assert poly_mul(poly(pr, f), poly(pr, g)).coeffs == _schoolbook(f, g, p)
         assert poly_mul(poly(pr, f), poly(pr, f)).coeffs == _schoolbook(f, f, p)
+
+
+def test_poly_mul_byte_path_matches_schoolbook(monkeypatch):
+    # the slot-by-slot packing that big-endian hosts take, at slot widths
+    # 1, 2, 4 and 8 (the last from a bound past 2^32)
+    monkeypatch.setattr(modarith, "_SLOT_CODES", {})
+    rng = random.Random(5)
+    for p, length in ((5, 6), (17, 100), (1009, 300), (65537, 40)):
+        pr = make_prime(p)
+        f = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(length)]
+        g = [p - 1] * (length // 2)
+        assert poly_mul(poly(pr, f), poly(pr, g)).coeffs == _schoolbook(f, g, p)
+
+
+def _folded(pr, offsets, exps):
+    """build_product's coefficients summed by index mod p-1."""
+    n = pr.p - 1
+    out = [0] * n
+    for j, c in enumerate(build_product(pr, offsets, exps).coeffs):
+        out[j % n] = (out[j % n] + c) % pr.p
+    return out
+
+
+@pytest.mark.parametrize("p, width", [(5, 1), (31, 2), (97, 4)])
+def test_cyclic_product_matches_folded_build_product(p, width):
+    pr = make_prime(p)
+    assert pr.pack_width == width
+    rng = random.Random(p)
+    for r in range(7):
+        for _ in range(12):
+            offsets = [rng.randrange(p) for _ in range(r)]
+            exps = [rng.choice((1, p - 2, p - 1, rng.randrange(1, p))) for _ in range(r)]
+            assert cyclic_product(pr, offsets, exps) == _folded(pr, offsets, exps)
+    # every exponent p-1, so every factor row folds x^(p-1) onto x^0
+    top = [p - 1] * 6
+    assert cyclic_product(pr, range(1, 7), top) == _folded(pr, range(1, 7), top)
+    assert cyclic_product(pr, [], []) == [1] + [0] * (p - 2)
+
+
+def test_cyclic_product_rejects_exponents_outside_1_to_p_minus_1():
+    for m in (0, 11):
+        with pytest.raises(HypothesisViolationError):
+            cyclic_product(P11, [3], [m])
 
 
 def test_poly_ring_axioms_spot():

@@ -69,6 +69,11 @@ def test_run_verification_ordering():
     assert all(r.passed for r in reports)
 
 
+def test_run_verification_verifies_a_repeated_prime_once():
+    reports = run_verification(["thm1.1"], [5, 5, 7, 5])
+    assert [(r.theorem, r.prime) for r in reports] == [("thm1.1", 5), ("thm1.1", 7)]
+
+
 def test_run_verification_builds_one_prime_per_p(monkeypatch):
     built = []
     real = verify.make_prime
@@ -788,15 +793,24 @@ RUNNER_PINS = {
     ("thm1.2", 7, 10_000, 0, "p2", _harmonic_off_by_p_plus_one):
         (4, True, 4, "25dade80c1ce5459"),
     ("thm1.2", 7, 10_000, 0, "p", _harmonic_off_by_p_plus_one):
-        (4, True, 4, "03624474426b2a25"),
+        (4, True, 4, "ea6cb3d6326935cd"),
     ("thm1.3", 11, 10_000, 0, "p2", _harmonic_off_by_p_plus_one):
         (9, True, 9, "4a74de0ca6d9c9ba"),
     ("thm1.3", 11, 10_000, 0, "p", _harmonic_off_by_p_plus_one):
-        (9, True, 9, "cf1b60a42a51c442"),
+        (9, True, 9, "a343cf0af330ebbe"),
     # part 1 (82 instances) holds and every instance of part 2 fails
     ("cor3.12", 7, 10_000, 0, "p2", _pow_nonzero_off_by_one):
         (862, True, 780, "c8b15a68e99cd2cd"),
 }
+
+
+def test_harmonic_failures_name_the_modulus_they_were_checked_against(monkeypatch):
+    _harmonic_off_by_p_plus_one(monkeypatch)
+    for theorem, p in (("thm1.2", 7), ("thm1.3", 11)):
+        for mode in ("p2", "p"):
+            failures = run_one(theorem, p, mode=mode).failures
+            mods = {f["params"]["mod"] for f in failures}
+            assert mods == ({"p2", "p"} if mode == "p2" else {"p"}), (theorem, mode)
 
 
 @pytest.mark.parametrize("case", list(RUNNER_PINS),

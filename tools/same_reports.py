@@ -1,4 +1,5 @@
-"""Check that two source trees write the same `verify` reports and tables.
+"""Check that two source trees write the same `verify` reports, tables and
+`eval` values.
 
     python3 tools/same_reports.py PARENT_DIR [--tree TREE_DIR]
 
@@ -6,8 +7,9 @@ Runs every command of COMMANDS as `python3 -m wolstenholme.cli ARGS` in
 PARENT_DIR and in TREE_DIR (by default the tree holding this script), each
 with PYTHONPATH=<tree>/src, the two trees side by side, and compares their
 stdout.  A `verify` report loses the `elapsed_s` field of every line, the
-only one that may differ, before the comparison; a table must match byte for
-byte.  Prints one line per command and a diff of any output that differs;
+only one that may differ, before the comparison; a table or an `eval` value
+must match byte for byte.  Commands are split on whitespace, so an `eval`
+expression is written without spaces (the grammar ignores them).  Prints one line per command and a diff of any output that differs;
 exits 1 if any does (or if a command fails to run), else 0.  A full run takes
 a few minutes on two cores.
 """
@@ -51,6 +53,10 @@ COMMANDS = tuple("verify " + args for args in (
     "sum-table -p 13 -m 12 -n 12",
     "sum-table -p 13 -m 12 -n 12 -f csv --signed",
     "residue-matrix -p 31 -a 5",
+)) + tuple("eval " + args for args in (
+    "-p 1009 (1+k)^500(2+k)^600(3+k)^700(5+k)^800k^900",
+    "-p 97 (3+k)^40(7+k)^50/((11+k)^20k^30)",
+    "--strategy coeff -p 1009 " + "".join(f"({i}+k)^1000" for i in range(1, 31)),
 ))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
@@ -70,7 +76,7 @@ def diff_reports(old: str, new: str) -> list[str]:
 
 def diff_outputs(command: str, old: str, new: str) -> list[str]:
     """A unified diff of two outputs of command, empty when they are the
-    same: reports without elapsed_s, tables byte for byte."""
+    same: reports without elapsed_s, anything else byte for byte."""
     if command.startswith("verify "):
         return diff_reports(old, new)
     if old == new:
