@@ -21,17 +21,9 @@ from .errors import (
 )
 from .expressions import parse_expression
 from .modarith import Prime, fermat_reduce, is_prime, make_prime
-from .oracle import (
-    SumSpec,
-    auto_exclusions,
-    brute_sum,
-    residue_matrix,
-)
+from .oracle import SumSpec, auto_exclusions, brute_sum, make_spec, residue_matrix
 from .polyring import symbolic_coeff_table, symbolic_sum_table, table_to_json
 from .verify import REGISTRY, check_request, resolve_theorems, run_verification
-
-STRATEGIES = ("brute", "closed", "coeff", "esp", "all")
-
 
 def spec_from_expression(pr: Prime, text: str) -> SumSpec:
     """Parse an expression and build its SumSpec.
@@ -41,8 +33,7 @@ def spec_from_expression(pr: Prime, text: str) -> SumSpec:
     vanishes.
     """
     numer, denom = parse_expression(text)
-    terms = [(off % pr.p, exp) for off, exp in numer]
-    terms += [(off % pr.p, -exp) for off, exp in denom]
+    terms = [*numer, *((off, -exp) for off, exp in denom)]
     if not terms:
         raise ExpressionError("expression has no factors")
     for off, exp in terms:
@@ -50,132 +41,108 @@ def spec_from_expression(pr: Prime, text: str) -> SumSpec:
             raise ExpressionError(
                 f"exponent {abs(exp)} out of range: must be <= p-1 = {pr.p - 1}"
             )
-    return SumSpec(pr, tuple(terms), auto_exclusions(pr, terms))
+    return make_spec(pr, terms)
 
 
-def _merged_positive_terms(pr: Prime, spec: SumSpec) -> tuple[list[tuple[int, int]], list[int]]:
+def _merged_positive_terms(pr: Prime, spec: SumSpec) -> list[tuple[int, int]]:
     """Rewrite to all-positive exponents and merge repeated offsets.
 
-    Returns (terms, excluded_ks).  Denominator factors (c+k)^-n become
-    (c+k)^(p-1-n) (vanishing at the excluded k, so only the explicit
-    exclusion list still matters); exponents merge additively with Fermat
-    reduction, and a factor can drop out entirely when its exponents cancel
-    or a denominator exponent equals p-1.
+    Denominator factors (c+k)^-n become (c+k)^(p-1-n) (vanishing at the
+    excluded k, so only the explicit exclusion list still matters); exponents
+    merge additively with Fermat reduction, and a factor can drop out
+    entirely when its exponents cancel or a denominator exponent equals p-1.
     """
     p = pr.p
     net: dict[int, int] = {}
     for off, exp in spec.terms:
         e = exp if exp >= 0 else (p - 1 + exp)  # exp < 0: -n -> p-1-n, may be 0
         net[off] = net.get(off, 0) + e
-    terms = []
-    for off, e in net.items():
-        if e == 0:
-            continue
-        terms.append((off, fermat_reduce(pr, e)))
-    return terms, sorted(spec.exclusions)
+    return [(off, fermat_reduce(pr, e)) for off, e in net.items() if e]
 
 
-def _closed_complete_sum(pr: Prime, terms: list[tuple[int, int]]) -> int:
-    """Closed form of a complete sum over k of a product of shifted powers."""
-    p = pr.p
-    if not terms:
-        return 0  # p ones
-    if len(terms) == 1:
-        return cf.power_sum(pr, terms[0][1])
-    shift = terms[-1][0]
-    shifted = [((off - shift) % p, e) for off, e in terms]
-    if len(shifted) == 2:
-        (a, m), (_, n) = shifted
-        return cf.product_pair_k(pr, a, m, n)
-    if len(shifted) == 3:
-        (a, m), (b, n), (_, s) = shifted
-        return cf.triple_general(pr, a, b, m, n, s)
-    gp = gen.GeneralSumParams(pr, tuple(o for o, _ in shifted), tuple(e for _, e in shifted))
-    return gen.multi_index_J(gp)
-
-
-def _excluded_correction(pr: Prime, terms, excluded) -> int:
-    """Direct evaluation of the product at each excluded k, summed."""
-    p = pr.p
-    total = 0
-    for k in excluded:
-        prod = 1
-        for off, e in terms:
-            prod = prod * pow((off + k) % p, e, p) % p
-        total += prod
-    return total % p
-
-
-def eval_closed(spec: SumSpec) -> int:
-    """Closed-form route: complete-sum congruences plus a finite correction
-    for the explicitly excluded k values."""
+def _route(spec: SumSpec, complete) -> int:
+    """One evaluation route: complete(pr, terms) sums the merged all-positive
+    product over every k, and the product at each excluded k is subtracted.
+    Only the exclusions that the denominators imply are modelled."""
     pr = spec.pr
-    if spec.exclusions != auto_exclusions(pr, spec.terms):
-        raise StrategyInapplicableError(
-            "closed strategy handles denominator-derived exclusion sets only"
-        )
-    terms, excluded = _merged_positive_terms(pr, spec)
-    value = _closed_complete_sum(pr, terms)
-    return (value - _excluded_correction(pr, terms, excluded)) % pr.p
-
-
-def _general_route(spec: SumSpec, evaluator) -> int:
-    """An n-term route: evaluator on the merged all-positive terms, less the
-    excluded-k correction."""
-    pr = spec.pr
+    p = pr.p
     if spec.exclusions != auto_exclusions(pr, spec.terms):
         raise StrategyInapplicableError(
             "strategy handles denominator-derived exclusion sets only"
         )
-    terms, excluded = _merged_positive_terms(pr, spec)
+    terms = _merged_positive_terms(pr, spec)
+    total = complete(pr, terms)
+    for k in spec.exclusions:
+        prod = 1
+        for off, e in terms:
+            prod = prod * pow((off + k) % p, e, p) % p
+        total -= prod
+    return total % p
+
+
+def _params(pr: Prime, terms) -> gen.GeneralSumParams:
+    """The merged terms as n-term parameters; an n-term route needs a factor."""
     if not terms:
         raise StrategyInapplicableError("no factors left after merging exponents")
-    gp = gen.GeneralSumParams(pr, tuple(o for o, _ in terms), tuple(e for _, e in terms))
-    return (evaluator(gp) - _excluded_correction(pr, terms, excluded)) % pr.p
+    return gen.GeneralSumParams(pr, *zip(*terms))
 
 
-def eval_coeff(spec: SumSpec) -> int:
-    return _general_route(spec, gen.coeff_extraction_sum)
+def _closed_form(pr: Prime, terms) -> int:
+    """The complete sum by the number of merged terms: 0 (p ones) for none,
+    then the power sum and the pair and triple congruences, each over the
+    offsets shifted by the last; past three, the multi-index formula."""
+    if not terms:
+        return 0
+    gp = _params(pr, terms)
+    if gp.n > 3:
+        return gen.multi_index_J(gp)
+    form = (cf.power_sum, cf.product_pair_k, cf.triple_general)[gp.n - 1]
+    return form(pr, *gp.shifted, *gp.exps)
 
 
-def eval_esp(spec: SumSpec) -> int:
-    return _general_route(spec, gen.esp_sum)
+def eval_closed(spec: SumSpec) -> int:
+    return _route(spec, _closed_form)
 
 
 def eval_multi_index(spec: SumSpec) -> int:
-    return _general_route(spec, gen.multi_index_J)
+    return _route(spec, lambda pr, terms: gen.multi_index_J(_params(pr, terms)))
 
 
-def evaluate_strategy(spec: SumSpec, strategy: str) -> int:
-    if strategy == "brute":
-        return brute_sum(spec)
-    if strategy == "closed":
-        return eval_closed(spec)
-    if strategy == "coeff":
-        return eval_coeff(spec)
-    if strategy == "esp":
-        return eval_esp(spec)
-    raise StrategyInapplicableError(f"unknown strategy {strategy!r}")
+def eval_coeff(spec: SumSpec) -> int:
+    return _route(spec, lambda pr, terms: gen.coeff_extraction_sum(_params(pr, terms)))
+
+
+def eval_esp(spec: SumSpec) -> int:
+    return _route(spec, lambda pr, terms: gen.esp_sum(_params(pr, terms)))
+
+
+# Every evaluation route in output order.  Each entry looks its route up when
+# called, so a wrapper or a test double set on this module is the one that runs.
+ROUTES = {
+    "brute": lambda spec: brute_sum(spec),
+    "closed": lambda spec: eval_closed(spec),
+    "multi-index": lambda spec: eval_multi_index(spec),
+    "coeff": lambda spec: eval_coeff(spec),
+    "esp": lambda spec: eval_esp(spec),
+}
+# --strategy: each route but multi-index, which only `all` runs
+STRATEGIES = (*(name for name in ROUTES if name != "multi-index"), "all")
 
 
 def evaluate_all(spec: SumSpec) -> dict[str, int]:
-    """Every applicable strategy, plus the multi-index route and the
-    corollary shortcut when it answers; raises DisagreementError on any
-    mismatch (that is always a bug, never a data problem)."""
-    results: dict[str, int] = {"brute": brute_sum(spec)}
-    # eval_closed of four or more merged terms is multi_index_J itself
-    shared = len(_merged_positive_terms(spec.pr, spec)[0]) >= 4
-    for name, fn in (
-        ("closed", eval_closed),
-        ("multi-index", eval_multi_index),
-        ("coeff", eval_coeff),
-        ("esp", eval_esp),
-    ):
+    """Every applicable route, plus the corollary shortcut when it answers;
+    raises DisagreementError on any mismatch (that is always a bug, never a
+    data problem)."""
+    # past three merged terms eval_closed is multi_index_J itself, so one
+    # call serves the closed row and the multi-index row
+    shared = len(_merged_positive_terms(spec.pr, spec)) > 3
+    results: dict[str, int] = {}
+    for name, route in ROUTES.items():
         try:
             if shared and name == "multi-index" and "closed" in results:
-                results[name] = results["closed"]  # one multi_index_J for both rows
+                results[name] = results["closed"]
             else:
-                results[name] = fn(spec)
+                results[name] = route(spec)
         except StrategyInapplicableError:
             continue
     quick = cf.quick_case(spec)
@@ -212,7 +179,7 @@ def cmd_eval(args) -> int:
         for name, value in results.items():
             print(f"{name} {value}")
     else:
-        print(evaluate_strategy(spec, args.strategy))
+        print(ROUTES[args.strategy](spec))
     return 0
 
 

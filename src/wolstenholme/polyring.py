@@ -2,11 +2,12 @@
 
 PolyZp and build_product back the esp route's polynomial coefficients for
 the n-term sums; cyclic_product gives the coefficient route its product in
-Z_p[x]/(x^(p-1) - 1), every factor a packed row.  BiPolyZp reproduces
-the symbolic coefficient and sum tables exactly, keeping a and b as formal
-symbols (no Fermat reduction of their exponents) until evaluation.  A table
-row holds only its nonzero monomials, a few anti-diagonals i1 + i2 = t, so a
-table costs O(p^2) for its power sums plus O(1) per monomial, not O(p·m·n).
+Z_p[x]/(x^(p-1) - 1), every factor a packed row.  BiPolyZp reproduces the
+symbolic coefficient and sum tables exactly, keeping a and b as formal
+symbols (no Fermat reduction of their exponents).  A table row holds only
+its nonzero monomials, a few anti-diagonals i1 + i2 = t, so a table costs
+O(p^2) for its power sums plus O(1) per monomial, not O(p·m·n).  No route
+or table adds polynomials or evaluates one at a point, so neither is here.
 """
 
 from __future__ import annotations
@@ -65,30 +66,11 @@ def poly_mul(f: PolyZp, g: PolyZp) -> PolyZp:
     return poly(f.pr, unpack_slots(packed, width, len(f.coeffs) + len(g.coeffs) - 1))
 
 
-def poly_add(f: PolyZp, g: PolyZp) -> PolyZp:
-    if f.pr.p != g.pr.p:
-        raise ModulusMismatchError(f"moduli differ: {f.pr.p} vs {g.pr.p}")
-    n = max(len(f.coeffs), len(g.coeffs))
-    out = [0] * n
-    for i, c in enumerate(f.coeffs):
-        out[i] += c
-    for i, c in enumerate(g.coeffs):
-        out[i] += c
-    return poly(f.pr, out)
-
-
 def coeff(f: PolyZp, j: int) -> int:
     """Coefficient of x^j, zero outside the support."""
     if j < 0 or j > f.degree:
         return 0
     return f.coeffs[j]
-
-
-def evaluate(f: PolyZp, x: int) -> int:
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = (acc * x + c) % f.pr.p
-    return acc
 
 
 def binomial_power(pr: Prime, b: int, m: int) -> PolyZp:
@@ -178,15 +160,6 @@ class BiPolyZp:
         """Nonzero (a_exp, b_exp, coeff), ascending total degree then descending a."""
         return list(self.terms)
 
-    def evaluate(self, a: int, b: int) -> int:
-        p = self.pr.p
-        pa = self.pr.powers(a % p)
-        pb = self.pr.powers(b % p)
-        return sum(c * pa[i] % p * pb[j] for i, j, c in self.terms) % p
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def render(self, signed: bool = False) -> str:
         """Canonical text form, e.g. "10 + 9 a^7 b^3 + 8 a^6 b^4".
 
@@ -208,15 +181,6 @@ class BiPolyZp:
             parts.append(("- " if c > half else "+ ") + " ".join(bits))
         text = " ".join(parts)  # "+ t1 - t2 ...": the leading sign is "" or "-"
         return text[2:] if text[0] == "+" else "-" + text[2:]
-
-
-def bipoly(pr: Prime, grid) -> BiPolyZp:
-    """The BiPolyZp of a dense grid, grid[i][j] = coefficient of a^i b^j."""
-    p = pr.p
-    terms = [(i, j, c % p) for i, row in enumerate(grid) for j, c in enumerate(row) if c % p]
-    terms.sort(key=lambda t: (t[0] + t[1], -t[0]))
-    shape = (len(grid), max(map(len, grid), default=0))
-    return BiPolyZp(pr, shape, tuple(terms))
 
 
 def _anti_diagonal(rm, rn, t: int, scale: int, p: int) -> list[tuple[int, int, int]]:

@@ -3,9 +3,16 @@
 Each row is stored as a human-readable polynomial string (signed
 coefficients allowed) and parsed into a coefficient dict; the parser lives
 here so the reference data stays literal and eyeball-checkable.
+
+The polynomial helpers at the end add polynomials, evaluate them at a point
+and build a table row from a dense grid: checks need these, the library
+does not.
 """
 
 import re
+from itertools import zip_longest
+
+from wolstenholme.polyring import BiPolyZp, poly
 
 # sum over k of (a+k)^7 (b+k)^7 k^s mod 11, rows s = 1..10
 SUM_7_7 = {
@@ -110,3 +117,31 @@ def grid_of(table_row: str, p: int, rows: int, cols: int) -> tuple[tuple[int, ..
     return tuple(
         tuple(mono.get((i, j), 0) for j in range(cols)) for i in range(rows)
     )
+
+
+def poly_add(f, g):
+    """f + g, reduced mod p and trimmed."""
+    return poly(f.pr, [x + y for x, y in zip_longest(f.coeffs, g.coeffs, fillvalue=0)])
+
+
+def evaluate(f, x: int) -> int:
+    """f(x) mod p by Horner's rule."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = (acc * x + c) % f.pr.p
+    return acc
+
+
+def bipoly(pr, grid) -> BiPolyZp:
+    """The BiPolyZp of a dense grid, grid[i][j] = coefficient of a^i b^j."""
+    p = pr.p
+    terms = [(i, j, c % p) for i, row in enumerate(grid) for j, c in enumerate(row) if c % p]
+    terms.sort(key=lambda t: (t[0] + t[1], -t[0]))
+    shape = (len(grid), max(map(len, grid), default=0))
+    return BiPolyZp(pr, shape, tuple(terms))
+
+
+def bipoly_evaluate(row: BiPolyZp, a: int, b: int) -> int:
+    """A table row at the point (a, b), mod p."""
+    p = row.pr.p
+    return sum(c * pow(a, i, p) * pow(b, j, p) for i, j, c in row.terms) % p

@@ -138,6 +138,18 @@ def test_evaluate_all_runs_the_multi_index_route_once(capsys, monkeypatch):
     assert len(set(values.values())) == 1
 
 
+@pytest.mark.parametrize("strategy, name", [
+    ("brute", "brute_sum"), ("closed", "eval_closed"), ("coeff", "eval_coeff"), ("esp", "eval_esp"),
+])
+def test_each_strategy_runs_the_route_bound_in_the_cli_module(capsys, monkeypatch, strategy, name):
+    import wolstenholme.cli as cli_mod
+
+    assert cli_mod.STRATEGIES == ("brute", "closed", "coeff", "esp", "all")
+    monkeypatch.setattr(cli_mod, name, lambda spec: "sentinel")
+    code, out, _ = run_cli(capsys, "eval", "-p", "11", "(3+k)^4 (5+k)^5", "--strategy", strategy)
+    assert (code, out) == (0, "sentinel\n")
+
+
 def test_cli_disagreement_exit_code(capsys, monkeypatch):
     import wolstenholme.cli as cli_mod
 

@@ -4,9 +4,9 @@ from itertools import product
 
 import pytest
 
+from reference_tables import bipoly
 from wolstenholme import closedforms, identities, verify
 from wolstenholme.errors import UnknownTheoremError
-from wolstenholme.polyring import bipoly
 from wolstenholme.verify import (
     IDENTITY_SUITE,
     REGISTRY,
@@ -649,7 +649,7 @@ def test_tablecorr_sweep_reports_exactly_the_corrupted_rows(monkeypatch):
     def sums(pr, m, n):
         rows = real_sums(pr, m, n)
         if (m, n) == (1, 2):
-            assert rows[1].is_zero()
+            assert not rows[1].terms
             rows[1] = _perturbed(pr, rows[1], 1, 1)
         return rows
 

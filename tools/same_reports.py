@@ -57,6 +57,9 @@ COMMANDS = tuple("verify " + args for args in (
     "-p 1009 (1+k)^500(2+k)^600(3+k)^700(5+k)^800k^900",
     "-p 97 (3+k)^40(7+k)^50/((11+k)^20k^30)",
     "--strategy coeff -p 1009 " + "".join(f"({i}+k)^1000" for i in range(1, 31)),
+    "--strategy closed -p 97 (3+k)^40(7+k)^50/((11+k)^20k^30)",
+    "--strategy esp -p 1009 (1+k)^500(2+k)^600(3+k)^700(5+k)^800k^900",
+    "-p 11 1/(4+k)^10",
 ))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
