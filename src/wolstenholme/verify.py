@@ -233,9 +233,10 @@ def _thm1_2_rows(pr, mode):
     p2 = (mode, p * p if mode == "p2" else p)  # the (mod, modulus) of a mod-p^2 point
     points = [(1, *p2), (2, "p", p), (3, "p", p)]
     if p > 5:
-        # the strengthening of the cubic harmonic sum, verified numerically
+        # the strengthening of the cubic harmonic sum, verified numerically;
+        # under --mod p it is the point (3, "p", p) again, checked once
         points.append((3, *p2))
-    return _each(pr, _harmonic, points)
+    return _each(pr, _harmonic, dict.fromkeys(points))
 
 
 def _thm1_3_rows(pr, mode):

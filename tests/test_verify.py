@@ -793,7 +793,7 @@ RUNNER_PINS = {
     ("thm1.2", 7, 10_000, 0, "p2", _harmonic_off_by_p_plus_one):
         (4, True, 4, "25dade80c1ce5459"),
     ("thm1.2", 7, 10_000, 0, "p", _harmonic_off_by_p_plus_one):
-        (4, True, 4, "ea6cb3d6326935cd"),
+        (3, True, 3, "f7060091a499009b"),
     ("thm1.3", 11, 10_000, 0, "p2", _harmonic_off_by_p_plus_one):
         (9, True, 9, "4a74de0ca6d9c9ba"),
     ("thm1.3", 11, 10_000, 0, "p", _harmonic_off_by_p_plus_one):
