@@ -25,6 +25,7 @@ from .oracle import SumSpec, auto_exclusions, brute_sum, make_spec, residue_matr
 from .polyring import symbolic_coeff_table, symbolic_sum_table, table_to_json
 from .verify import REGISTRY, check_request, resolve_theorems, run_verification
 
+
 def spec_from_expression(pr: Prime, text: str) -> SumSpec:
     """Parse an expression and build its SumSpec.
 
