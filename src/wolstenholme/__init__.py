@@ -3,7 +3,6 @@ exhaustive verification of the congruence identities relating them."""
 
 from . import errors
 from .closedforms import (
-    TripleParams,
     normalize_spec,
     power_sum,
     product_pair,

@@ -20,7 +20,7 @@ from .errors import (
     WolstenholmeError,
 )
 from .expressions import parse_expression
-from .modarith import Prime, fermat_reduce, is_prime, make_prime
+from .modarith import Prime, is_prime, make_prime
 from .oracle import SumSpec, auto_exclusions, brute_sum, make_spec, residue_matrix
 from .polyring import symbolic_coeff_table, symbolic_sum_table, table_to_json
 from .verify import REGISTRY, check_request, resolve_theorems, run_verification
@@ -45,60 +45,45 @@ def spec_from_expression(pr: Prime, text: str) -> SumSpec:
     return make_spec(pr, terms)
 
 
-def _merged_positive_terms(pr: Prime, spec: SumSpec) -> list[tuple[int, int]]:
-    """Rewrite to all-positive exponents and merge repeated offsets.
-
-    Denominator factors (c+k)^-n become (c+k)^(p-1-n) (vanishing at the
-    excluded k, so only the explicit exclusion list still matters); exponents
-    merge additively with Fermat reduction, and a factor can drop out
-    entirely when its exponents cancel or a denominator exponent equals p-1.
-    """
-    p = pr.p
-    net: dict[int, int] = {}
-    for off, exp in spec.terms:
-        e = exp if exp >= 0 else (p - 1 + exp)  # exp < 0: -n -> p-1-n, may be 0
-        net[off] = net.get(off, 0) + e
-    return [(off, fermat_reduce(pr, e)) for off, e in net.items() if e]
-
-
 def _route(spec: SumSpec, complete) -> int:
-    """One evaluation route: complete(pr, terms) sums the merged all-positive
-    product over every k, and the product at each excluded k is subtracted.
-    Only the exclusions that the denominators imply are modelled."""
+    """One evaluation route: complete(pr, terms) sums the k-form product
+    (normalize_spec) over every k, and the product at each of its excluded
+    k is subtracted.  Only the exclusions that the denominators imply are
+    modelled."""
     pr = spec.pr
     p = pr.p
     if spec.exclusions != auto_exclusions(pr, spec.terms):
         raise StrategyInapplicableError(
             "strategy handles denominator-derived exclusion sets only"
         )
-    terms = _merged_positive_terms(pr, spec)
-    total = complete(pr, terms)
-    for k in spec.exclusions:
+    norm = cf.normalize_spec(spec)
+    total = complete(pr, norm.terms)
+    for k in norm.exclusions:
         prod = 1
-        for off, e in terms:
+        for off, e in norm.terms:
             prod = prod * pow((off + k) % p, e, p) % p
         total -= prod
     return total % p
 
 
 def _params(pr: Prime, terms) -> gen.GeneralSumParams:
-    """The merged terms as n-term parameters; an n-term route needs a factor."""
+    """The k-form terms as n-term parameters; an n-term route needs a factor."""
     if not terms:
         raise StrategyInapplicableError("no factors left after merging exponents")
     return gen.GeneralSumParams(pr, *zip(*terms))
 
 
 def _closed_form(pr: Prime, terms) -> int:
-    """The complete sum by the number of merged terms: 0 (p ones) for none,
+    """The complete sum by the number of k-form terms: 0 (p ones) for none,
     then the power sum and the pair and triple congruences, each over the
-    offsets shifted by the last; past three, the multi-index formula."""
+    offsets but the last (which is 0); past three, the multi-index formula."""
     if not terms:
         return 0
-    gp = _params(pr, terms)
-    if gp.n > 3:
-        return gen.multi_index_J(gp)
-    form = (cf.power_sum, cf.product_pair_k, cf.triple_general)[gp.n - 1]
-    return form(pr, *gp.shifted, *gp.exps)
+    if len(terms) > 3:
+        return gen.multi_index_J(_params(pr, terms))
+    offsets, exps = zip(*terms)
+    form = (cf.power_sum, cf.product_pair_k, cf.triple_general)[len(terms) - 1]
+    return form(pr, *offsets[:-1], *exps)
 
 
 def eval_closed(spec: SumSpec) -> int:
@@ -134,9 +119,9 @@ def evaluate_all(spec: SumSpec) -> dict[str, int]:
     """Every applicable route, plus the corollary shortcut when it answers;
     raises DisagreementError on any mismatch (that is always a bug, never a
     data problem)."""
-    # past three merged terms eval_closed is multi_index_J itself, so one
+    # past three k-form terms eval_closed is multi_index_J itself, so one
     # call serves the closed row and the multi-index row
-    shared = len(_merged_positive_terms(spec.pr, spec)) > 3
+    shared = len(cf.normalize_spec(spec).terms) > 3
     results: dict[str, int] = {}
     for name, route in ROUTES.items():
         try:

@@ -7,10 +7,7 @@ cases ahead of the general expression, and returns a canonical residue in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
-    ConversionInvalidError,
     EqualOffsetsError,
     HypothesisViolationError,
     OffsetZeroError,
@@ -118,57 +115,24 @@ def product_pair(pr: Prime, a: int, b: int, m: int, n: int) -> int:
     return -(pow((a - b) % p, fermat_reduce(pr, m + n), p) * c) % p
 
 
-@dataclass(frozen=True)
-class TripleParams:
-    """Parameters (a+k)^m (b+k)^n (c+k)^s with the derived band indices.
-
-    M and R are recomputed properties so they can never go stale.
-    """
-
-    pr: Prime
-    a: int
-    b: int
-    c: int
-    m: int
-    n: int
-    s: int
-
-    def __post_init__(self):
-        p = self.pr.p
-        for name in ("m", "n", "s"):
-            _check_range(name, getattr(self, name), 1, p - 1)
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not 0 <= v < p:
-                raise HypothesisViolationError(f"{name} = {v} outside [0, {p})")
-
-    @property
-    def M(self) -> int:
-        return self.m + self.n + self.s - (self.pr.p - 1)
-
-    @property
-    def R(self) -> int:
-        return self.m + self.n + self.s - 2 * (self.pr.p - 1)
-
-
-def triple_binomial(tp: TripleParams) -> int:
-    """Sum over all k of (a+k)^m (b+k)^n k^s via the banded binomial sums."""
-    pr = tp.pr
+def triple_binomial(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> int:
+    """Sum over all k of (a+k)^m (b+k)^n k^s via the banded binomial sums
+    at M = m+n+s-(p-1) and R = M-(p-1)."""
     p = pr.p
-    if tp.c != 0:
-        raise HypothesisViolationError("triple_binomial requires c = 0 (the k-term form)")
-    if tp.a == tp.b:
+    for name, e in (("m", m), ("n", n), ("s", s)):
+        _check_range(name, e, 1, p - 1)
+    _check_range("a", a, 1, p - 1)
+    _check_range("b", b, 1, p - 1)
+    if a == b:
         raise HypothesisViolationError("triple_binomial requires a != b")
-    if tp.a == 0 or tp.b == 0:
-        raise HypothesisViolationError("triple_binomial requires a, b >= 1")
-    total = tp.m + tp.n + tp.s
-    if total < p - 1:
+    M = m + n + s - (p - 1)
+    if M < 0:
         return 0
-    if total < 2 * (p - 1):
-        return -conv(pr, tp.a, tp.b, tp.m, tp.n, tp.M) % p
-    if total < 3 * (p - 1):
-        i2 = conv(pr, tp.a, tp.b, tp.m, tp.n, tp.M)
-        i3 = conv(pr, tp.a, tp.b, tp.m, tp.n, tp.R)
+    if M < p - 1:
+        return -conv(pr, a, b, m, n, M) % p
+    if M < 2 * (p - 1):
+        i2 = conv(pr, a, b, m, n, M)
+        i3 = conv(pr, a, b, m, n, M - (p - 1))
         return -(i2 + i3) % p
     return p - 3  # m = n = s = p-1
 
@@ -308,33 +272,27 @@ def quick_case(spec: SumSpec) -> int | None:
 
 
 def normalize_spec(spec: SumSpec) -> SumSpec:
-    """Rewrite to an equivalent all-positive-exponent spec, last offset at 0.
+    """The k-form of a spec: distinct offsets, exponents in [1, p-1], the
+    last offset 0, and the same brute_sum.
 
-    Each (c+k)^(-n) becomes (c+k)^(p-1-n) and its k = -c exclusion is dropped
-    (the rewritten factor vanishes there, so the dropped term contributes 0).
-    A denominator exponent of p-1 would rewrite to exponent 0 and contribute
-    1 instead, so that case is rejected.  Finally every offset is shifted by
-    the last term's offset, which shifts surviving exclusions the other way.
-    Preserves brute_sum exactly.
+    Each (c+k)^(-n) becomes (c+k)^(p-1-n), equal wherever c+k != 0.  The
+    exponents at one offset add up, in first-occurrence order, and each sum
+    is Fermat-reduced into [1, p-1]; an offset whose exponents sum to 0 is
+    the factor 1 and drops out.  An exclusion is kept only where the
+    rewritten product does not vanish: elsewhere the excluded term is 0
+    anyway.  Finally every offset is shifted by the last one, which shifts
+    the exclusions the other way.  Never raises.
     """
     pr = spec.pr
     p = pr.p
-    if not spec.terms:
-        return spec
-    excl = set(spec.exclusions)
-    terms: list[tuple[int, int]] = []
+    net: dict[int, int] = {}
     for off, exp in spec.terms:
-        if exp < 0:
-            n = -exp
-            if n == p - 1:
-                raise ConversionInvalidError(
-                    f"denominator exponent {n} = p-1 cannot be rewritten"
-                )
-            excl.discard((-off) % p)
-            terms.append((off, p - 1 - n))
-        else:
-            terms.append((off, exp))
-    shift = terms[-1][0]
-    new_terms = tuple(((off - shift) % p, exp) for off, exp in terms)
-    new_excl = frozenset((k + shift) % p for k in excl)
-    return SumSpec(pr, new_terms, new_excl)
+        net[off] = net.get(off, 0) + (exp if exp >= 0 else p - 1 + exp)
+    terms = [(off, fermat_reduce(pr, e)) for off, e in net.items() if e]
+    zeros = {-off % p for off, _ in terms}
+    shift = terms[-1][0] if terms else 0
+    return SumSpec(
+        pr,
+        tuple(((off - shift) % p, e) for off, e in terms),
+        frozenset((k + shift) % p for k in spec.exclusions if k not in zeros),
+    )

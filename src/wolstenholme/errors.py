@@ -42,10 +42,6 @@ class HypothesisViolationError(WolstenholmeError, ValueError):
     """Parameters outside the hypothesis domain of the requested formula."""
 
 
-class ConversionInvalidError(WolstenholmeError, ValueError):
-    """Ratio-to-product rewrite invalid (a denominator exponent equals p-1)."""
-
-
 class DuplicateOffsetsError(WolstenholmeError, ValueError):
     """Offsets of a general sum must be pairwise distinct."""
 

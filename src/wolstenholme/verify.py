@@ -299,7 +299,7 @@ _run_thm2_8 = _box(
 _run_thm3_1 = _box(
     ("a", "b", "m", "n", "s"),
     lambda pr, a, b, m, n: (((a, m), (b, n)), (0, 1), frozenset()),
-    lambda pr, a, b, m, n, s: cf.triple_binomial(cf.TripleParams(pr, a, b, 0, m, n, s)),
+    lambda pr, a, b, m, n, s: cf.triple_binomial(pr, a, b, m, n, s),
     lambda p: (range(1, p),) * 3,
     pair_lo=1,
 )

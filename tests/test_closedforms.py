@@ -3,7 +3,6 @@ import random
 import pytest
 
 from wolstenholme.closedforms import (
-    TripleParams,
     normalize_spec,
     power_sum,
     product_pair,
@@ -18,13 +17,12 @@ from wolstenholme.closedforms import (
     triple_s2,
 )
 from wolstenholme.errors import (
-    ConversionInvalidError,
     EqualOffsetsError,
     HypothesisViolationError,
     OffsetZeroError,
 )
 from wolstenholme.modarith import binom, make_prime, mod_inverse, pow_nonzero
-from wolstenholme.oracle import SumSpec, brute_sum, make_spec
+from wolstenholme.oracle import SumSpec, auto_exclusions, brute_sum, make_spec
 
 P5 = make_prime(5)
 P7 = make_prime(7)
@@ -148,24 +146,18 @@ def test_product_pair_matches_brute():
                         assert product_pair(pr, a, b, m, n) == want
 
 
-def test_triple_params_derived_quantities():
-    tp = TripleParams(P11, 3, 5, 0, 4, 3, 4)
-    assert tp.M == 1
-    assert tp.R == -9
-    tp2 = TripleParams(P11, 3, 5, 0, 10, 10, 10)
-    assert tp2.M == 20 and tp2.R == 10
-    with pytest.raises(HypothesisViolationError):
-        TripleParams(P11, 3, 5, 0, 0, 3, 4)
+def test_triple_binomial_range_checks():
+    for bad in ((3, 5, 0, 3, 4), (3, 5, 4, 3, 11), (0, 5, 4, 3, 4), (3, 11, 4, 3, 4)):
+        with pytest.raises(HypothesisViolationError):
+            triple_binomial(P11, *bad)
 
 
 def test_triple_binomial_examples():
-    assert triple_binomial(TripleParams(P11, 3, 5, 0, 2, 3, 4)) == 0
-    assert triple_binomial(TripleParams(P11, 3, 5, 0, 10, 10, 10)) == 8
-    assert triple_binomial(TripleParams(P11, 3, 5, 0, 4, 3, 4)) == 6  # -(ma+nb)
+    assert triple_binomial(P11, 3, 5, 2, 3, 4) == 0
+    assert triple_binomial(P11, 3, 5, 10, 10, 10) == 8
+    assert triple_binomial(P11, 3, 5, 4, 3, 4) == 6  # -(ma+nb)
     with pytest.raises(HypothesisViolationError):
-        triple_binomial(TripleParams(P11, 3, 5, 1, 4, 3, 4))
-    with pytest.raises(HypothesisViolationError):
-        triple_binomial(TripleParams(P11, 3, 3, 0, 4, 3, 4))
+        triple_binomial(P11, 3, 3, 4, 3, 4)
 
 
 def test_triple_binomial_first_band_equals_both_closed_forms():
@@ -185,7 +177,7 @@ def test_triple_binomial_first_band_equals_both_closed_forms():
                             * pow(a, j, p) * pow(b, M - j, p)
                             for j in range(max(0, M - n), min(m, M) + 1)
                         ) % p
-                        got = triple_binomial(TripleParams(pr, a, b, 0, m, n, s))
+                        got = triple_binomial(pr, a, b, m, n, s)
                         assert got == -alt % p
 
 
@@ -200,7 +192,7 @@ def test_triple_binomial_matches_brute():
                     for n in range(1, p):
                         for s in range(1, p):
                             want = _brute_products(pr, (a, m), (b, n), (0, s))
-                            got = triple_binomial(TripleParams(pr, a, b, 0, m, n, s))
+                            got = triple_binomial(pr, a, b, m, n, s)
                             assert got == want
 
 
@@ -364,22 +356,32 @@ def test_normalize_spec_examples():
     norm2 = normalize_spec(spec2)
     assert norm2.terms == ((6, 3), (0, 3))
 
-    with pytest.raises(ConversionInvalidError):
-        normalize_spec(make_spec(P11, [(4, -10)]))
+    # a denominator exponent p-1 rewrites to the factor 1: the sum of p-1 ones
+    spec3 = make_spec(P11, [(4, -10)])
+    norm3 = normalize_spec(spec3)
+    assert norm3.terms == ()
+    assert norm3.exclusions == {7}
+    assert brute_sum(norm3) == brute_sum(spec3) == 10
 
 
 def test_normalize_spec_preserves_brute_sum():
+    # every exponent in [-(p-1), p-1], 0 included; n terms over n-1 offsets,
+    # so every spec repeats one; half the specs exclude a few more k
     rng = random.Random(2)
     for pr in (P7, P11, P17):
         p = pr.p
-        for _ in range(60):
-            terms = []
-            for _ in range(rng.randrange(1, 4)):
-                off = rng.randrange(p)
-                exp = rng.choice([e for e in range(-(p - 2), p) if e])
-                terms.append((off, exp))
-            spec = make_spec(pr, terms)
-            assert brute_sum(normalize_spec(spec)) == brute_sum(spec)
+        for _ in range(200):
+            n = rng.randrange(2, 5)
+            pool = rng.sample(range(p), n - 1)
+            terms = [(rng.choice(pool), rng.randrange(-(p - 1), p)) for _ in range(n)]
+            extra = rng.sample(range(p), rng.randrange(3)) if rng.random() < 0.5 else []
+            spec = make_spec(pr, terms, auto_exclusions(pr, terms) | set(extra))
+            norm = normalize_spec(spec)
+            assert brute_sum(norm) == brute_sum(spec)
+            offsets = [off for off, _ in norm.terms]
+            assert len(set(offsets)) == len(offsets)
+            assert all(1 <= e <= p - 1 for _, e in norm.terms)
+            assert not norm.terms or offsets[-1] == 0
 
 
 def test_normalize_spec_keeps_unrelated_exclusions():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wolstenholme.closedforms import TripleParams, triple_binomial
+from wolstenholme.closedforms import triple_binomial
 from wolstenholme.errors import (
     EqualOffsetsError,
     HypothesisViolationError,
@@ -229,7 +229,7 @@ def test_comp_general_lhs_is_triple_band_sum():
             if not p - 1 <= m + n + s < 2 * (p - 1):
                 continue
             lhs, _ = comp_general(pr, a, b, m, n, s)
-            band = triple_binomial(TripleParams(pr, a, b, 0, m, n, s))
+            band = triple_binomial(pr, a, b, m, n, s)
             assert lhs == -band % p
 
 
