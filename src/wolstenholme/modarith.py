@@ -178,7 +178,10 @@ class Prime:
         reuse rows read it: identities.comp_rows (its first row),
         verify._cor3_12_across_b (the reversed row, sliced) and
         general._composition_sums (both, for its sliced dot products).
+        Requires 0 <= n < p.
         """
+        if not 0 <= n < self.p:
+            raise TopOutOfRangeError(f"binomial top {n} outside [0, {self.p})")
         base %= self.p
         bucket = self._wrows[base]
         if bucket is None:

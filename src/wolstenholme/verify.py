@@ -787,6 +787,8 @@ def run_one(theorem_id: str, p: int | Prime, budget: int = 10_000, seed: int = 0
     if thm is None:
         raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}")
     _check_budget(budget)
+    if mode not in ("p", "p2"):
+        raise BadParamsError(f"mode must be 'p' or 'p2', got {mode!r}")
     start = time.perf_counter()
     grid, failures, exhaustive = thm.run(pr, budget, seed, mode)
     elapsed = time.perf_counter() - start

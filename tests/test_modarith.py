@@ -153,6 +153,14 @@ def test_prime_lookup_caches():
     assert w_rev == w[::-1]
 
 
+def test_weighted_row_rejects_tops_outside_0_to_p():
+    pr = make_prime(13)
+    pr.weighted_row(12, 3)  # a cached row at n = p-1 must not answer n = -1
+    for n in (-1, 13, 14):
+        with pytest.raises(TopOutOfRangeError):
+            pr.weighted_row(n, 3)
+
+
 def _expanded(p, a, b, m, n):
     """The coefficients of (1+ax)^m (1+bx)^n mod p, multiplied out term by term."""
     out = [0] * (m + n + 1)

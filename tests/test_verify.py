@@ -1,12 +1,13 @@
 import json
 import time
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from reference_tables import bipoly
 from wolstenholme import closedforms, identities, verify
-from wolstenholme.errors import UnknownTheoremError
+from wolstenholme.errors import BadParamsError, UnknownTheoremError
 from wolstenholme.verify import (
     IDENTITY_SUITE,
     REGISTRY,
@@ -60,6 +61,16 @@ def test_budget_switches_to_exhaustive():
     rep = run_one("thm2.8", 5, budget=10_000)
     assert rep.exhaustive
     assert rep.grid == 4 * 3 * 16
+
+
+def test_unknown_mode_is_rejected_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("ran a sweep under an unknown mode")
+
+    for theorem, mode in (("thm1.2", "P2"), ("thm1.3", "p3"), ("thm2.1", "")):
+        monkeypatch.setitem(REGISTRY, theorem, replace(REGISTRY[theorem], run=no_work))
+        with pytest.raises(BadParamsError):
+            run_one(theorem, 7, mode=mode)
 
 
 def test_run_verification_ordering():
