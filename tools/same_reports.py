@@ -60,6 +60,15 @@ COMMANDS = tuple("verify " + args for args in (
     "--strategy closed -p 97 (3+k)^40(7+k)^50/((11+k)^20k^30)",
     "--strategy esp -p 1009 (1+k)^500(2+k)^600(3+k)^700(5+k)^800k^900",
     "-p 11 1/(4+k)^10",
+    # repeated offsets and cancelling factors: the merge in normalize_spec
+    "-p 11 (3+k)^4(3+k)^9/(3+k)^10",
+    "-p 13 (2+k)^5(15+k)^7k^3/(2+k)^12",
+    "--strategy closed -p 13 (2+k)^5(15+k)^7k^3/(2+k)^12",
+    "-p 31 (1+k)^20(2+k)^25(3+k)^29(4+k)^30/((1+k)^7(5+k)^30)",
+    "--strategy esp -p 31 (1+k)^20(2+k)^25(3+k)^29(4+k)^30/((1+k)^7(5+k)^30)",
+    "-p 7 (3+k)^6/(3+k)^6",
+    "-p 7 k/k",
+    "-p 17 (7+k)^9/((3+k)^13(8+k)^8)",
 ))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
