@@ -4,6 +4,14 @@ elementary-symmetric-polynomial route through Newton's identities.
 All three evaluators agree with each other and with the brute-force oracle;
 they differ in how they reach the answer, which is the point: each one
 cross-checks the others.
+
+The two kernels of this module work on packed rows (Prime.pack): a row of
+residues as one big integer, pack_width bytes a slot, so that one integer
+product is a whole convolution as long as no slot sum exceeds p (p-1)^2.
+_composition_sums multiplies the running product by one packed binomial row
+per middle term, and newton_esp runs Newton's identities as an online
+convolution of packed blocks.  Neither calls polyring, whose products serve
+the other two routes.
 """
 
 from __future__ import annotations
@@ -19,6 +27,14 @@ from .errors import (
 )
 from .modarith import Prime, mod_inverse, unpack_slots
 from .polyring import build_product, coeff, cyclic_product
+
+# newton_esp's leaf size; a power of two, so that the block that ends at a
+# leaf start lo, of lo & -lo indices, is made of whole leaves.  Timed at
+# p = 97, 257 and 1009 (random r_max, 2-4 terms; 2-core VM, Python 3.11),
+# leaves of 16 and 32 were fastest, of 8 about 10% slower and of 64 15-50%
+# slower: below about 16 indices one dot product per index costs less than
+# a packed product.
+_NEWTON_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -77,8 +93,11 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
     A dynamic program over the terms: after term i it holds the
     coefficients of (1+b_1 x)^m_1 ... (1+b_i x)^m_i, but only at the
     indices that can still reach a target, [min target - remaining
-    capacity, max target].  The last term adds one sliced dot product
-    per target.  Cost O(r * T * max m) for r terms and top target T.
+    capacity, max target].  Each middle term is one packed product of that
+    window and the term's weighted row, unpacked once and sliced to the new
+    window; the last term adds one sliced dot product per target.  Cost:
+    r-2 products of at most T + max m slots for r terms and top target T,
+    plus O(max m) a target.
     """
     p = pr.p
     if not exps:
@@ -93,15 +112,15 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
     # when the last term is the only one
     cur, lo = rows[0][0] if len(rows) > 1 else (1,), 0
     rem = cap - exps[0]
-    for m, (_, rev) in zip(exps[1:-1], rows[1:-1]):
+    width = pr.pack_width
+    for m, (w, _) in zip(exps[1:-1], rows[1:-1]):
         rem -= m
-        hi = lo + len(cur) - 1
         new_lo = max(lo, lo_t - rem)
-        nxt = []
-        for t in range(new_lo, min(hi_t, hi + m) + 1):
-            a, b = max(lo, t - m), min(t, hi)
-            nxt.append(sum(map(mul, cur[a - lo : b - lo + 1], rev[m - t + a : m - t + b + 1])) % p)
-        cur, lo = nxt, new_lo
+        top = min(hi_t, lo + len(cur) - 1 + m)
+        # slot s of the product is [x^(lo+s)] of cur times w: at most m+1 <= p
+        # products of two residues, which a slot holds
+        slots = unpack_slots(pr.pack(cur) * pr.pack(w), width, len(cur) + m)
+        cur, lo = [v % p for v in slots[new_lo - lo : top - lo + 1]], new_lo
     m, rev = exps[-1], rows[-1][1]
     hi = lo + len(cur) - 1
     out = []
@@ -119,9 +138,10 @@ def bounded_composition_sum(pr: Prime, exps, bases, target: int) -> int:
     the products C(m_1,j_1)...C(m_r,j_r) b_1^j_1 ... b_r^j_r, mod p.
 
     That is [x^target] of (1+b_1 x)^m_1 ... (1+b_r x)^m_r, computed by the
-    windowed dynamic program of _composition_sums.  With every base equal to
-    1 this collapses to C(sum(exps), target) by the Vandermonde identity,
-    which the tests exercise.
+    windowed dynamic program of _composition_sums: one packed product per
+    middle term, then one dot product.  With every base equal to 1 this
+    collapses to C(sum(exps), target) by the Vandermonde identity, which the
+    tests exercise.
     """
     return _composition_sums(pr, exps, bases, [target])[0]
 
@@ -169,6 +189,17 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
 
     The power sums p_1..p_r_max of the roots are read from one combination
     of the cached packed power tables, m_i times that of b_i, unpacked once.
+    The recursion is an online convolution, run in leaves of _NEWTON_BLOCK
+    indices: within a leaf, one dot product per index over the leaf's own
+    e-values; the e-values below the leaf arrive through the packed products
+    of earlier leaves.  A leaf starting at lo first adds the share of the
+    aligned block e_(lo-s)..e_(lo-1), s the largest power of two dividing lo,
+    to every r in [lo, lo+s) with one packed product.  Each pair of indices
+    in different leaves meets in exactly one such product, as in a divide
+    and conquer over halves, so the cost is O(M(r) log r) for M(r) the cost
+    of a product of r slots, against O(r^2) for one dot product per index
+    over every lower e-value.  Below _NEWTON_BLOCK the whole run is one
+    leaf and no product is formed.
 
     The recursion divides by r mod p, so indices at or above p would divide
     by zero; those e-values must come from polynomial coefficients instead.
@@ -177,19 +208,37 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
     p = pr.p
     if r_max >= p:
         raise IndexNotInvertibleError(f"r_max = {r_max} >= p = {p}: index not invertible")
-    # r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i: one dot product of
-    # e_(r-1), ..., e_0 against the signed power sums (map stops after r
-    # terms).  (-1)^(i-1) p_i is -(m_1 b_1^i + ... + m_(n-1) b_(n-1)^i), slot
-    # i of one combination of packed power tables: at most n-1 <= p-1
-    # products of two residues a slot.  1/r is (r-1)! / r!.
+    # r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i.  (-1)^(i-1) p_i
+    # is -(m_1 b_1^i + ... + m_(n-1) b_(n-1)^i), slot i of one combination of
+    # packed power tables: at most n-1 <= p-1 products of two residues a
+    # slot.  1/r is (r-1)! / r!.
     packed = pr.packed_powers
+    width = pr.pack_width
     combo = sum([m * packed(b) for m, b in zip(gp.exps[:-1], gp.shifted)])
     # every slot, since the ones past r_max are nonzero too
-    signed = [-s % p for s in unpack_slots(combo, pr.pack_width, p)[1 : r_max + 1]]
-    es = [1]
-    for r in range(1, r_max + 1):
-        es.append(sum(map(mul, reversed(es), signed)) * pr.fact[r - 1] * pr.inv_fact[r] % p)
-    return tuple(es)
+    signed = [-v % p for v in unpack_slots(combo, width, p)[1 : r_max + 1]]
+    fact, inv_fact = pr.fact, pr.inv_fact
+    # acc[r]: the part of r e_r from the e-values below r's leaf
+    acc = [0] * (r_max + 1)
+    es = []
+    leaf = [1]  # e_0, then the e-values of each leaf in turn
+    for lo in range(0, r_max + 1, _NEWTON_BLOCK):
+        if lo:
+            es += leaf
+            leaf = []
+            # slot d of the product is the sum over j in [lo-s, lo) of e_j
+            # times (-1)^(i-1) p_i at i = d - (j - lo + s), slot 0 of the
+            # second factor being 0: at most s < p products of two residues
+            s = lo & -lo
+            prod = pr.pack(es[lo - s :]) * (pr.pack(signed[: 2 * s - 1]) << 8 * width)
+            slots = unpack_slots(prod, width, 3 * s - 1)
+            for r in range(lo, min(lo + s, r_max + 1)):
+                acc[r] += slots[r - lo + s]
+        for r in range(max(lo, 1), min(lo + _NEWTON_BLOCK, r_max + 1)):
+            # e_(r-1), ..., e_lo against signed: map stops after the leaf
+            leaf.append(sum(map(mul, reversed(leaf), signed), acc[r])
+                        * fact[r - 1] * inv_fact[r] % p)
+    return tuple(es + leaf)
 
 
 def esp_sum(gp: GeneralSumParams) -> int:

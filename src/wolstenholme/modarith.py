@@ -177,7 +177,8 @@ class Prime:
         The cache holds up to p^2 rows of O(p) entries, so only sweeps that
         reuse rows read it: identities.comp_rows (its first row),
         verify._cor3_12_across_b (the reversed row, sliced) and
-        general._composition_sums (both, for its sliced dot products).
+        general._composition_sums (the row, packed at each middle term, and
+        the reversed row, sliced at the last).
         Requires 0 <= n < p.
         """
         if not 0 <= n < self.p:

@@ -4,12 +4,13 @@ Each row is stored as a human-readable polynomial string (signed
 coefficients allowed) and parsed into a coefficient dict; the parser lives
 here so the reference data stays literal and eyeball-checkable.
 
-The polynomial helpers at the end add polynomials, evaluate them at a point
-and build a table row from a dense grid: checks need these, the library
-does not.
+The polynomial helpers at the end add polynomials, evaluate them at a point,
+build a table row from a dense grid and multiply out a product of binomial
+powers: checks need these, the library does not.
 """
 
 import re
+from math import comb
 from itertools import zip_longest
 
 from wolstenholme.polyring import BiPolyZp, poly
@@ -145,3 +146,17 @@ def bipoly_evaluate(row: BiPolyZp, a: int, b: int) -> int:
     """A table row at the point (a, b), mod p."""
     p = row.pr.p
     return sum(c * pow(a, i, p) * pow(b, j, p) for i, j, c in row.terms) % p
+
+
+def binomial_product(p: int, exps, bases) -> list[int]:
+    """Coefficients of (1+b_1 x)^m_1 ... (1+b_r x)^m_r mod p, lowest first:
+    schoolbook convolution, one factor at a time, with math.comb binomials."""
+    out = [1]
+    for m, b in zip(exps, bases):
+        row = [comb(m, j) * pow(b, j, p) % p for j in range(m + 1)]
+        nxt = [0] * (len(out) + m)
+        for i, c in enumerate(out):
+            for j, w in enumerate(row):
+                nxt[i + j] += c * w
+        out = [c % p for c in nxt]
+    return out

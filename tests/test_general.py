@@ -3,7 +3,9 @@ import random
 import time
 
 import pytest
+from reference_tables import binomial_product
 
+from wolstenholme import general, modarith
 from wolstenholme.cli import main
 from wolstenholme.closedforms import power_sum, product_pair, product_pair_k, triple_general
 from wolstenholme.errors import (
@@ -22,7 +24,7 @@ from wolstenholme.general import (
     root_power_sum,
     scaling_reduce,
 )
-from wolstenholme.modarith import binom, make_prime
+from wolstenholme.modarith import binom, make_prime, mod_inverse
 from wolstenholme.oracle import SumSpec, brute_sum
 from wolstenholme.polyring import build_product, coeff
 
@@ -122,6 +124,36 @@ def test_newton_esp_matches_the_recursion_on_root_power_sums():
             acc = sum((-1) ** (i - 1) * want[r - i] * sums[i] for i in range(1, r + 1))
             want.append(acc * mod_inverse(r, 97) % 97)
         assert newton_esp(gp, r_max) == tuple(want)
+
+
+def _newton_by_recursion(gp, r_max):
+    """e_0..e_r_max from r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i,
+    one index at a time over every lower e-value."""
+    p = gp.pr.p
+    sums = [None] + [root_power_sum(gp, i) for i in range(1, r_max + 1)]
+    want = [1]
+    for r in range(1, r_max + 1):
+        acc = sum((-1) ** (i - 1) * want[r - i] * sums[i] for i in range(1, r + 1))
+        want.append(acc * mod_inverse(r, p) % p)
+    return tuple(want)
+
+
+@pytest.mark.parametrize("byte_path", [False, True])
+@pytest.mark.parametrize("p", [257, 1009])
+def test_blocked_newton_esp_at_block_edges(monkeypatch, p, byte_path):
+    # the leaves and packed products of newton_esp against the plain
+    # recursion, at r_max on either side of one block, past two and three
+    # blocks and at p-1
+    if byte_path:  # the slot-by-slot packing that big-endian hosts take
+        monkeypatch.setattr(modarith, "_SLOT_CODES", {})
+    pr = make_prime(p)  # fresh, so its packed power tables take that path
+    block = general._NEWTON_BLOCK
+    rng = random.Random(p)
+    for exps in ((p - 1,) * 3, tuple(rng.randrange(1, p) for _ in range(5))):
+        gp = GeneralSumParams(pr, tuple(rng.sample(range(p), len(exps))), exps)
+        want = _newton_by_recursion(gp, p - 1)
+        for r_max in (0, 1, block - 1, block, block + 1, 2 * block, 3 * block + 5, p - 1):
+            assert newton_esp(gp, r_max) == want[: r_max + 1]
 
 
 def test_newton_esp_matches_polynomial_coefficients():
@@ -247,6 +279,32 @@ def test_bounded_composition_sum_matches_enumeration():
                 assert bounded_composition_sum(pr, exps, bases, target) == expected
     assert bounded_composition_sum(P7, (), (), 0) == 1
     assert bounded_composition_sum(P7, (), (), 1) == 0
+
+
+@pytest.mark.parametrize("byte_path", [False, True])
+@pytest.mark.parametrize("p", [97, 257, 1009])
+def test_composition_sums_match_schoolbook_product(monkeypatch, p, byte_path):
+    # 3-6 terms, exponent p-1 among the middle ones, with target sets whose
+    # window [min target - remaining capacity, max target] starts at 0, sits
+    # inside the product or reaches its top, and targets outside
+    # [0, sum(exps)]
+    if byte_path:
+        monkeypatch.setattr(modarith, "_SLOT_CODES", {})
+    pr = make_prime(p)
+    rng = random.Random(p + byte_path)
+    for r in (3, 4, 5, 6):
+        top = p // r  # keeps the schoolbook reference small at p = 1009
+        exps = [rng.randrange(1, top) for _ in range(r - 1)]
+        exps.insert(1, p - 1)  # a middle term: one packed product of p slots
+        bases = tuple(rng.randrange(1, p) for _ in range(r))
+        want = binomial_product(p, exps, bases)
+        cap = sum(exps)
+        mid = cap // 2
+        for targets in ([-1, 0, 1], [mid - 2, mid + 3], [cap - 1, cap, cap + 1],
+                        [cap + 2], [3, mid, cap - 3], [mid + p - 1, mid]):
+            got = general._composition_sums(pr, exps, bases, targets)
+            assert got == [want[t] if 0 <= t <= cap else 0 for t in targets]
+        assert bounded_composition_sum(pr, exps, bases, mid) == want[mid]
 
 
 @pytest.mark.parametrize(

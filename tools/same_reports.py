@@ -11,7 +11,7 @@ only one that may differ, before the comparison; a table or an `eval` value
 must match byte for byte.  Commands are split on whitespace, so an `eval`
 expression is written without spaces (the grammar ignores them).  Prints one line per command and a diff of any output that differs;
 exits 1 if any does (or if a command fails to run), else 0.  A full run takes
-a few minutes on two cores.
+under a minute on two cores.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ COMMANDS = tuple("verify " + args for args in (
     "-p 7 (3+k)^6/(3+k)^6",
     "-p 7 k/k",
     "-p 17 (7+k)^9/((3+k)^13(8+k)^8)",
+    # deep Newton runs (r up to 592, 792 and 642) and one packed middle step of
+    # the multi-index route at p = 1009
+    "-p 1009 (3+k)^700(10+k)^900",
+    "-p 1009 (2+k)^800(7+k)^600k^400",
+    "-p 1009 (1+k)^400(5+k)^500(9+k)^450k^300",
 ))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
