@@ -18,6 +18,7 @@ from .errors import (
     ExpressionError,
     StrategyInapplicableError,
     WolstenholmeError,
+    ZeroDenominatorError,
 )
 from .expressions import parse_expression
 from .modarith import Prime, is_prime, make_prime
@@ -48,14 +49,14 @@ def spec_from_expression(pr: Prime, text: str) -> SumSpec:
 def _route(spec: SumSpec, complete) -> int:
     """One evaluation route: complete(pr, terms) sums the k-form product
     (normalize_spec) over every k, and the product at each of its excluded
-    k is subtracted.  Only the exclusions that the denominators imply are
-    modelled."""
+    k is subtracted.  Any exclusion set works, as long as it holds every k
+    where a denominator vanishes; otherwise ZeroDenominatorError, as
+    brute_sum raises."""
     pr = spec.pr
     p = pr.p
-    if spec.exclusions != auto_exclusions(pr, spec.terms):
-        raise StrategyInapplicableError(
-            "strategy handles denominator-derived exclusion sets only"
-        )
+    vanishing = auto_exclusions(pr, spec.terms) - spec.exclusions
+    if vanishing:
+        raise ZeroDenominatorError(f"a denominator vanishes at unexcluded k = {min(vanishing)}")
     norm = cf.normalize_spec(spec)
     total = complete(pr, norm.terms)
     for k in norm.exclusions:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from wolstenholme.cli import (
+    ROUTES,
     eval_closed,
     eval_coeff,
     eval_esp,
@@ -20,9 +21,14 @@ from wolstenholme.cli import (
     main,
     spec_from_expression,
 )
-from wolstenholme.errors import DisagreementError
+from wolstenholme.closedforms import normalize_spec
+from wolstenholme.errors import (
+    DisagreementError,
+    StrategyInapplicableError,
+    ZeroDenominatorError,
+)
 from wolstenholme.modarith import make_prime
-from wolstenholme.oracle import SumSpec, brute_sum
+from wolstenholme.oracle import SumSpec, auto_exclusions, brute_sum
 
 
 def run_cli(capsys, *argv):
@@ -101,16 +107,37 @@ def test_eval_strategies_on_awkward_shapes(capsys):
 
 def test_closed_strategy_internals():
     pr = make_prime(11)
-    # a hand-built exclusion set the closed route does not model
-    from wolstenholme.errors import StrategyInapplicableError
-
-    odd_spec = SumSpec(pr, ((3, 2),), frozenset({5}))
-    with pytest.raises(StrategyInapplicableError):
-        eval_closed(odd_spec)
     spec = spec_from_expression(pr, "(3+k)^4 (5+k)^5")
     assert eval_closed(spec) == brute_sum(spec)
     assert eval_coeff(spec) == brute_sum(spec)
     assert eval_esp(spec) == brute_sum(spec)
+    # hand-built exclusion sets: each route subtracts the k-form product at
+    # every excluded k, so it equals the literal sum on any set that holds
+    # the denominator zeros; sum (3+k)^2 over k != 5 is 0 - 8^2 = 2 mod 11
+    odd_spec = SumSpec(pr, ((3, 2),), frozenset({5}))
+    assert brute_sum(odd_spec) == 2
+    rng = random.Random(15)
+    for p in (7, 11, 13):
+        pr = make_prime(p)
+        for _ in range(60):
+            terms = [(rng.randrange(p), rng.randrange(-(p - 1), p))
+                     for _ in range(rng.randrange(1, 6))]
+            extra = rng.sample(range(p), rng.randrange(p))
+            hand = SumSpec(pr, tuple(terms), auto_exclusions(pr, terms) | frozenset(extra))
+            for s in (odd_spec, hand) if p == 11 else (hand,):
+                want = brute_sum(s)
+                for name, route in ROUTES.items():
+                    if name == "brute":
+                        continue
+                    try:
+                        assert route(s) == want, (name, s)
+                    except StrategyInapplicableError:  # nothing left to sum
+                        assert not normalize_spec(s).terms and name != "closed"
+    # a denominator that vanishes at an unexcluded k has no value
+    bad = SumSpec(pr, ((3, -2), (1, 4)), frozenset({2}))
+    for route in ROUTES.values():
+        with pytest.raises(ZeroDenominatorError):
+            route(bad)
 
 
 def test_evaluate_all_detects_disagreement(monkeypatch):
