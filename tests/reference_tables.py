@@ -10,8 +10,8 @@ powers: checks need these, the library does not.
 """
 
 import re
-from math import comb
 from itertools import zip_longest
+from math import comb
 
 from wolstenholme.polyring import BiPolyZp, poly
 
