@@ -236,7 +236,14 @@ def _render_table(rows, start_index: int, fmt: str, pr: Prime, signed: bool) -> 
     return "\n".join(lines) + "\n"
 
 
+# the most entries a residue matrix may have, p^2 <= 2^24, so p <= 4093
+_MATRIX_ENTRIES = 1 << 24
+
+
 def cmd_table(args) -> int:
+    if args.kind == "residue-matrix" and args.prime ** 2 > _MATRIX_ENTRIES:
+        raise BadParamsError(f"residue-matrix: p = {args.prime} exceeds 4093"
+                             " (the matrix has p^2 entries, at most 2^24)")
     pr = make_prime(args.prime)
     _check_output(args.output)
     if args.kind == "residue-matrix":

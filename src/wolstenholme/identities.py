@@ -9,20 +9,24 @@ convolution modarith.conv.  The exhaustive sweeps do not go instance by
 instance.  cong_rows gives both sides of cong_general at every j at once,
 and vandermonde_rows both sides of vandermonde at every M, its left side one
 product of two packed binomial rows.  For the weighted-sum identity,
-comp_rows builds each side as the rows of a truncated product, and the
-sweep reads all the instances of one (a, b, m) from two such tables.  The right-side
-table of (a, b) is the left-side table of (a-b, -b) and the other way
-round, so one table pair serves both pairs.
+comp_rows builds the table of one side as one big-integer product of a
+packed row and a packed stride table of the powers (1+vx)^t, reduced mod p
+inside the packed int, and the sweep reads all the instances of one
+(a, b, m) from two such tables.  The right-side table of (a, b) is the
+left-side table of (a-b, -b) and the other way round, so one table pair
+serves both pairs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .errors import (
     EqualOffsetsError,
     HypothesisViolationError,
     RangeViolationError,
 )
-from .modarith import Prime, binom, conv
+from .modarith import Prime, binom, conv, pack_slots
 from .oracle import unpack
 
 
@@ -122,24 +126,19 @@ def cong_rows(pr: Prime, m: int, n: int, s: int) -> tuple[list[int], list[int]]:
     return lhs, unpack(pr, acc, M + 1)
 
 
-def comp_rows(pr: Prime, u: int, v: int, m: int) -> list[int]:
-    """[x^M] (1+ux)^m (1+vx)^t for t = 0..p-1 and M = 0..p-2, as one list:
-    the coefficient of row t sits at t*(p-1) + M.
+def comp_rows(pr: Prime, u: int, v: int, m: int) -> Sequence[int]:
+    """[x^M] (1+ux)^m (1+vx)^t for t = 0..p-1 and M = 0..p-2, as one
+    sequence: the coefficient of row t sits at t*(2p-2) + M.
 
-    Each row is the previous one times (1+vx), truncated at x^(p-2).  Both
-    sides of comp_general are such coefficients: with (u, v) = (a, b), row n
-    holds the left side at every M, and with (u, v) = (a-b, -b), row s holds
-    the right side.
+    The table is one big-integer product, the packed row C(m, i) u^i
+    truncated at x^(p-2) times Prime.stride_table(v), whose row t is
+    (1+vx)^t, reduced mod p in the packed int.  Both sides of comp_general
+    are such coefficients: with (u, v) = (a, b), row n holds the left side
+    at every M, and with (u, v) = (a-b, -b), row s holds the right side.
     """
     p = pr.p
-    v %= p
-    row = list(pr.weighted_row(m, u)[0][: p - 1])
-    row += [0] * (p - 1 - len(row))
-    flat = row[:]
-    for _ in range(1, p):
-        row = [(x + v * y) % p for x, y in zip(row, [0, *row])]
-        flat += row
-    return flat
+    row = pack_slots(pr.weighted_row(m, u)[0][: p - 1], pr.reduce_width)
+    return pr.reduce_slots(row * pr.stride_table(v), p * (2 * p - 2))
 
 
 def comp_general(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> tuple[int, int]:

@@ -3,12 +3,14 @@
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
 lazily built lookup caches (binomial rows, power tables, weighted rows,
-packed forms and power columns) that the exhaustive sweeps and the brute
-oracle lean on in hot verification loops.  conv gives one coefficient of a
-product of two shifted binomials, the sum that the triple closed forms and
-the weighted-sum identities share.  It reads only the factorial tables and
-caches nothing, at a cost of O(window) per call, so sampled runs at large p
-hold no rows.
+packed forms, power columns and packed stride tables) that the exhaustive
+sweeps and the brute oracle lean on in hot verification loops.
+Prime.reduce_slots reduces every slot of a packed int mod p at once, by a
+slot-wise Barrett step, so a packed product need not be unpacked before it
+is reduced.  conv gives one coefficient of a product of two shifted
+binomials, the sum that the triple closed forms and the weighted-sum
+identities share.  It reads only the factorial tables and caches nothing, at
+a cost of O(window) per call, so sampled runs at large p hold no rows.
 """
 
 from __future__ import annotations
@@ -74,10 +76,16 @@ class Prime:
     entries of column_code, at most 4 bytes each below p = 2^32: about 4 MB
     at p = 1009.  Each entry is one exact pow of its own base, with no
     exponent reduced mod p-1, so reading it is still brute force.
+
+    The stride tables, one per base v (see stride_table), are p (2p-2) slots
+    of reduce_width bytes each.  At most p of them exist, about 2.7 KB each
+    at p = 19 (49 KB for the 18 nonzero bases) and 7.4 KB at p = 31
+    (0.2 MB); only the exhaustive identity sweeps build them.
     """
 
-    __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "_binom_rows",
-                 "_powers", "_packed", "_packed_binom", "_wrows", "_columns")
+    __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "reduce_width",
+                 "_barrett", "_binom_rows", "_powers", "_packed", "_packed_binom", "_wrows",
+                 "_columns", "_strides", "_reduce_masks")
 
     def __init__(self, p: int):
         if p < 5:
@@ -100,6 +108,17 @@ class Prime:
         while p * (p - 1) ** 2 >> (8 * width):
             width *= 2
         self.pack_width = width
+        # slot-wise Barrett reduction of slots below 2^bits, bits the length
+        # of p (p-1)^2: shift k and multiplier c = ceil(2^k / p), in slots of
+        # reduce_width bytes, wide enough to hold a slot value times c
+        bits = (p * (p - 1) ** 2).bit_length()
+        shift = bits + p.bit_length()
+        mult = -(-(1 << shift) // p)
+        width = 1
+        while 8 * width < bits + mult.bit_length():
+            width *= 2
+        self.reduce_width = width
+        self._barrett = (shift, mult)
         # the narrowest unsigned array type that holds every residue
         self.column_code = next(c for c in "BHIQ" if p <= 1 << 8 * array(c).itemsize)
         # lazily filled lookup caches, indexed directly for speed in sweeps
@@ -109,6 +128,8 @@ class Prime:
         self._packed_binom: list = [None] * p
         self._wrows: list = [None] * p
         self._columns: list = [None] * (2 * p - 1)  # exponent e at index e + p - 1
+        self._strides: dict[int, int] = {}
+        self._reduce_masks: dict[int, int] = {}
 
     def __repr__(self) -> str:
         return f"Prime({self.p})"
@@ -175,9 +196,9 @@ class Prime:
         """(w, reversed(w)) with w[i] = C(n,i) * base^i mod p; both are cached.
 
         The cache holds up to p^2 rows of O(p) entries, so only sweeps that
-        reuse rows read it: identities.comp_rows (its first row),
-        verify._cor3_12_across_b (the reversed row, sliced) and
-        general._composition_sums (the row, packed at each middle term, and
+        reuse rows read it: identities.comp_rows (its row (m, u), packed),
+        stride_table (every row of its base), verify._cor3_12_across_b (the
+        reversed row, sliced) and general._composition_sums (the row, packed at each middle term, and
         the reversed row, sliced at the last).
         Requires 0 <= n < p.
         """
@@ -197,6 +218,49 @@ class Prime:
             pair = (w, w[::-1])
             bucket[n] = pair
         return pair
+
+    def stride_table(self, v: int) -> int:
+        """T_v = sum over t = 0..p-1 of y^t (1+vx)^t with y = x^(2p-2), packed
+        at reduce_width: weighted_row(t, v) from slot t (2p-2) on.  Built once
+        per v mod p.
+
+        A row of degree <= p-2 times T_v holds its product with (1+vx)^t at
+        slots t (2p-2) .. t (2p-2) + 2p-3, so no two rows overlap, and each
+        slot sums at most p-1 products of two residues, below 2^bits as
+        reduce_slots requires.
+        """
+        v %= self.p
+        table = self._strides.get(v)
+        if table is None:
+            stride = 2 * self.p - 2
+            slots = []
+            for t in range(self.p):
+                w = self.weighted_row(t, v)[0]
+                slots += w
+                slots += [0] * (stride - len(w))
+            table = self._strides[v] = pack_slots(slots, self.reduce_width)
+        return table
+
+    def reduce_slots(self, packed: int, count: int) -> Sequence[int]:
+        """The count slots of packed, reduce_width bytes each, every one
+        reduced mod p, as one sequence (see unpack_slots).
+
+        Every slot must hold some x < 2^bits, bits the length of p (p-1)^2.
+        With k = bits + p.bit_length() and c = ceil(2^k / p), each slot's
+        x c fits its slot, so ((packed c) >> k) masked to the low 8 width - k
+        bits of each slot is floor(x c / 2^k) in every slot at once.  That is
+        floor(x / p) exactly: with e = c p - 2^k < p, x c / 2^k = x/p + x e /
+        (p 2^k), and x e < 2^k, so the excess stays below 1/p.  Subtracting p
+        times those quotients leaves x mod p in every slot, no borrow
+        crossing a slot.  OverflowError if packed has more than count slots.
+        """
+        shift, mult = self._barrett
+        width = self.reduce_width
+        mask = self._reduce_masks.get(count)
+        if mask is None:
+            mask = self._reduce_masks[count] = pack_slots(
+                [(1 << (8 * width - shift)) - 1] * count, width)
+        return unpack_slots(packed - self.p * ((packed * mult >> shift) & mask), width, count)
 
 
 def conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:

@@ -478,24 +478,26 @@ def _comp_rows(pr, mode):
     """The instances (n, s) of one (a, b, m) as one chunk, both pairs of an
     orbit read from one table pair.
 
-    comp_rows puts [x^M] of row t at t*(p-1) + M.  For fixed (a, b, m, n)
-    the window's instances have M = d+s with d = m+n-(p-1), so their left
-    sides are one run of left row n, and their right sides one stride-p run
-    down the right rows (cell s*(p-1) + d+s = s*p + d).  The right table of
-    (a, b) is the left table of its partner (a-b, -b), whose partner is
-    (a, b) again.  Of the two pairs, the one with b < p/2 builds the two
-    tables of each m and yields the chunks of both, so the grid's order puts
-    the failures back into (a, b) order.
+    comp_rows puts [x^M] of row t at t*S + M, S = 2p-2.  For fixed
+    (a, b, m, n) the window's instances have M = d+s with d = m+n-(p-1), so
+    their left sides are one run of left row n (cells n*S + d+s), and their
+    right sides one stride-(S+1) run down the right rows (cell s*S + d+s =
+    s*(S+1) + d).  Both are gathered straight from the reduced tables.  The
+    right table of (a, b) is the left table of its partner (a-b, -b), whose
+    partner is (a, b) again.  Of the two pairs, the one with b < p/2 builds
+    the two tables of each m and yields the chunks of both, so the grid's
+    order puts the failures back into (a, b) order.
     """
     p = pr.p
+    S = 2 * p - 2
     runs = []  # for each m: its left cells, its right cells, their (n, s)
     for m in range(1, p):
         left, right, ns = [], [], []
         for n in range(1, p):
             s_lo, s_hi = _window(p, m + n)
             d = m + n - (p - 1)
-            left += range(n * (p - 1) + d + s_lo, n * (p - 1) + d + s_hi + 1)
-            right += range(s_lo * p + d, s_hi * p + d + 1, p)
+            left += range(n * S + d + s_lo, n * S + d + s_hi + 1)
+            right += range(s_lo * (S + 1) + d, s_hi * (S + 1) + d + 1, S + 1)
             ns += zip(repeat(n), range(s_lo, s_hi + 1))
         runs.append((m, itemgetter(*left), itemgetter(*right), ns))
     rows = ident.comp_rows

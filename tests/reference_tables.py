@@ -5,8 +5,9 @@ coefficients allowed) and parsed into a coefficient dict; the parser lives
 here so the reference data stays literal and eyeball-checkable.
 
 The polynomial helpers at the end add polynomials, evaluate them at a point,
-build a table row from a dense grid and multiply out a product of binomial
-powers: checks need these, the library does not.
+build a table row from a dense grid, multiply out a product of binomial
+powers and build the weighted-sum rows of identities.comp_rows by their
+recurrence: checks need these, the library does not.
 """
 
 import re
@@ -160,3 +161,15 @@ def binomial_product(p: int, exps, bases) -> list[int]:
                 nxt[i + j] += c * w
         out = [c % p for c in nxt]
     return out
+
+
+def comp_rows_by_recurrence(p: int, u: int, v: int, m: int) -> list[list[int]]:
+    """[[x^M] (1+ux)^m (1+vx)^t for M = 0..p-2] for t = 0..p-1, mod p: row 0
+    from math.comb, each later row the one before times (1+vx), truncated
+    at x^(p-2)."""
+    row = [comb(m, M) * pow(u, M, p) % p for M in range(p - 1)]
+    rows = [row]
+    for _ in range(1, p):
+        row = [(x + v * y) % p for x, y in zip(row, [0, *row])]
+        rows.append(row)
+    return rows

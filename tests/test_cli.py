@@ -322,6 +322,18 @@ def _no_run(*args, **kwargs):
     raise AssertionError("run_verification was called")
 
 
+@pytest.mark.parametrize("p", ["4099", "100003"])
+def test_residue_matrix_above_its_size_limit_is_a_usage_error(capsys, monkeypatch, p):
+    # p^2 > 2^24 entries: one error line and exit 2, before any table is built
+    import wolstenholme.cli as cli
+
+    monkeypatch.setattr(cli, "make_prime", _no_run)
+    monkeypatch.setattr(cli, "residue_matrix", _no_run)
+    code, out, err = run_cli(capsys, "table", "residue-matrix", "-p", p, "-a", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: residue-matrix: p = ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--theorems", "thm2.1", "--primes", "7", "-o", "{missing}/x.json"),
     ("verify", "--theorems", "thm2.1", "--primes", "7", "-o", "{dir}"),

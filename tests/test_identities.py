@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from reference_tables import comp_rows_by_recurrence
+from wolstenholme import modarith
 from wolstenholme.closedforms import triple_binomial
 from wolstenholme.errors import (
     EqualOffsetsError,
@@ -240,6 +242,7 @@ def test_comp_rows_match_comp_sides_on_full_grids():
 
     for pr in (make_prime(5), P7, P11):
         p = pr.p
+        S = 2 * p - 2  # the row stride of a comp_rows table
         count = 0
         for a in range(1, p):
             for b in range(1, p):
@@ -254,10 +257,40 @@ def test_comp_rows_match_comp_sides_on_full_grids():
                             if not 0 <= M <= p - 2:
                                 continue
                             lhs, rhs = comp_general(pr, a, b, m, n, s)
-                            assert lrows[n * (p - 1) + M] == lhs, (p, a, b, m, n, s)
-                            assert rrows[s * (p - 1) + M] == rhs, (p, a, b, m, n, s)
+                            assert lrows[n * S + M] == lhs, (p, a, b, m, n, s)
+                            assert rrows[s * S + M] == rhs, (p, a, b, m, n, s)
                             count += 1
         assert count == _comp_grid_count(p)
+
+
+def _table_rows(table, p):
+    # the cells M = 0..p-2 of each row t of a comp_rows table, row stride 2p-2
+    S = 2 * p - 2
+    return [list(table[t * S : t * S + p - 1]) for t in range(p)]
+
+
+@pytest.mark.parametrize("byte_path", [False, True])
+def test_comp_rows_match_row_recurrence(monkeypatch, byte_path):
+    # every (u, v, m) at p = 5, 7, 11 and seeded ones at p = 37 (8-byte
+    # slots), u = 0, v = 0 and m = p-1 among them, against the plain
+    # recurrence, on the native and the slot-by-slot packing
+    if byte_path:
+        monkeypatch.setattr(modarith, "_SLOT_CODES", {})
+    for p in (5, 7, 11):
+        pr = make_prime(p)  # fresh, so its stride tables take that path
+        for u in range(p):
+            for v in range(p):
+                for m in range(p):
+                    want = comp_rows_by_recurrence(p, u, v, m)
+                    assert _table_rows(comp_rows(pr, u, v, m), p) == want, (p, u, v, m)
+    p = 37
+    pr = make_prime(p)
+    rng = random.Random(37)
+    cases = [(0, 5, 9), (4, 0, 9), (0, 0, p - 1), (p - 1, p - 1, p - 1), (3, -2, p - 1)]
+    cases += [(rng.randrange(p), rng.randrange(p), rng.randrange(p)) for _ in range(30)]
+    for u, v, m in cases:
+        want = comp_rows_by_recurrence(p, u % p, v % p, m)
+        assert _table_rows(comp_rows(pr, u, v, m), p) == want, (u, v, m)
 
 
 def test_vandermonde():

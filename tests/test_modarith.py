@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wolstenholme import modarith
 from wolstenholme.errors import (
     HypothesisViolationError,
     NotInvertibleError,
@@ -18,6 +19,7 @@ from wolstenholme.modarith import (
     is_prime,
     make_prime,
     mod_inverse,
+    pack_slots,
     pow_nonzero,
 )
 
@@ -251,3 +253,23 @@ def test_is_prime_small():
     assert [n for n in range(2, 32) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
     ]
+
+
+@pytest.mark.parametrize("byte_path", [False, True])
+@pytest.mark.parametrize("p,width", [(5, 2), (7, 4), (19, 4), (31, 4), (37, 8), (1009, 8)])
+def test_reduce_slots_matches_remainders(monkeypatch, p, width, byte_path):
+    # the slot-wise Barrett step against v % p at the edges of its range,
+    # 0 .. 2^B - 1 with B the bit length of p (p-1)^2, and seeded values
+    if byte_path:  # the slot-by-slot packing that big-endian hosts take
+        monkeypatch.setattr(modarith, "_SLOT_CODES", {})
+    pr = make_prime(p)
+    assert pr.reduce_width == width
+    top = (1 << (p * (p - 1) ** 2).bit_length()) - 1
+    rng = random.Random(p)
+    values = [0, 1, p - 1, p, 2 * p - 1, top, top - 1, top - p, p * (p - 1) ** 2, 0]
+    values += [rng.randrange(top + 1) for _ in range(200)] + [top] * 3
+    got = pr.reduce_slots(pack_slots(values, width), len(values))
+    assert list(got) == [v % p for v in values]
+    # trailing zero slots are reduced too
+    got = pr.reduce_slots(pack_slots(values[:5], width), 9)
+    assert list(got) == [v % p for v in values[:5]] + [0] * 4

@@ -135,9 +135,10 @@ def _corrupted_comp_table(monkeypatch, p, table, t0):
     real = identities.comp_rows
 
     def corrupted(pr, u, v, m):
-        flat = real(pr, u, v, m)
+        flat = list(real(pr, u, v, m))
         if (u % p, v % p, m) == table:
-            for i in range(t0 * (p - 1), (t0 + 1) * (p - 1)):
+            # row t0 holds M = 0..p-2 from cell t0 (2p-2) on
+            for i in range(t0 * (2 * p - 2), t0 * (2 * p - 2) + p - 1):
                 flat[i] = (flat[i] + 1) % p
         return flat
 
@@ -211,6 +212,18 @@ def test_thm3_13_builds_one_table_per_ordered_pair_and_m(monkeypatch):
     assert rep.passed and rep.exhaustive
     assert len(calls) == (p - 1) * (p - 2) * (p - 1)
     assert len(set(calls)) == len(calls)
+
+
+def test_thm3_13_keeps_one_stride_table_per_nonzero_base():
+    # the bases of the sweep's tables are b and -b, never 0, so an
+    # exhaustive run leaves at most p-1 stride tables on its Prime
+    from wolstenholme.modarith import make_prime
+
+    p = 13
+    pr = make_prime(p)
+    rep = run_one("thm3.13", pr, budget=10**9)
+    assert rep.passed and rep.exhaustive
+    assert 0 < len(pr._strides) <= p - 1
 
 
 @pytest.mark.parametrize("entries", [(2,), None], ids=["entry", "row"])
