@@ -8,10 +8,11 @@ cross-checks the others.
 The two kernels of this module work on packed rows (Prime.pack): a row of
 residues as one big integer, pack_width bytes a slot, so that one integer
 product is a whole convolution as long as no slot sum exceeds p (p-1)^2.
-_composition_sums multiplies the running product by one packed binomial row
-per middle term, and newton_esp runs Newton's identities as an online
-convolution of packed blocks.  Neither calls polyring, whose products serve
-the other two routes.
+_composition_sums multiplies the running product by one packed weighted row
+per middle term and reduces only the window it keeps.  newton_esp reads its
+power sums from Prime.unpack and runs Newton's identities as an online
+convolution of packed blocks, whose raw slots its leaves add unreduced.
+Neither calls polyring, whose products serve the other two routes.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
     rows = [pr.weighted_row(m, b) for m, b in zip(exps, bases)]
     # cur[j - lo] = [x^j] of the product so far, which is the empty product 1
     # when the last term is the only one
-    cur, lo = rows[0][0] if len(rows) > 1 else (1,), 0
+    cur, lo = rows[0] if len(rows) > 1 else (1,), 0
     rem = cap - exps[0]
     width = pr.pack_width
-    for m, (w, _) in zip(exps[1:-1], rows[1:-1]):
+    for m, w in zip(exps[1:-1], rows[1:-1]):
         rem -= m
         new_lo = max(lo, lo_t - rem)
         top = min(hi_t, lo + len(cur) - 1 + m)
@@ -121,7 +122,7 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
         # products of two residues, which a slot holds
         slots = unpack_slots(pr.pack(cur) * pr.pack(w), width, len(cur) + m)
         cur, lo = [v % p for v in slots[new_lo - lo : top - lo + 1]], new_lo
-    m, rev = exps[-1], rows[-1][1]
+    m, w = exps[-1], rows[-1]
     hi = lo + len(cur) - 1
     out = []
     for t in targets:
@@ -129,7 +130,7 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
         if a > b:  # t < 0 or t > sum(exps): no composition
             out.append(0)
         else:
-            out.append(sum(map(mul, cur[a - lo : b - lo + 1], rev[m - t + a : m - t + b + 1])) % p)
+            out.append(sum(map(mul, cur[a - lo : b - lo + 1], reversed(w[t - b : t - a + 1]))) % p)
     return out
 
 
@@ -188,7 +189,8 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
     """e_0..e_r_max via Newton's identities; valid only for r_max < p.
 
     The power sums p_1..p_r_max of the roots are read from one combination
-    of the cached packed power tables, m_i times that of b_i, unpacked once.
+    of the cached packed power tables, p - m_i times that of b_i, unpacked
+    and reduced once by Prime.unpack.
     The recursion is an online convolution, run in leaves of _NEWTON_BLOCK
     indices: within a leaf, one dot product per index over the leaf's own
     e-values; the e-values below the leaf arrive through the packed products
@@ -209,14 +211,14 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
     if r_max >= p:
         raise IndexNotInvertibleError(f"r_max = {r_max} >= p = {p}: index not invertible")
     # r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i.  (-1)^(i-1) p_i
-    # is -(m_1 b_1^i + ... + m_(n-1) b_(n-1)^i), slot i of one combination of
-    # packed power tables: at most n-1 <= p-1 products of two residues a
-    # slot.  1/r is (r-1)! / r!.
+    # is -(m_1 b_1^i + ... + m_(n-1) b_(n-1)^i), so slot i of the combination
+    # of packed power tables weighted by p - m_i: at most n-1 <= p-1 products
+    # of two residues a slot.  1/r is (r-1)! / r!.
     packed = pr.packed_powers
     width = pr.pack_width
-    combo = sum([m * packed(b) for m, b in zip(gp.exps[:-1], gp.shifted)])
+    combo = sum([(p - m) * packed(b) for m, b in zip(gp.exps[:-1], gp.shifted)])
     # every slot, since the ones past r_max are nonzero too
-    signed = [-v % p for v in unpack_slots(combo, width, p)[1 : r_max + 1]]
+    signed = pr.unpack(combo, p)[1 : r_max + 1]
     fact, inv_fact = pr.fact, pr.inv_fact
     # acc[r]: the part of r e_r from the e-values below r's leaf
     acc = [0] * (r_max + 1)

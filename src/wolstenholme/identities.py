@@ -27,7 +27,6 @@ from .errors import (
     RangeViolationError,
 )
 from .modarith import Prime, binom, conv, pack_slots
-from .oracle import unpack
 
 
 def cancellation(pr: Prime, n: int, k: int, s: int) -> tuple[int, int]:
@@ -123,7 +122,7 @@ def cong_rows(pr: Prime, m: int, n: int, s: int) -> tuple[list[int], list[int]]:
     acc = 0
     for k in range(max(0, M - m), min(s, M) + 1):
         acc += (rs[k] * rm[M - k] % p * packed(M - k)) << k * bits
-    return lhs, unpack(pr, acc, M + 1)
+    return lhs, pr.unpack(acc, M + 1)
 
 
 def comp_rows(pr: Prime, u: int, v: int, m: int) -> Sequence[int]:
@@ -137,7 +136,7 @@ def comp_rows(pr: Prime, u: int, v: int, m: int) -> Sequence[int]:
     at every M, and with (u, v) = (a-b, -b), row s holds the right side.
     """
     p = pr.p
-    row = pack_slots(pr.weighted_row(m, u)[0][: p - 1], pr.reduce_width)
+    row = pack_slots(pr.weighted_row(m, u)[: p - 1], pr.reduce_width)
     return pr.reduce_slots(row * pr.stride_table(v), p * (2 * p - 2))
 
 
@@ -184,5 +183,5 @@ def vandermonde_rows(pr: Prime, m: int, n: int) -> tuple[list[int], list[int]]:
     """
     if m < 0 or n < 0 or m + n > pr.p - 1:
         raise RangeViolationError(f"need m, n >= 0 with m+n <= p-1, got {(m, n)}")
-    lhs = unpack(pr, pr.packed_binom_row(m) * pr.packed_binom_row(n), m + n + 1)
+    lhs = pr.unpack(pr.packed_binom_row(m) * pr.packed_binom_row(n), m + n + 1)
     return lhs, list(pr.binom_row(m + n))

@@ -2,15 +2,16 @@
 
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
-lazily built lookup caches (binomial rows, power tables, weighted rows,
-packed forms, power columns and packed stride tables) that the exhaustive
-sweeps and the brute oracle lean on in hot verification loops.
-Prime.reduce_slots reduces every slot of a packed int mod p at once, by a
-slot-wise Barrett step, so a packed product need not be unpacked before it
-is reduced.  conv gives one coefficient of a product of two shifted
-binomials, the sum that the triple closed forms and the weighted-sum
-identities share.  It reads only the factorial tables and caches nothing, at
-a cost of O(window) per call, so sampled runs at large p hold no rows.
+lookup caches, dicts filled as they are read (binomial rows, power tables,
+weighted rows, packed forms, power columns and packed stride tables), that
+the exhaustive sweeps and the brute oracle lean on in hot verification
+loops.  Prime.unpack reduces a combination of packed rows slot by slot once
+it is unpacked; Prime.reduce_slots reduces every slot of a packed int mod p
+at once, by a slot-wise Barrett step, before it is unpacked.  conv gives one
+coefficient of a product of two shifted binomials, the sum that the triple
+closed forms and the weighted-sum identities share.  It reads only the
+factorial tables and caches nothing, at a cost of O(window) per call, so
+sampled runs at large p hold no rows.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Sequence
+from math import gcd
 
 from .errors import (
     HypothesisViolationError,
@@ -71,7 +73,11 @@ class Prime:
     """Validated prime modulus p >= 5 with tables of i! and (i!)^-1 mod p.
 
     Immutable after construction (the internal caches only memoize pure
-    functions), so instances are safe to share.  The power columns that the
+    functions), so instances are safe to share.  Every lookup cache is a
+    dict keyed by top, base or exponent and holds only the entries read so
+    far, so a Prime costs its two factorial tables until a route reads more.
+    pack and unpack turn a row into one packed int and a combination of
+    packed rows back into residues.  The power columns that the
     brute oracle reads, one per exponent |e| <= p-1, hold at most (2p-1) p
     entries of column_code, at most 4 bytes each below p = 2^32: about 4 MB
     at p = 1009.  Each entry is one exact pow of its own base, with no
@@ -121,13 +127,13 @@ class Prime:
         self._barrett = (shift, mult)
         # the narrowest unsigned array type that holds every residue
         self.column_code = next(c for c in "BHIQ" if p <= 1 << 8 * array(c).itemsize)
-        # lazily filled lookup caches, indexed directly for speed in sweeps
-        self._binom_rows: list = [None] * p
-        self._powers: list = [None] * p
-        self._packed: list = [None] * p
-        self._packed_binom: list = [None] * p
-        self._wrows: list = [None] * p
-        self._columns: list = [None] * (2 * p - 1)  # exponent e at index e + p - 1
+        # lookup caches, each entry built on its first read
+        self._binom_rows: dict[int, tuple[int, ...]] = {}
+        self._powers: dict[int, tuple[int, ...]] = {}
+        self._packed: dict[int, int] = {}
+        self._packed_binom: dict[int, int] = {}
+        self._wrows: dict[int, dict[int, tuple[int, ...]]] = {}  # base -> n -> row
+        self._columns: dict[int, array] = {}
         self._strides: dict[int, int] = {}
         self._reduce_masks: dict[int, int] = {}
 
@@ -138,7 +144,7 @@ class Prime:
         """Row (C(n,0), ..., C(n,n)) mod p; requires 0 <= n < p."""
         if not 0 <= n < self.p:
             raise TopOutOfRangeError(f"binomial top {n} outside [0, {self.p})")
-        row = self._binom_rows[n]
+        row = self._binom_rows.get(n)
         if row is None:
             p, fn, inv = self.p, self.fact[n], self.inv_fact
             row = tuple(fn * inv[k] % p * inv[n - k] % p for k in range(n + 1))
@@ -148,7 +154,7 @@ class Prime:
     def powers(self, base: int) -> tuple[int, ...]:
         """(base^0, base^1, ..., base^(p-1)) mod p."""
         base %= self.p
-        tab = self._powers[base]
+        tab = self._powers.get(base)
         if tab is None:
             p = self.p
             out = [1] * p
@@ -165,20 +171,28 @@ class Prime:
         p = self.p
         if not -p < e < p:
             raise HypothesisViolationError(f"|exponent| {e} exceeds p-1 = {p - 1}")
-        col = self._columns[e + p - 1]
+        col = self._columns.get(e)
         if col is None:
             col = array(self.column_code, [pow(x, e, p) if x or e >= 0 else 0 for x in range(p)])
-            self._columns[e + p - 1] = col
+            self._columns[e] = col
         return col
 
     def pack(self, row) -> int:
         """row as one int, pack_width bytes per slot (see pack_slots)."""
         return pack_slots(row, self.pack_width)
 
+    def unpack(self, packed: int, count: int) -> list[int]:
+        """The first count slots of a combination of packed rows (see pack),
+        each reduced mod p.  Every slot must hold at most p (p-1)^2, so that
+        no carry crosses into the next one, and no slot past count may be
+        nonzero."""
+        p = self.p
+        return [v % p for v in unpack_slots(packed, self.pack_width, count)]
+
     def packed_powers(self, base: int) -> int:
         """powers(base), packed."""
         base %= self.p
-        packed = self._packed[base]
+        packed = self._packed.get(base)
         if packed is None:
             packed = self._packed[base] = self.pack(self.powers(base))
         return packed
@@ -187,37 +201,32 @@ class Prime:
         """binom_row(n), packed; requires 0 <= n < p."""
         if not 0 <= n < self.p:
             raise TopOutOfRangeError(f"binomial top {n} outside [0, {self.p})")
-        packed = self._packed_binom[n]
+        packed = self._packed_binom.get(n)
         if packed is None:
             packed = self._packed_binom[n] = self.pack(self.binom_row(n))
         return packed
 
-    def weighted_row(self, n: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(w, reversed(w)) with w[i] = C(n,i) * base^i mod p; both are cached.
+    def weighted_row(self, n: int, base: int) -> tuple[int, ...]:
+        """The coefficients of (1 + base x)^n mod p: w[i] = C(n,i) base^i for
+        i = 0..n.  Requires 0 <= n < p.
 
-        The cache holds up to p^2 rows of O(p) entries, so only sweeps that
-        reuse rows read it: identities.comp_rows (its row (m, u), packed),
-        stride_table (every row of its base), verify._cor3_12_across_b (the
-        reversed row, sliced) and general._composition_sums (the row, packed at each middle term, and
-        the reversed row, sliced at the last).
-        Requires 0 <= n < p.
+        Each row is cached under (base mod p, n) on its first read, and up to
+        p^2 rows of at most p entries can collect, so it suits sweeps that
+        read their rows again.
         """
         if not 0 <= n < self.p:
             raise TopOutOfRangeError(f"binomial top {n} outside [0, {self.p})")
         base %= self.p
-        bucket = self._wrows[base]
-        if bucket is None:
-            bucket = [None] * self.p
-            self._wrows[base] = bucket
-        pair = bucket[n]
-        if pair is None:
+        rows = self._wrows.get(base)
+        if rows is None:
+            rows = self._wrows[base] = {}
+        w = rows.get(n)
+        if w is None:
             row = self.binom_row(n)
             pw = self.powers(base)
             p = self.p
-            w = tuple(row[i] * pw[i] % p for i in range(n + 1))
-            pair = (w, w[::-1])
-            bucket[n] = pair
-        return pair
+            w = rows[n] = tuple(row[i] * pw[i] % p for i in range(n + 1))
+        return w
 
     def stride_table(self, v: int) -> int:
         """T_v = sum over t = 0..p-1 of y^t (1+vx)^t with y = x^(2p-2), packed
@@ -235,7 +244,7 @@ class Prime:
             stride = 2 * self.p - 2
             slots = []
             for t in range(self.p):
-                w = self.weighted_row(t, v)[0]
+                w = self.weighted_row(t, v)
                 slots += w
                 slots += [0] * (stride - len(w))
             table = self._strides[v] = pack_slots(slots, self.reduce_width)
@@ -309,21 +318,17 @@ def make_prime(p: int) -> Prime:
 
 
 def mod_inverse(a: int, modulus: int) -> int:
-    """Inverse of a modulo modulus via extended Euclid.
+    """Inverse of a modulo modulus, by the built-in pow(a, -1, modulus).
 
     Works for prime-power moduli (p^2) where Fermat exponentiation does not.
     Raises NotInvertibleError when gcd(a, modulus) != 1.
     """
     a %= modulus
-    r0, r1 = modulus, a
-    x0, x1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-    if r0 != 1:
-        raise NotInvertibleError(f"{a} not invertible mod {modulus} (gcd = {r0})")
-    return x0 % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NotInvertibleError(
+            f"{a} not invertible mod {modulus} (gcd = {gcd(a, modulus)})") from None
 
 
 def binom(pr: Prime, n: int, k: int) -> int:

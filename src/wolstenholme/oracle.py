@@ -17,6 +17,7 @@ Python int, one fixed-width slot per exponent.  That is exact integer
 arithmetic, not an algebraic shortcut: every product w * x^s is still formed
 and added, only p of them side by side in one big-integer multiply-add, and
 the slots are wide enough that no carry ever crosses into the next one.
+Prime.unpack then reduces each slot mod p.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import repeat
 from operator import mul
 
 from .errors import HypothesisViolationError, ZeroDenominatorError
-from .modarith import Prime, mod_inverse, unpack_slots
+from .modarith import Prime, mod_inverse
 
 Term = tuple[int, int]  # (offset, signed exponent)
 
@@ -109,15 +110,6 @@ def brute_sum(spec: SumSpec) -> int:
     return sum(values) % p
 
 
-def unpack(pr: Prime, packed: int, count: int) -> list[int]:
-    """The first count slots of a combination of packed rows (see
-    Prime.pack), each reduced mod p.  Every slot must hold at most
-    p (p-1)^2, so that no carry crosses into the next one, and no slot past
-    count may be nonzero."""
-    p = pr.p
-    return [v % p for v in unpack_slots(packed, pr.pack_width, count)]
-
-
 def power_moments(pr: Prime, weighted) -> list[int]:
     """[sum of w * x^s over the (w, x) pairs, mod p, for s = 0..p-1].
 
@@ -125,10 +117,10 @@ def power_moments(pr: Prime, weighted) -> list[int]:
     each exponent's exact sum is at most p (p-1)^2 and fits one slot of
     Prime.packed_powers: the big-integer combination of the packed tables
     holds every exact sum side by side.  It is unpacked and reduced mod p
-    once.  x^0 = 1 for every x, 0 included.
+    once, by Prime.unpack.  x^0 = 1 for every x, 0 included.
     """
     packed = pr.packed_powers
-    return unpack(pr, sum([w * packed(x) for w, x in weighted]), pr.p)
+    return pr.unpack(sum([w * packed(x) for w, x in weighted]), pr.p)
 
 
 def brute_sum_mod_p2(pr: Prime, exp: int) -> int:
@@ -171,5 +163,5 @@ def residue_matrix(pr: Prime, a: int) -> ResidueMatrix:
     ks = [k for k in range(1, p) if k != a]
     rows = [pr.packed_powers(mod_inverse(a - k, p)) for k in ks]
     weights = zip(*map(pr.powers, ks))  # (k^m for every k) for m = 0..p-1
-    entries = tuple(tuple(unpack(pr, sum(map(mul, km, rows)), p)) for km in weights)
+    entries = tuple(tuple(pr.unpack(sum(map(mul, km, rows)), p)) for km in weights)
     return ResidueMatrix(pr, a, entries)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisViolationError, ModulusMismatchError
 from .modarith import Prime, pack_slots, unpack_slots
-from .oracle import power_moments, unpack
+from .oracle import power_moments
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def cyclic_product(pr: Prime, offsets, exps) -> list[int]:
             row[0] = (row[0] + row.pop()) % p
         if len(out) > 1:  # else out is the empty product 1
             full = pr.pack(out) * pr.pack(row)
-            row = unpack(pr, (full & mask) + (full >> shift), n)
+            row = pr.unpack((full & mask) + (full >> shift), n)
         out = row
     return out + [0] * (n - len(out))
 

@@ -36,7 +36,6 @@ from .oracle import (
     power_moments,
     residue_matrix,
     term_products,
-    unpack,
 )
 from .polyring import symbolic_coeff_table, symbolic_sum_table
 
@@ -607,9 +606,9 @@ def _cor3_12_across_b(pr, columns, a, m, n):
     the sum of c_i times column i.  At most p terms share a slot."""
     p = pr.p
     M = m + n - (p - 1)
-    wa = pr.weighted_row(m, a)[1][m - M : m + 1]  # C(m,M-i) a^(M-i)
+    wa = pr.weighted_row(m, a)[M::-1]  # C(m,M-i) a^(M-i)
     rn = pr.binom_row(n)
-    return unpack(pr, sum(map(mul, [w * c % p for w, c in zip(wa, rn)], columns)), p)
+    return pr.unpack(sum(map(mul, [w * c % p for w, c in zip(wa, rn)], columns)), p)
 
 
 # --- shortcuts, tables and figures --------------------------------------------

@@ -435,3 +435,25 @@ def test_big_sum_table_is_fast_and_small(tmp_path):
     for s in rng.sample(range(1, 916), 2) + rng.sample(range(916, 1009), 2):
         got = _rendered_monomials(lines[s - 1].split(": ", 1)[1], 1009)
         assert got == reference.sum_row(1009, 500, 600, s), s
+
+
+_BIG_P_CLOSED = """
+import resource, sys
+from wolstenholme.cli import main
+code = main(["eval", "--strategy", "closed", "-p", "1000003", sys.argv[1]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("expression, value", [("(1+k)^2 (2+k)^3", "0"),
+                                               ("1/((1+k)(2+k)^3)", "4")])
+def test_closed_form_at_p_1000003_holds_no_p_long_cache(expression, value):
+    # the closed form reads two factorial tables of p entries; six p-long
+    # cache lists built with every Prime took this to 162 MB.  The coeff and
+    # esp routes give the same two values.
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    child = subprocess.run([sys.executable, "-c", _BIG_P_CLOSED, expression], env=env,
+                           capture_output=True, text=True, check=True)
+    *printed, last = child.stdout.splitlines()
+    code, max_rss_kib = map(int, last.split())  # Linux reports KiB
+    assert code == 0 and printed == [value] and max_rss_kib < 130 * 1024

@@ -314,7 +314,7 @@ def test_sampled_runs_at_p_1009_cache_no_rows(monkeypatch, theorem):
     assert rep.passed and not rep.exhaustive and rep.grid == 1000
     assert calls == []
     for cache in (pr._wrows, pr._powers, pr._binom_rows):
-        assert cache == [None] * 1009
+        assert cache == {}
 
 
 def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
@@ -336,13 +336,13 @@ def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
     pr = make_prime(p)
     rep = run_one("thm3.6", pr, budget=1000, seed=0)
     assert rep.passed and not rep.exhaustive and rep.grid == 1000
-    built = [col for col in pr._columns if col is not None]
-    assert len(pr._columns) == 2 * p - 1 and len(built) == len(served)
+    built = list(pr._columns.values())
+    assert len(built) == len(served)
     assert all(len(col) == p and col.itemsize <= 4 for col in built)
     assert all(col is cols[0] for cols in served.values() for col in cols)
     assert sum(map(len, served.values())) == 3 * 1000  # three terms a draw
     for cache in (pr._wrows, pr._powers, pr._binom_rows):
-        assert cache == [None] * p
+        assert cache == {}
 
 
 # --- every grid theorem reports every failing instance -----------------------

@@ -74,6 +74,10 @@ COMMANDS = tuple("verify " + args for args in (
     "-p 1009 (3+k)^700(10+k)^900",
     "-p 1009 (2+k)^800(7+k)^600k^400",
     "-p 1009 (1+k)^400(5+k)^500(9+k)^450k^300",
+    # closed forms at a prime far past every other command's, where a Prime
+    # builds only what the route reads
+    "--strategy closed -p 1000003 (1+k)^2(2+k)^3",
+    "--strategy closed -p 1000003 1/((1+k)(2+k)^3)",
 ))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
