@@ -18,7 +18,6 @@ from .closedforms import (
 )
 from .general import (
     GeneralSumParams,
-    bounded_composition_sum,
     coeff_extraction_sum,
     esp_sum,
     multi_index_J,

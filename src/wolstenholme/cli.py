@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="'all' runs every applicable strategy and requires agreement",
     )
-    p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser(
         "verify",
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'p' reduces them to mod p",
     )
     p_verify.add_argument("-o", "--output", help="write the JSON-lines report here")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser(
         "table",
@@ -343,16 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("-f", "--format", choices=("csv", "json", "text"), default="text")
     p_table.add_argument("--signed", action="store_true", help="balanced-residue display")
     p_table.add_argument("-o", "--output")
-    p_table.set_defaults(func=cmd_table)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built on the first call of main
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up on each call, so that a wrapper set on this module runs
+    command = {"eval": cmd_eval, "verify": cmd_verify, "table": cmd_table}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except DisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -89,7 +89,13 @@ class GeneralSumParams:
 
 
 def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
-    """bounded_composition_sum for every target at once, in the given order.
+    """For each target, in the given order, the sum over compositions
+    (j_1..j_r) of target with 0 <= j_i <= exps[i] of the products
+    C(m_1,j_1)...C(m_r,j_r) b_1^j_1 ... b_r^j_r, mod p.
+
+    That is [x^target] of (1+b_1 x)^m_1 ... (1+b_r x)^m_r.  With every base
+    equal to 1 it collapses to C(sum(exps), target) by the Vandermonde
+    identity, which the tests exercise.
 
     A dynamic program over the terms: after term i it holds the
     coefficients of (1+b_1 x)^m_1 ... (1+b_i x)^m_i, but only at the
@@ -134,19 +140,6 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
     return out
 
 
-def bounded_composition_sum(pr: Prime, exps, bases, target: int) -> int:
-    """Sum over compositions (j_1..j_r) of target with 0 <= j_i <= exps[i] of
-    the products C(m_1,j_1)...C(m_r,j_r) b_1^j_1 ... b_r^j_r, mod p.
-
-    That is [x^target] of (1+b_1 x)^m_1 ... (1+b_r x)^m_r, computed by the
-    windowed dynamic program of _composition_sums: one packed product per
-    middle term, then one dot product.  With every base equal to 1 this
-    collapses to C(sum(exps), target) by the Vandermonde identity, which the
-    tests exercise.
-    """
-    return _composition_sums(pr, exps, bases, [target])[0]
-
-
 def multi_index_J(gp: GeneralSumParams) -> int:
     """Sum over all k of (a_1+k)^m_1 ... (a_n+k)^m_n via bounded compositions."""
     pr = gp.pr
@@ -189,8 +182,8 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
     """e_0..e_r_max via Newton's identities; valid only for r_max < p.
 
     The power sums p_1..p_r_max of the roots are read from one combination
-    of the cached packed power tables, p - m_i times that of b_i, unpacked
-    and reduced once by Prime.unpack.
+    of the cached packed power tables, p - m_i times that of b_i, masked to
+    its slots 0..r_max and unpacked and reduced once by Prime.unpack.
     The recursion is an online convolution, run in leaves of _NEWTON_BLOCK
     indices: within a leaf, one dot product per index over the leaf's own
     e-values; the e-values below the leaf arrive through the packed products
@@ -217,8 +210,7 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
     packed = pr.packed_powers
     width = pr.pack_width
     combo = sum([(p - m) * packed(b) for m, b in zip(gp.exps[:-1], gp.shifted)])
-    # every slot, since the ones past r_max are nonzero too
-    signed = pr.unpack(combo, p)[1 : r_max + 1]
+    signed = pr.unpack(combo & ((1 << 8 * width * (r_max + 1)) - 1), r_max + 1)[1:]
     fact, inv_fact = pr.fact, pr.inv_fact
     # acc[r]: the part of r e_r from the e-values below r's leaf
     acc = [0] * (r_max + 1)

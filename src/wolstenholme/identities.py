@@ -11,10 +11,11 @@ and vandermonde_rows both sides of vandermonde at every M, its left side one
 product of two packed binomial rows.  For the weighted-sum identity,
 comp_rows builds the table of one side as one big-integer product of a
 packed row and a packed stride table of the powers (1+vx)^t, reduced mod p
-inside the packed int, and the sweep reads all the instances of one
-(a, b, m) from two such tables.  The right-side table of (a, b) is the
-left-side table of (a-b, -b) and the other way round, so one table pair
-serves both pairs.
+inside the packed int.  The row (1+ux)^m is itself sliced from the stride
+table of u, so the sweep builds weighted rows only for those tables.  It
+reads all the instances of one (a, b, m) from two such tables.  The
+right-side table of (a, b) is the left-side table of (a-b, -b) and the
+other way round, so one table pair serves both pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     HypothesisViolationError,
     RangeViolationError,
 )
-from .modarith import Prime, binom, conv, pack_slots
+from .modarith import Prime, binom, conv
 
 
 def cancellation(pr: Prime, n: int, k: int, s: int) -> tuple[int, int]:
@@ -131,12 +132,15 @@ def comp_rows(pr: Prime, u: int, v: int, m: int) -> Sequence[int]:
 
     The table is one big-integer product, the packed row C(m, i) u^i
     truncated at x^(p-2) times Prime.stride_table(v), whose row t is
-    (1+vx)^t, reduced mod p in the packed int.  Both sides of comp_general
-    are such coefficients: with (u, v) = (a, b), row n holds the left side
-    at every M, and with (u, v) = (a-b, -b), row s holds the right side.
+    (1+vx)^t, reduced mod p in the packed int.  That row is slots 0..p-2 of
+    row m of stride_table(u), taken with one shift and one mask.  Both sides
+    of comp_general are such coefficients: with (u, v) = (a, b), row n holds
+    the left side at every M, and with (u, v) = (a-b, -b), row s holds the
+    right side.
     """
     p = pr.p
-    row = pack_slots(pr.weighted_row(m, u)[: p - 1], pr.reduce_width)
+    bits = 8 * pr.reduce_width
+    row = (pr.stride_table(u) >> m * (2 * p - 2) * bits) & ((1 << (p - 1) * bits) - 1)
     return pr.reduce_slots(row * pr.stride_table(v), p * (2 * p - 2))
 
 

@@ -3,15 +3,16 @@
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
 lookup caches, dicts filled as they are read (binomial rows, power tables,
-weighted rows, packed forms, power columns and packed stride tables), that
-the exhaustive sweeps and the brute oracle lean on in hot verification
-loops.  Prime.unpack reduces a combination of packed rows slot by slot once
-it is unpacked; Prime.reduce_slots reduces every slot of a packed int mod p
-at once, by a slot-wise Barrett step, before it is unpacked.  conv gives one
-coefficient of a product of two shifted binomials, the sum that the triple
-closed forms and the weighted-sum identities share.  It reads only the
-factorial tables and caches nothing, at a cost of O(window) per call, so
-sampled runs at large p hold no rows.
+packed forms, power columns and packed stride tables), that the exhaustive
+sweeps and the brute oracle lean on in hot verification loops.  A weighted
+row C(n, i) base^i is built on each read and cached nowhere.  Prime.unpack
+reduces a combination of packed rows slot by slot once it is unpacked;
+Prime.reduce_slots reduces every slot of a packed int mod p at once, by a
+slot-wise Barrett step, before it is unpacked.  conv gives one coefficient
+of a product of two shifted binomials, the sum that the triple closed forms
+and the weighted-sum identities share.  It reads only the factorial tables
+and caches nothing, at a cost of O(window) per call, so sampled runs at
+large p hold no rows.
 """
 
 from __future__ import annotations
@@ -73,9 +74,12 @@ class Prime:
     """Validated prime modulus p >= 5 with tables of i! and (i!)^-1 mod p.
 
     Immutable after construction (the internal caches only memoize pure
-    functions), so instances are safe to share.  Every lookup cache is a
-    dict keyed by top, base or exponent and holds only the entries read so
-    far, so a Prime costs its two factorial tables until a route reads more.
+    functions), so instances are safe to share.  Its seven lookup caches
+    (binomial rows, power tables, packed power tables, packed binomial rows,
+    power columns, stride tables and Barrett masks) are dicts keyed by top,
+    base, exponent or slot count, and hold only the entries read so far, so
+    a Prime costs its two factorial tables until a route reads more.
+    weighted_row caches nothing.
     pack and unpack turn a row into one packed int and a combination of
     packed rows back into residues.  The power columns that the
     brute oracle reads, one per exponent |e| <= p-1, hold at most (2p-1) p
@@ -90,8 +94,8 @@ class Prime:
     """
 
     __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "reduce_width",
-                 "_barrett", "_binom_rows", "_powers", "_packed", "_packed_binom", "_wrows",
-                 "_columns", "_strides", "_reduce_masks")
+                 "_barrett", "_binom_rows", "_powers", "_packed", "_packed_binom", "_columns",
+                 "_strides", "_reduce_masks")
 
     def __init__(self, p: int):
         if p < 5:
@@ -132,7 +136,6 @@ class Prime:
         self._powers: dict[int, tuple[int, ...]] = {}
         self._packed: dict[int, int] = {}
         self._packed_binom: dict[int, int] = {}
-        self._wrows: dict[int, dict[int, tuple[int, ...]]] = {}  # base -> n -> row
         self._columns: dict[int, array] = {}
         self._strides: dict[int, int] = {}
         self._reduce_masks: dict[int, int] = {}
@@ -210,23 +213,19 @@ class Prime:
         """The coefficients of (1 + base x)^n mod p: w[i] = C(n,i) base^i for
         i = 0..n.  Requires 0 <= n < p.
 
-        Each row is cached under (base mod p, n) on its first read, and up to
-        p^2 rows of at most p entries can collect, so it suits sweeps that
-        read their rows again.
+        binom_row(n) times the n+1 powers of base, taken by a running
+        product: O(n), whatever p, and cached nowhere.
         """
         if not 0 <= n < self.p:
             raise TopOutOfRangeError(f"binomial top {n} outside [0, {self.p})")
-        base %= self.p
-        rows = self._wrows.get(base)
-        if rows is None:
-            rows = self._wrows[base] = {}
-        w = rows.get(n)
-        if w is None:
-            row = self.binom_row(n)
-            pw = self.powers(base)
-            p = self.p
-            w = rows[n] = tuple(row[i] * pw[i] % p for i in range(n + 1))
-        return w
+        p = self.p
+        base %= p
+        out = [1]
+        x = 1
+        for c in self.binom_row(n)[1:]:
+            x = x * base % p
+            out.append(c * x % p)
+        return tuple(out)
 
     def stride_table(self, v: int) -> int:
         """T_v = sum over t = 0..p-1 of y^t (1+vx)^t with y = x^(2p-2), packed

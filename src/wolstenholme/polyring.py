@@ -2,12 +2,14 @@
 
 PolyZp and build_product back the esp route's polynomial coefficients for
 the n-term sums; cyclic_product gives the coefficient route its product in
-Z_p[x]/(x^(p-1) - 1), every factor a packed row.  BiPolyZp reproduces the
-symbolic coefficient and sum tables exactly, keeping a and b as formal
-symbols (no Fermat reduction of their exponents).  A table row holds only
-its nonzero monomials, a few anti-diagonals i1 + i2 = t, so a table costs
-O(p^2) for its power sums plus O(1) per monomial, not O(p·m·n).  No route
-or table adds polynomials or evaluates one at a point, so neither is here.
+Z_p[x]/(x^(p-1) - 1), every factor a packed row.  Both read each factor
+(b + x)^m as Prime.weighted_row(m, b) reversed, so neither builds a p-long
+power table.  BiPolyZp reproduces the symbolic coefficient and sum tables
+exactly, keeping a and b as formal symbols (no Fermat reduction of their
+exponents).  A table row holds only its nonzero monomials, a few
+anti-diagonals i1 + i2 = t, so a table costs O(p^2) for its power sums plus
+O(1) per monomial, not O(p·m·n).  No route or table adds polynomials or
+evaluates one at a point, so neither is here.
 """
 
 from __future__ import annotations
@@ -73,20 +75,13 @@ def coeff(f: PolyZp, j: int) -> int:
     return f.coeffs[j]
 
 
-def binomial_power(pr: Prime, b: int, m: int) -> PolyZp:
-    """(b + x)^m expanded directly: coefficient of x^j is C(m, j) b^(m-j)."""
-    row = pr.binom_row(m)
-    pw = pr.powers(b)
-    return poly(pr, [row[j] * pw[m - j] for j in range(m + 1)])
-
-
 def build_product(pr: Prime, offsets, exps) -> PolyZp:
     """The monic product of (b_i + x)^(m_i); the empty product is 1."""
     out = None
     for b, m in zip(offsets, exps):
         if m < 1:
             raise HypothesisViolationError("build_product requires exponents >= 1")
-        factor = binomial_power(pr, b % pr.p, m)
+        factor = poly(pr, pr.weighted_row(m, b)[::-1])
         out = factor if out is None else poly_mul(out, factor)
     return poly(pr, [1]) if out is None else out
 
@@ -96,11 +91,12 @@ def cyclic_product(pr: Prime, offsets, exps) -> list[int]:
     x^(p-1) - 1: slot j sums the product's coefficients at every index
     congruent to j mod p-1.  Requires 1 <= m_i <= p-1; the empty product is 1.
 
-    A factor's row C(m, j) b^(m-j), j = 0..m, is reduced mod p, its x^(p-1)
-    (at m = p-1) folded onto x^0, and packed at Prime.pack_width.  Its
-    product with the packed running product has at most 2p-3 slots; one
-    shift, one mask and one add fold the top p-2 onto the bottom, and the
-    result is reduced and repacked.  A folded slot sums at most p-1 products
+    A factor's row C(m, j) b^(m-j), j = 0..m, is Prime.weighted_row(m, b)
+    reversed, its x^(p-1) (at m = p-1) folded onto x^0, and packed at
+    Prime.pack_width.  Its product with the packed running product has at
+    most 2p-3 slots; one shift, one mask and one add fold the top p-2 onto
+    the bottom, and only the slots the product reaches, at most p-1, are
+    unpacked, reduced and repacked.  A folded slot sums at most p-1 products
     of two residues, below p (p-1)^2, so no carry crosses a slot.
     """
     p = pr.p
@@ -111,12 +107,12 @@ def cyclic_product(pr: Prime, offsets, exps) -> list[int]:
     for b, m in zip(offsets, exps):
         if not 1 <= m <= n:
             raise HypothesisViolationError("cyclic_product requires exponents in [1, p-1]")
-        row = [c * x % p for c, x in zip(pr.binom_row(m), pr.powers(b)[m::-1])]
+        row = list(pr.weighted_row(m, b)[::-1])
         if m == n:
             row[0] = (row[0] + row.pop()) % p
         if len(out) > 1:  # else out is the empty product 1
             full = pr.pack(out) * pr.pack(row)
-            row = pr.unpack((full & mask) + (full >> shift), n)
+            row = pr.unpack((full & mask) + (full >> shift), min(n, len(out) + len(row) - 1))
         out = row
     return out + [0] * (n - len(out))
 

@@ -440,20 +440,69 @@ def test_big_sum_table_is_fast_and_small(tmp_path):
 _BIG_P_CLOSED = """
 import resource, sys
 from wolstenholme.cli import main
-code = main(["eval", "--strategy", "closed", "-p", "1000003", sys.argv[1]])
+code = main(["eval", "--strategy", sys.argv[1], "-p", "1000003", sys.argv[2]])
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-@pytest.mark.parametrize("expression, value", [("(1+k)^2 (2+k)^3", "0"),
-                                               ("1/((1+k)(2+k)^3)", "4")])
-def test_closed_form_at_p_1000003_holds_no_p_long_cache(expression, value):
+@pytest.mark.parametrize("strategy, expression, value, max_mb", [
+    pytest.param("closed", "(1+k)^2 (2+k)^3", "0", 130, id="(1+k)^2 (2+k)^3-0"),
+    pytest.param("closed", "1/((1+k)(2+k)^3)", "4", 130, id="1/((1+k)(2+k)^3)-4"),
+    pytest.param("coeff", "(1+k)^2 (2+k)^3", "0", 125, id="coeff-(1+k)^2 (2+k)^3-0"),
+])
+def test_closed_form_at_p_1000003_holds_no_p_long_cache(strategy, expression, value, max_mb):
     # the closed form reads two factorial tables of p entries; six p-long
-    # cache lists built with every Prime took this to 162 MB.  The coeff and
-    # esp routes give the same two values.
+    # cache lists built with every Prime took this to 162 MB.  The coeff
+    # route builds its one factor row from 3 powers of its base, not from a
+    # p-long power table (140 MB with one).  The esp route gives the same
+    # two values.
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    child = subprocess.run([sys.executable, "-c", _BIG_P_CLOSED, expression], env=env,
-                           capture_output=True, text=True, check=True)
+    child = subprocess.run([sys.executable, "-c", _BIG_P_CLOSED, strategy, expression],
+                           env=env, capture_output=True, text=True, check=True)
     *printed, last = child.stdout.splitlines()
     code, max_rss_kib = map(int, last.split())  # Linux reports KiB
-    assert code == 0 and printed == [value] and max_rss_kib < 130 * 1024
+    assert code == 0 and printed == [value] and max_rss_kib < max_mb * 1024
+
+
+def test_main_builds_one_parser_and_dispatches_to_the_bound_command(capsys, monkeypatch):
+    # a usage error leaves the parser usable, and each call runs the cmd_*
+    # bound in the module at that moment
+    import wolstenholme.cli as cli_mod
+
+    real = cli_mod.build_parser
+    built = []
+    monkeypatch.setattr(cli_mod, "_parser", None)
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or real())
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "-p", "11"])
+    assert exc.value.code == 2 and "required" in capsys.readouterr().err
+    want = brute_sum(spec_from_expression(make_prime(11), "(3+k)^4 (5+k)^5"))
+    assert run_cli(capsys, "eval", "-p", "11", "(3+k)^4 (5+k)^5", "--strategy",
+                   "closed")[:2] == (0, f"{want}\n")
+    monkeypatch.setattr(cli_mod, "cmd_table", lambda args: print(args.kind, args.prime) or 0)
+    assert run_cli(capsys, "table", "sum-table", "-p", "12")[:2] == (0, "sum-table 12\n")
+    assert built == [1]
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+def test_help_of_the_kept_parser_matches_a_fresh_one(capsys, monkeypatch, columns):
+    # the parser is built once, but the help text still follows COLUMNS
+    import wolstenholme.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_parser", None)
+    monkeypatch.setenv("COLUMNS", "120")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    if columns is None:
+        monkeypatch.delenv("COLUMNS")
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    for argv in ([], ["eval"], ["verify"], ["table"]):
+        texts = []
+        for parse in (main, cli_mod.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*argv, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: wolstenholme")

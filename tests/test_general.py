@@ -16,7 +16,6 @@ from wolstenholme.errors import (
 )
 from wolstenholme.general import (
     GeneralSumParams,
-    bounded_composition_sum,
     coeff_extraction_sum,
     esp_sum,
     multi_index_J,
@@ -256,7 +255,7 @@ def test_vandermonde_collapse():
         for m1 in range(1, p // 2):
             for m2 in range(1, p - 1 - m1):
                 for target in range(m1 + m2 + 1):
-                    got = bounded_composition_sum(pr, (m1, m2), (1, 1), target)
+                    got = general._composition_sums(pr, (m1, m2), (1, 1), [target])[0]
                     assert got == binom(pr, m1 + m2, target)
 
 
@@ -276,9 +275,9 @@ def test_bounded_composition_sum_matches_enumeration():
                 want[sum(js)] += term
             for target in range(-2, sum(exps) + 3):
                 expected = want[target] % p if 0 <= target <= sum(exps) else 0
-                assert bounded_composition_sum(pr, exps, bases, target) == expected
-    assert bounded_composition_sum(P7, (), (), 0) == 1
-    assert bounded_composition_sum(P7, (), (), 1) == 0
+                assert general._composition_sums(pr, exps, bases, [target])[0] == expected
+    assert general._composition_sums(P7, (), (), [0])[0] == 1
+    assert general._composition_sums(P7, (), (), [1])[0] == 0
 
 
 @pytest.mark.parametrize("byte_path", [False, True])
@@ -304,7 +303,7 @@ def test_composition_sums_match_schoolbook_product(monkeypatch, p, byte_path):
                         [cap + 2], [3, mid, cap - 3], [mid + p - 1, mid]):
             got = general._composition_sums(pr, exps, bases, targets)
             assert got == [want[t] if 0 <= t <= cap else 0 for t in targets]
-        assert bounded_composition_sum(pr, exps, bases, mid) == want[mid]
+        assert general._composition_sums(pr, exps, bases, [mid])[0] == want[mid]
 
 
 @pytest.mark.parametrize(

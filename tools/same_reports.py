@@ -78,6 +78,9 @@ COMMANDS = tuple("verify " + args for args in (
     # builds only what the route reads
     "--strategy closed -p 1000003 (1+k)^2(2+k)^3",
     "--strategy closed -p 1000003 1/((1+k)(2+k)^3)",
+    # the coeff route's one factor row and a two-step Newton run at that prime
+    "--strategy coeff -p 1000003 (1+k)^2(2+k)^3",
+    "--strategy esp -p 1000003 (1+k)^999999(2+k)^5",
 ))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
