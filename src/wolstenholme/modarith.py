@@ -20,7 +20,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Sequence
+from itertools import islice, repeat
 from math import gcd
+from operator import mod, mul
 
 from .errors import (
     HypothesisViolationError,
@@ -48,6 +50,24 @@ def is_prime(n: int) -> bool:
 # the array type code of each slot width that a native little-endian array
 # holds; empty on a big-endian host, where every width takes the byte path
 _SLOT_CODES = {array(code).itemsize: code for code in "QIHB"} if sys.byteorder == "little" else {}
+
+
+# A Prime builds each positive power column by one pow per entry until it
+# has built p / _FILL_DIVISOR of them that way.  Each later miss at e fills
+# the run of missing columns that ends at e, up from the nearest cached
+# column below it, by one running product.  That is ski rental.  All fills
+# together build at most p columns, which costs about as much as p/5 pow
+# columns at p = 257 (18 against 86 us a column) and p/8 at p = 1009 (85
+# against 645 us).  p/4 lies above both, so a request that reads fewer
+# columns, such as an eval of up to five terms at p >= 31, never fills.
+# Column time per pass of the sampled-verify benchmark workload (seed 1,
+# almost all at p = 257; 2-core VM, Python 3.11): one pow per entry
+# 0.32 s; fill after p/20 0.11-0.13 s, p/10 0.12-0.14 s, p/5 0.14-0.16 s,
+# p/4 0.14-0.17 s, 2p/5 0.16-0.18 s and 7p/10 0.22-0.25 s.  Filling every
+# column 0..p-1 at the first such miss cost the same there, but took
+# verify --theorems thm3.6 --primes 10007 --budget 1000 from 20 s and 69 MB
+# to 31 s and 211 MB; this rule reads 20 s and 76 MB.
+_FILL_DIVISOR = 4
 
 
 def pack_slots(values, width: int) -> int:
@@ -78,14 +98,20 @@ class Prime:
     (binomial rows, power tables, packed power tables, packed binomial rows,
     power columns, stride tables and Barrett masks) are dicts keyed by top,
     base, exponent or slot count, and hold only the entries read so far, so
-    a Prime costs its two factorial tables until a route reads more.
-    weighted_row caches nothing.
+    a Prime costs its two factorial tables until a route reads more.  The
+    inverse map x -> x^-1 (0 -> 0), one array of column_code, is built on
+    the first read of a negative power column.  weighted_row caches nothing.
     pack and unpack turn a row into one packed int and a combination of
     packed rows back into residues.  The power columns that the
-    brute oracle reads, one per exponent |e| <= p-1, hold at most (2p-1) p
-    entries of column_code, at most 4 bytes each below p = 2^32: about 4 MB
-    at p = 1009.  Each entry is one exact pow of its own base, with no
-    exponent reduced mod p-1, so reading it is still brute force.
+    brute oracle reads, one per exponent |e| <= p-1, hold at most 2p-1
+    columns plus the inverse map, p entries of column_code each, at most
+    4 bytes an entry below p = 2^32: about 4 MB at p = 1009.  A positive
+    column is built by one pow per entry until p / _FILL_DIVISOR (p/4) of
+    them have been built that way; each later miss at e fills the missing
+    columns up to e from the nearest cached one below it, by x^e =
+    x^(e-1) x.  Column -e is column e read through the inverse map,
+    (x^-1)^e.  So every entry is an exact power of its own base, with no
+    exponent reduced mod p-1, and reading it is still brute force.
 
     The stride tables, one per base v (see stride_table), are p (2p-2) slots
     of reduce_width bytes each.  At most p of them exist, about 2.7 KB each
@@ -95,7 +121,7 @@ class Prime:
 
     __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "reduce_width",
                  "_barrett", "_binom_rows", "_powers", "_packed", "_packed_binom", "_columns",
-                 "_strides", "_reduce_masks")
+                 "_pow_columns", "_inverses", "_strides", "_reduce_masks")
 
     def __init__(self, p: int):
         if p < 5:
@@ -137,6 +163,8 @@ class Prime:
         self._packed: dict[int, int] = {}
         self._packed_binom: dict[int, int] = {}
         self._columns: dict[int, array] = {}
+        self._pow_columns = 0  # positive columns built by pow so far
+        self._inverses: array | None = None
         self._strides: dict[int, int] = {}
         self._reduce_masks: dict[int, int] = {}
 
@@ -168,17 +196,59 @@ class Prime:
         return tab
 
     def power_column(self, e: int) -> array:
-        """(x^e mod p for x = 0..p-1), one pow(x, e, p) per x, built once;
-        requires |e| <= p-1.  0^0 = 1.  For e < 0 the slot of x = 0, which
-        has no inverse, holds 0."""
+        """(x^e mod p for x = 0..p-1), built once; requires |e| <= p-1.
+        0^0 = 1.  For e < 0 the slot of x = 0, which has no inverse, holds 0.
+
+        A positive column is one pow(x, e, p) per x, until p / _FILL_DIVISOR
+        columns have been built that way; after that a miss fills the run
+        of missing columns that ends at e, each the one below it times x,
+        from the nearest cached column below e.  Column -e is
+        power_column(e) permuted by the inverse map: x^-e = (x^-1)^e, as
+        pow(x, -e, p) defines it.
+        """
         p = self.p
         if not -p < e < p:
             raise HypothesisViolationError(f"|exponent| {e} exceeds p-1 = {p - 1}")
         col = self._columns.get(e)
         if col is None:
-            col = array(self.column_code, [pow(x, e, p) if x or e >= 0 else 0 for x in range(p)])
+            if e < 0:
+                twin = self.power_column(-e)
+                col = array(self.column_code, map(twin.__getitem__, self._inverse_map()))
+            elif _FILL_DIVISOR * self._pow_columns >= p:
+                self._fill_columns(e)
+                return self._columns[e]
+            else:
+                col = array(self.column_code, [pow(x, e, p) for x in range(p)])
+                self._pow_columns += 1
             self._columns[e] = col
         return col
+
+    def _fill_columns(self, e: int) -> None:
+        """Cache columns f..e, the run of missing exponents that ends at e,
+        by one running product col(g) = col(g-1) x from the cached column
+        f-1, or from x^0 = 1 when f = 0."""
+        p, code, cols = self.p, self.column_code, self._columns
+        f = e
+        while f and f - 1 not in cols:
+            f -= 1
+        if f:
+            col = cols[f - 1]
+        else:
+            col = cols[0] = array(code, [1]) * p
+            f = 1
+        for g in range(f, e + 1):
+            col = cols[g] = array(code, [y * x % p for y, x in zip(col, range(p))])
+
+    def _inverse_map(self) -> array:
+        """(x^-1 mod p for x = 0..p-1), with 0 in slot 0, built once: x^-1 =
+        (x-1)! (x!)^-1 from the factorial tables."""
+        inv = self._inverses
+        if inv is None:
+            p = self.p
+            inv = array(self.column_code, [0])
+            inv.extend(map(mod, map(mul, self.fact, islice(self.inv_fact, 1, None)), repeat(p)))
+            self._inverses = inv
+        return inv
 
     def pack(self, row) -> int:
         """row as one int, pack_width bytes per slot (see pack_slots)."""

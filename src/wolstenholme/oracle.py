@@ -4,12 +4,16 @@ Everything here evaluates sums term by term with no algebraic shortcuts, so
 the closed-form evaluators can be checked against it exactly.
 
 brute_sum reads each value (off+k)^e from Prime.power_column(e), x^e for
-every x built once with one pow(x, e, p) per x: at most 2p-1 columns of p
-entries per Prime.  Term (off, e) at k = 0..p-1 is that column rotated by
-off.  This is still literal: every value is an exactly computed pow of its
-own base, every product over the terms is formed, and no exponent is reduced
-mod p-1 and no discrete log or primitive root is used, the theory that the
-congruences under test rest on.  Only the reuse across calls is new.
+every x, built once: at most 2p-1 columns of p entries per Prime.  A
+positive column is one pow(x, e, p) per x until the Prime has built p/4 of
+them; after that a miss fills the missing columns up to e from the nearest
+cached one below, by x^e = x^(e-1) x.  A negative column is its positive
+twin read at x^-1, as (x^-1)^e.  Term (off, e) at k = 0..p-1 is that column
+rotated by off.  This is still literal: every value is an exactly computed
+power of its own base, every product over the terms is formed, and no
+exponent is reduced mod p-1 and no discrete log or primitive root is used,
+the theory that the congruences under test rest on.  Only the reuse across
+calls is new.
 
 power_moments evaluates a whole run of such sums at once, sum of w * x^s for
 every exponent s, by packing each power table (x^0, ..., x^(p-1)) into one

@@ -449,13 +449,17 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     pytest.param("closed", "(1+k)^2 (2+k)^3", "0", 130, id="(1+k)^2 (2+k)^3-0"),
     pytest.param("closed", "1/((1+k)(2+k)^3)", "4", 130, id="1/((1+k)(2+k)^3)-4"),
     pytest.param("coeff", "(1+k)^2 (2+k)^3", "0", 125, id="coeff-(1+k)^2 (2+k)^3-0"),
+    pytest.param("brute", "1/((1+k)(2+k)^3)", "4", 170, id="brute-1/((1+k)(2+k)^3)-4"),
 ])
 def test_closed_form_at_p_1000003_holds_no_p_long_cache(strategy, expression, value, max_mb):
     # the closed form reads two factorial tables of p entries; six p-long
     # cache lists built with every Prime took this to 162 MB.  The coeff
     # route builds its one factor row from 3 powers of its base, not from a
     # p-long power table (140 MB with one).  The esp route gives the same
-    # two values.
+    # two values.  The brute oracle holds its columns: the two negative ones
+    # are their positive twins read through one inverse map: 163 MB and
+    # 1.0-1.3 s, against 156 MB and 1.9-2.1 s with one pow(x, -e, p) per
+    # entry.
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
     child = subprocess.run([sys.executable, "-c", _BIG_P_CLOSED, strategy, expression],
                            env=env, capture_output=True, text=True, check=True)

@@ -229,6 +229,38 @@ def test_power_column_values_and_range(p, code):
             pr.power_column(e)
 
 
+@pytest.mark.parametrize("p", [5, 13, 257])
+def test_every_power_column_is_exact_in_every_read_order(p):
+    # every exponent read in ascending order, negatives first and seeded
+    # random, each on a fresh Prime: pow builds the first p/4 positive
+    # columns, one running product fills the rest and each negative column
+    # permutes its positive twin.  Every value is what pow gives, 0 at a
+    # negative exponent's zero base, and each column is built once
+    exps = list(range(-(p - 1), p))
+    orders = {"ascending": exps, "negatives first": sorted(exps, key=lambda e: (e >= 0, -e)),
+              "random": random.Random(p).sample(exps, len(exps))}
+    for order, exps in orders.items():
+        pr = make_prime(p)
+        for e in exps:
+            col = pr.power_column(e)
+            assert col.typecode == pr.column_code and pr.power_column(e) is col
+            assert list(col) == [pow(x, e, p) if x or e >= 0 else 0 for x in range(p)], (order, e)
+        assert 0 < pr._pow_columns < p - 1 and len(pr._columns) == 2 * p - 1, order
+
+
+def test_fill_builds_columns_only_up_to_the_exponent_read():
+    # once pow has built p/4 columns, a miss builds the columns from the
+    # largest cached exponent below it up to it, and none above
+    p = 1009
+    pr = make_prime(p)
+    for e in range(1, 254):
+        pr.power_column(e)
+    assert pr._pow_columns == 253 and 4 * 253 >= p
+    for e, cached in ((300, range(1, 301)), (0, range(301)), (p - 1, range(p))):
+        assert list(pr.power_column(e)) == [pow(x, e, p) for x in range(p)]
+        assert pr._columns.keys() == set(cached) and pr._pow_columns == 253
+
+
 def test_conv_caches_nothing():
     pr = make_prime(257)
     rng = random.Random(3)

@@ -124,6 +124,20 @@ def test_brute_sum_at_the_column_typecode_edge(p, code):
     assert pr.column_code == code and pr.power_column(1)[p - 1] == p - 1
 
 
+@pytest.mark.parametrize("p", [97, 1009])
+def test_five_term_brute_sum_builds_only_its_own_columns(p):
+    # five terms read their own columns and the positive twins of the
+    # negative ones, -(p-1)'s twin a term's own, all four positive ones by
+    # pow: far below the p/4 that would fill the rest
+    pr = make_prime(p)
+    terms = ((1, 3), (2, -5), (4, p - 1), (7, -(p - 1)), (9, 1 - p // 2))
+    excl = auto_exclusions(pr, terms)
+    assert brute_sum(SumSpec(pr, terms, excl)) == _plain_sum(p, terms, excl)
+    exps = {e for off, e in terms}
+    assert pr._columns.keys() == exps | {-e for e in exps if e < 0}
+    assert pr._pow_columns == 4
+
+
 def test_brute_sum_zero_denominator_message():
     # two denominators vanish unexcluded, (3+k) at k = 8 and (5+k) at k = 6:
     # the smaller k is named, and at one k the first such term

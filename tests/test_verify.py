@@ -320,7 +320,9 @@ def test_sampled_runs_at_p_1009_cache_no_rows(monkeypatch, theorem):
 def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
     # each brute_sum reads its terms from the Prime's power columns: at most
     # 2p-1 of them, p entries of at most 4 bytes each, each built once and
-    # then shared by every later draw, and no other lookup row is built
+    # then shared by every later draw, and no other lookup row is built.
+    # The run reads more than p/4 distinct exponents: pow builds the first
+    # p/4 columns and a running product every later one
     from wolstenholme.modarith import Prime, make_prime
 
     real = Prime.power_column
@@ -337,9 +339,9 @@ def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
     rep = run_one("thm3.6", pr, budget=1000, seed=0)
     assert rep.passed and not rep.exhaustive and rep.grid == 1000
     built = list(pr._columns.values())
-    assert len(built) == len(served)
+    assert pr._pow_columns == (p + 3) // 4 < len(served)
     assert all(len(col) == p and col.itemsize <= 4 for col in built)
-    assert all(col is cols[0] for cols in served.values() for col in cols)
+    assert all(col is pr._columns[e] for e, cols in served.items() for col in cols)
     assert sum(map(len, served.values())) == 3 * 1000  # three terms a draw
     for cache in (pr._powers, pr._binom_rows):
         assert cache == {}

@@ -81,6 +81,9 @@ COMMANDS = tuple("verify " + args for args in (
     # the coeff route's one factor row and a two-step Newton run at that prime
     "--strategy coeff -p 1000003 (1+k)^2(2+k)^3",
     "--strategy esp -p 1000003 (1+k)^999999(2+k)^5",
+    # the brute oracle's negative columns, each its positive twin permuted
+    # by the inverse map, at that prime
+    "--strategy brute -p 1000003 1/((1+k)(2+k)^3)",
 ))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
