@@ -47,7 +47,7 @@ class DuplicateOffsetsError(WolstenholmeError, ValueError):
 
 
 class IndexNotInvertibleError(WolstenholmeError, ValueError):
-    """Newton recursion would divide by an index that is 0 mod p."""
+    """The esp recurrence would divide by an index that is 0 mod p."""
 
 
 class ZeroPivotError(WolstenholmeError, ValueError):

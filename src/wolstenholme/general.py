@@ -1,22 +1,25 @@
 """n-term sums: multi-index closed form, coefficient extraction, and the
-elementary-symmetric-polynomial route through Newton's identities.
+elementary-symmetric-polynomial route.
 
 All three evaluators agree with each other and with the brute-force oracle;
 they differ in how they reach the answer, which is the point: each one
 cross-checks the others.
 
-The two kernels of this module work on packed rows (Prime.pack): a row of
-residues as one big integer, pack_width bytes a slot, so that one integer
-product is a whole convolution as long as no slot sum exceeds p (p-1)^2.
-_composition_sums multiplies the running product by one packed weighted row
-per middle term and reduces only the window it keeps.  newton_esp reads its
-power sums from Prime.unpack and runs Newton's identities as an online
-convolution of packed blocks, whose raw slots its leaves add unreduced.
-Neither calls polyring, whose products serve the other two routes.
+_composition_sums, the multi-index kernel, works on packed rows
+(Prime.pack): a row of residues as one big integer, pack_width bytes a
+slot, so that one integer product is a whole convolution as long as no
+slot sum exceeds p (p-1)^2.  It multiplies the running product by one
+packed weighted row per middle term and reduces only the window it keeps.
+_esp_values, the esp kernel, streams the e-values of the shifted roots
+from a linear recurrence of order n-1, the one that Newton's identities
+become once the power sums are summed as geometric series; it holds only
+its last n-1 values and no table.  Neither calls polyring, whose products
+serve the other two routes.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from operator import mul
 
@@ -28,15 +31,6 @@ from .errors import (
 )
 from .modarith import Prime, mod_inverse, unpack_slots
 from .polyring import build_product, coeff, cyclic_product
-
-# newton_esp's leaf size; a power of two, so that the block that ends at a
-# leaf start lo, of lo & -lo indices, is made of whole leaves.  Timed at
-# p = 97, 257 and 1009 (random r_max, 2-4 terms; 2-core VM, Python 3.11),
-# leaves of 16 and 32 were fastest, of 8 about 10% slower and of 64 15-50%
-# slower: below about 16 indices one dot product per index costs less than
-# a packed product.
-_NEWTON_BLOCK = 16
-
 
 @dataclass(frozen=True)
 class GeneralSumParams:
@@ -178,70 +172,64 @@ def root_power_sum(gp: GeneralSumParams, r: int) -> int:
     return acc if r % 2 == 0 else -acc % p
 
 
-def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
-    """e_0..e_r_max via Newton's identities; valid only for r_max < p.
+def _esp_values(gp: GeneralSumParams, r_max: int):
+    """Yield e_0..e_r_max, the coefficients of E(x) = the product over i < n
+    of (1 - b_i x)^m_i; valid only for r_max < p.
 
-    The power sums p_1..p_r_max of the roots are read from one combination
-    of the cached packed power tables, p - m_i times that of b_i, masked to
-    its slots 0..r_max and unpacked and reduced once by Prime.unpack.
-    The recursion is an online convolution, run in leaves of _NEWTON_BLOCK
-    indices: within a leaf, one dot product per index over the leaf's own
-    e-values; the e-values below the leaf arrive through the packed products
-    of earlier leaves.  A leaf starting at lo first adds the share of the
-    aligned block e_(lo-s)..e_(lo-1), s the largest power of two dividing lo,
-    to every r in [lo, lo+s) with one packed product.  Each pair of indices
-    in different leaves meets in exactly one such product, as in a divide
-    and conquer over halves, so the cost is O(M(r) log r) for M(r) the cost
-    of a product of r slots, against O(r^2) for one dot product per index
-    over every lower e-value.  Below _NEWTON_BLOCK the whole run is one
-    leaf and no product is formed.
-
-    The recursion divides by r mod p, so indices at or above p would divide
-    by zero; those e-values must come from polynomial coefficients instead.
+    E is D-finite: with Q = the product of (1 - b_i x), of degree d = n-1,
+    and P = -sum of m_i b_i times the product over j != i of (1 - b_j x),
+    Q E' = P E.  Comparing coefficients of x^r gives
+    (r+1) e_(r+1) = sum over 1 <= k <= d of P_(k-1) e_(r+1-k) - q_k f_(r+1-k),
+    with f_i = i e_i, a recurrence of order d.  Each step is one dot product
+    over the last d pairs (e_i, f_i), O(n) whatever r, and needs no table.
     """
     pr = gp.pr
     p = pr.p
     if r_max >= p:
         raise IndexNotInvertibleError(f"r_max = {r_max} >= p = {p}: index not invertible")
-    # r e_r = sum over i = 1..r of (-1)^(i-1) e_(r-i) p_i.  (-1)^(i-1) p_i
-    # is -(m_1 b_1^i + ... + m_(n-1) b_(n-1)^i), so slot i of the combination
-    # of packed power tables weighted by p - m_i: at most n-1 <= p-1 products
-    # of two residues a slot.  1/r is (r-1)! / r!.
-    packed = pr.packed_powers
-    width = pr.pack_width
-    combo = sum([(p - m) * packed(b) for m, b in zip(gp.exps[:-1], gp.shifted)])
-    signed = pr.unpack(combo & ((1 << 8 * width * (r_max + 1)) - 1), r_max + 1)[1:]
+    # pairs[k] = (q_k, P_(k-1)), P_(-1) = 0.  Multiplying in one factor
+    # (1 - b x)^m multiplies Q by (1 - b x) and takes P to P (1 - b x) - m b Q.
+    pairs = [(1, 0)]
+    for b, m in zip(gp.shifted, gp.exps):  # zip drops m_n, which has no base
+        mb = m * b
+        pairs = [((q - b * q0) % p, (P - b * P0 - mb * q0) % p)
+                 for (q, P), (q0, P0) in zip(pairs + [(0, 0)], [(0, 0)] + pairs)]
+    # window: e_r, f_r, e_(r-1), f_(r-1), ... (d pairs), against P_0, -q_1,
+    # P_1, -q_2, ...; the e-values below index 0 are 0, so a short window
+    # needs no padding
+    coefs = [c for q, P in pairs[1:] for c in (P, -q % p)]
+    window = deque(maxlen=len(coefs))
     fact, inv_fact = pr.fact, pr.inv_fact
-    # acc[r]: the part of r e_r from the e-values below r's leaf
-    acc = [0] * (r_max + 1)
-    es = []
-    leaf = [1]  # e_0, then the e-values of each leaf in turn
-    for lo in range(0, r_max + 1, _NEWTON_BLOCK):
-        if lo:
-            es += leaf
-            leaf = []
-            # slot d of the product is the sum over j in [lo-s, lo) of e_j
-            # times (-1)^(i-1) p_i at i = d - (j - lo + s), slot 0 of the
-            # second factor being 0: at most s < p products of two residues
-            s = lo & -lo
-            prod = pr.pack(es[lo - s :]) * (pr.pack(signed[: 2 * s - 1]) << 8 * width)
-            slots = unpack_slots(prod, width, 3 * s - 1)
-            for r in range(lo, min(lo + s, r_max + 1)):
-                acc[r] += slots[r - lo + s]
-        for r in range(max(lo, 1), min(lo + _NEWTON_BLOCK, r_max + 1)):
-            # e_(r-1), ..., e_lo against signed: map stops after the leaf
-            leaf.append(sum(map(mul, reversed(leaf), signed), acc[r])
-                        * fact[r - 1] * inv_fact[r] % p)
-    return tuple(es + leaf)
+    e, f = 1, 0
+    for r in range(r_max):
+        yield e
+        window.extendleft((f, e))
+        f = sum(map(mul, coefs, window)) % p
+        e = f * fact[r] * inv_fact[r + 1] % p  # 1/(r+1) is r! / (r+1)!
+    yield e
+
+
+def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
+    """e_0..e_r_max, the elementary symmetric values of the roots of the
+    shifted product polynomial; valid only for r_max < p.
+
+    Newton's identities give the same values from the root power sums
+    (root_power_sum); _esp_values sums those as geometric series, which
+    leaves a recurrence of order n-1.  It divides by r mod p, so indices at
+    or above p raise IndexNotInvertibleError; those e-values must come from
+    polynomial coefficients instead.
+    """
+    return tuple(_esp_values(gp, r_max))
 
 
 def esp_sum(gp: GeneralSumParams) -> int:
     """Same sum once more, as -sum over i of (-1)^(M_i) e_(M_i).
 
-    e-values come from Newton's identities (newton_esp) when every needed
-    index stays below p, and otherwise from the coefficients of the whole
-    product, built factor by factor with polyring.build_product (M_1 can
-    reach (n-1)(p-1) >= p for n >= 3, where Newton's recursion breaks down).
+    e-values come from the order-(n-1) recurrence (_esp_values), streamed
+    to M_1 and kept only at the levels, when every needed index stays below
+    p, and otherwise from the coefficients of the whole product, built
+    factor by factor with polyring.build_product (M_1 can reach
+    (n-1)(p-1) >= p for n >= 3, where the recurrence divides by zero).
     That product is a PolyZp, not the coefficient route's cyclic product, so
     the two routes share no kernel.
     """
@@ -250,18 +238,16 @@ def esp_sum(gp: GeneralSumParams) -> int:
     levels = [gp.level(i) for i in range(1, gp.t + 1)]
     if not levels:
         return 0
-    cap = sum(gp.exps[:-1])  # levels never exceed this: M_1 = cap + m_n - (p-1)
     m1 = levels[0]
     if m1 < p:
-        es = newton_esp(gp, m1)
-        evals = {r: es[r] for r in levels}
+        wanted = set(levels)
+        acc = sum(-e if r % 2 else e for r, e in enumerate(_esp_values(gp, m1)) if r in wanted)
     else:
+        # (-1)^r e_r is [x^(cap-r)] of the product of (b_i + x)^m_i, whose
+        # degree cap = m_1 + ... + m_(n-1) no level exceeds
         f = build_product(pr, gp.shifted, gp.exps[:-1])
-        evals = {}
-        for r in levels:
-            c = coeff(f, cap - r)
-            evals[r] = c if r % 2 == 0 else -c % p
-    acc = sum(evals[r] if r % 2 == 0 else -evals[r] for r in levels)
+        cap = sum(gp.exps[:-1])
+        acc = sum(coeff(f, cap - r) for r in levels)
     return -acc % p
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import repeat
+from itertools import islice, repeat
 from operator import mul
 
 from .errors import HypothesisViolationError, ZeroDenominatorError
@@ -96,7 +96,8 @@ def term_products(pr: Prime, terms):
 def brute_sum(spec: SumSpec) -> int:
     """Evaluate the sum literally; exact ground truth for all closed forms.
 
-    The exact products at the unexcluded k are summed and reduced mod p once.
+    The exact products are summed as they stream, skipping the one at each
+    excluded k, and the sum is reduced mod p once.
     An unexcluded vanishing denominator raises ZeroDenominatorError, naming
     the smallest such k and, at it, the first such term.
     """
@@ -108,10 +109,13 @@ def brute_sum(spec: SumSpec) -> int:
         k, i = min(zeros)
         off, exp = spec.terms[i]
         raise ZeroDenominatorError(f"denominator (({off})+k)^{exp} vanishes at unexcluded k = {k}")
-    values = list(term_products(spec.pr, spec.terms))
-    for k in excl:
-        values[k] = 0
-    return sum(values) % p
+    values = iter(term_products(spec.pr, spec.terms))
+    total = start = 0
+    for k in sorted(excl):
+        total += sum(islice(values, k - start))
+        next(values)  # the product at excluded k, formed and skipped
+        start = k + 1
+    return (total + sum(values)) % p
 
 
 def power_moments(pr: Prime, weighted) -> list[int]:

@@ -596,7 +596,7 @@ _run_cor3_12 = Grid(
 
 def _power_columns(pr):
     """For each i in [0, p), (b^i for every b in [0, p)), packed."""
-    return [pr.pack(column) for column in zip(*map(pr.powers, range(pr.p)))]
+    return [pr.pack(pr.power_column(i)) for i in range(pr.p)]
 
 
 def _cor3_12_across_b(pr, columns, a, m, n):

@@ -450,6 +450,8 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     pytest.param("closed", "1/((1+k)(2+k)^3)", "4", 130, id="1/((1+k)(2+k)^3)-4"),
     pytest.param("coeff", "(1+k)^2 (2+k)^3", "0", 125, id="coeff-(1+k)^2 (2+k)^3-0"),
     pytest.param("brute", "1/((1+k)(2+k)^3)", "4", 170, id="brute-1/((1+k)(2+k)^3)-4"),
+    pytest.param("esp", "1/((1+k)(2+k)^3)", "4", 150, id="esp-1/((1+k)(2+k)^3)-4"),
+    pytest.param("esp", "(1+k)^999999 (2+k)^5", "999993", 120, id="esp-(1+k)^999999 (2+k)^5"),
 ])
 def test_closed_form_at_p_1000003_holds_no_p_long_cache(strategy, expression, value, max_mb):
     # the closed form reads two factorial tables of p entries; six p-long
@@ -459,10 +461,13 @@ def test_closed_form_at_p_1000003_holds_no_p_long_cache(strategy, expression, va
     # two values.  The brute oracle holds its columns: the two negative ones
     # are their positive twins read through one inverse map: 163 MB and
     # 1.0-1.3 s, against 156 MB and 1.9-2.1 s with one pow(x, -e, p) per
-    # entry.
+    # entry.  The esp route's recurrence runs to r = p-5 on the first esp
+    # case (221 s and 281 MB by blocked Newton) and holds no p-long power
+    # table on the second (156.5 MB with one).  The timeout makes a slow
+    # route fail instead of hang.
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
     child = subprocess.run([sys.executable, "-c", _BIG_P_CLOSED, strategy, expression],
-                           env=env, capture_output=True, text=True, check=True)
+                           env=env, capture_output=True, text=True, check=True, timeout=60)
     *printed, last = child.stdout.splitlines()
     code, max_rss_kib = map(int, last.split())  # Linux reports KiB
     assert code == 0 and printed == [value] and max_rss_kib < max_mb * 1024

@@ -110,10 +110,13 @@ def test_newton_esp_matches_the_recursion_on_root_power_sums():
     # root_power_sum and each 1/r from mod_inverse
     from wolstenholme.modarith import mod_inverse
 
+    # 2-4 terms, then one term (no shifted base: every e_r past e_0 is 0)
+    # and 5-8 terms
     rng = random.Random(97)
     pr = make_prime(97)
-    for _ in range(200):
-        n = rng.randrange(2, 5)
+    arities = itertools.chain((rng.randrange(2, 5) for _ in range(200)), [1] * 5,
+                              list(range(5, 9)) * 10)
+    for n in arities:
         gp = GeneralSumParams(pr, tuple(rng.sample(range(97), n)),
                               tuple(rng.randrange(1, 97) for _ in range(n)))
         r_max = rng.randrange(97)
@@ -139,14 +142,13 @@ def _newton_by_recursion(gp, r_max):
 
 @pytest.mark.parametrize("byte_path", [False, True])
 @pytest.mark.parametrize("p", [257, 1009])
-def test_blocked_newton_esp_at_block_edges(monkeypatch, p, byte_path):
-    # the leaves and packed products of newton_esp against the plain
-    # recursion, at r_max on either side of one block, past two and three
-    # blocks and at p-1
+def test_newton_esp_at_block_edges(monkeypatch, p, byte_path):
+    # newton_esp against the plain recursion at r_max = 0, 1, 15-17, 32, 53
+    # and p-1, on a fresh Prime with either byte path
     if byte_path:  # the slot-by-slot packing that big-endian hosts take
         monkeypatch.setattr(modarith, "_SLOT_CODES", {})
-    pr = make_prime(p)  # fresh, so its packed power tables take that path
-    block = general._NEWTON_BLOCK
+    pr = make_prime(p)
+    block = 16
     rng = random.Random(p)
     for exps in ((p - 1,) * 3, tuple(rng.randrange(1, p) for _ in range(5))):
         gp = GeneralSumParams(pr, tuple(rng.sample(range(p), len(exps))), exps)

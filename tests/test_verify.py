@@ -348,10 +348,11 @@ def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
 
 
 
-@pytest.mark.parametrize("theorem", ["thm4.1", "thm4.4"])
+@pytest.mark.parametrize("theorem", ["thm4.1", "thm4.4", "thm4.5"])
 def test_sampled_n_term_runs_at_p_1009_build_no_power_table(theorem):
     # the multi-index and coeff routes take each factor row from its own n+1
-    # powers of the base, so no p-long power table is built
+    # powers of the base, and the esp route's recurrence reads no power, so
+    # no p-long power table is built
     from wolstenholme.modarith import make_prime
 
     pr = make_prime(1009)

@@ -69,8 +69,8 @@ COMMANDS = tuple("verify " + args for args in (
     "-p 7 (3+k)^6/(3+k)^6",
     "-p 7 k/k",
     "-p 17 (7+k)^9/((3+k)^13(8+k)^8)",
-    # deep Newton runs (r up to 592, 792 and 642) and one packed middle step of
-    # the multi-index route at p = 1009
+    # deep esp recurrence runs (r up to 592, 792 and 642) and one packed middle
+    # step of the multi-index route at p = 1009
     "-p 1009 (3+k)^700(10+k)^900",
     "-p 1009 (2+k)^800(7+k)^600k^400",
     "-p 1009 (1+k)^400(5+k)^500(9+k)^450k^300",
@@ -78,12 +78,17 @@ COMMANDS = tuple("verify " + args for args in (
     # builds only what the route reads
     "--strategy closed -p 1000003 (1+k)^2(2+k)^3",
     "--strategy closed -p 1000003 1/((1+k)(2+k)^3)",
-    # the coeff route's one factor row and a two-step Newton run at that prime
+    # the coeff route's one factor row and a two-step esp recurrence at that
+    # prime
     "--strategy coeff -p 1000003 (1+k)^2(2+k)^3",
     "--strategy esp -p 1000003 (1+k)^999999(2+k)^5",
     # the brute oracle's negative columns, each its positive twin permuted
     # by the inverse map, at that prime
     "--strategy brute -p 1000003 1/((1+k)(2+k)^3)",
+    # the esp recurrence to r = 10002, and every route with the esp one to
+    # r = 3994, at p = 10007
+    "--strategy esp -p 10007 1/((1+k)(2+k)^3)",
+    "-p 10007 (1+k)^4000(2+k)^5000(5+k)^3000k^2000",
 ))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
