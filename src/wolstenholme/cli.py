@@ -21,7 +21,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .expressions import parse_expression
-from .modarith import Prime, is_prime, make_prime
+from .modarith import Prime, check_prime, is_prime, make_prime
 from .oracle import SumSpec, auto_exclusions, brute_sum, make_spec, residue_matrix
 from .polyring import symbolic_coeff_table, symbolic_sum_table, table_to_json
 from .verify import REGISTRY, check_request, resolve_theorems, run_verification
@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
     theorems = resolve_theorems([t for t in args.theorems.split(",") if t.strip()])
     primes = _parse_primes(args.primes)
     for q in primes:
-        make_prime(q)  # validate early: composites are usage errors
+        check_prime(q)  # validate early: composites are usage errors
     check_request(theorems, primes, args.budget)
     _check_output(args.output)
     print(f"seed {args.seed}", file=sys.stderr)

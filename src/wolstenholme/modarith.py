@@ -2,17 +2,17 @@
 
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
-lookup caches, dicts filled as they are read (binomial rows, power tables,
-packed forms, power columns and packed stride tables), that the exhaustive
-sweeps and the brute oracle lean on in hot verification loops.  A weighted
-row C(n, i) base^i is built on each read and cached nowhere.  Prime.unpack
-reduces a combination of packed rows slot by slot once it is unpacked;
-Prime.reduce_slots reduces every slot of a packed int mod p at once, by a
-slot-wise Barrett step, before it is unpacked.  conv gives one coefficient
-of a product of two shifted binomials, the sum that the triple closed forms
-and the weighted-sum identities share.  It reads only the factorial tables
-and caches nothing, at a cost of O(window) per call, so sampled runs at
-large p hold no rows.
+lookup caches, dicts filled as they are read (binomial rows, packed forms,
+power columns and packed stride tables), that the exhaustive sweeps and the
+brute oracle lean on in hot verification loops.  A power row base^e is kept
+only packed; a weighted row C(n, i) base^i is built on each read and cached
+nowhere.  Prime.unpack reduces a combination of packed rows slot by slot
+once it is unpacked; Prime.reduce_slots reduces every slot of a packed int
+mod p at once, by a slot-wise Barrett step, before it is unpacked.  conv
+gives one coefficient of a product of two shifted binomials, the sum that
+the triple closed forms and the weighted-sum identities share.  It reads
+only the factorial tables and caches nothing, at a cost of O(window) per
+call, so sampled runs at large p hold no rows.
 """
 
 from __future__ import annotations
@@ -45,6 +45,16 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def check_prime(p: int) -> None:
+    """Validate p as Prime(p) does, building nothing: NotPrimeError for
+    composites and TooSmallError for p < 5 (p = 2, 3 are excluded: several
+    congruences need p >= 5 and nonempty {1,...,p-2})."""
+    if p < 5:
+        raise TooSmallError(f"p = {p}: moduli below 5 are not supported")
+    if not is_prime(p):
+        raise NotPrimeError(f"p = {p} is composite")
 
 
 # the array type code of each slot width that a native little-endian array
@@ -94,13 +104,13 @@ class Prime:
     """Validated prime modulus p >= 5 with tables of i! and (i!)^-1 mod p.
 
     Immutable after construction (the internal caches only memoize pure
-    functions), so instances are safe to share.  Its seven lookup caches
-    (binomial rows, power tables, packed power tables, packed binomial rows,
-    power columns, stride tables and Barrett masks) are dicts keyed by top,
-    base, exponent or slot count, and hold only the entries read so far, so
-    a Prime costs its two factorial tables until a route reads more.  The
-    inverse map x -> x^-1 (0 -> 0), one array of column_code, is built on
-    the first read of a negative power column.  weighted_row caches nothing.
+    functions), so instances are safe to share.  Its six lookup caches
+    (binomial rows, packed power rows, packed binomial rows, power columns,
+    stride tables and Barrett masks) are dicts keyed by top, base, exponent
+    or slot count, and hold only the entries read so far, so a Prime costs
+    its two factorial tables until a route reads more.  The inverse map
+    x -> x^-1 (0 -> 0), one array of column_code, is built on the first read
+    of a negative power column.  powers and weighted_row cache nothing.
     pack and unpack turn a row into one packed int and a combination of
     packed rows back into residues.  The power columns that the
     brute oracle reads, one per exponent |e| <= p-1, hold at most 2p-1
@@ -120,14 +130,11 @@ class Prime:
     """
 
     __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "reduce_width",
-                 "_barrett", "_binom_rows", "_powers", "_packed", "_packed_binom", "_columns",
+                 "_barrett", "_binom_rows", "_packed", "_packed_binom", "_columns",
                  "_pow_columns", "_inverses", "_strides", "_reduce_masks")
 
     def __init__(self, p: int):
-        if p < 5:
-            raise TooSmallError(f"p = {p}: moduli below 5 are not supported")
-        if not is_prime(p):
-            raise NotPrimeError(f"p = {p} is composite")
+        check_prime(p)
         self.p = p
         fact = [1] * p
         for i in range(1, p):
@@ -159,7 +166,6 @@ class Prime:
         self.column_code = next(c for c in "BHIQ" if p <= 1 << 8 * array(c).itemsize)
         # lookup caches, each entry built on its first read
         self._binom_rows: dict[int, tuple[int, ...]] = {}
-        self._powers: dict[int, tuple[int, ...]] = {}
         self._packed: dict[int, int] = {}
         self._packed_binom: dict[int, int] = {}
         self._columns: dict[int, array] = {}
@@ -183,17 +189,13 @@ class Prime:
         return row
 
     def powers(self, base: int) -> tuple[int, ...]:
-        """(base^0, base^1, ..., base^(p-1)) mod p."""
-        base %= self.p
-        tab = self._powers.get(base)
-        if tab is None:
-            p = self.p
-            out = [1] * p
-            for e in range(1, p):
-                out[e] = out[e - 1] * base % p
-            tab = tuple(out)
-            self._powers[base] = tab
-        return tab
+        """(base^0, base^1, ..., base^(p-1)) mod p, cached nowhere."""
+        p = self.p
+        base %= p
+        out = [1] * p
+        for e in range(1, p):
+            out[e] = out[e - 1] * base % p
+        return tuple(out)
 
     def power_column(self, e: int) -> array:
         """(x^e mod p for x = 0..p-1), built once; requires |e| <= p-1.
@@ -263,7 +265,8 @@ class Prime:
         return [v % p for v in unpack_slots(packed, self.pack_width, count)]
 
     def packed_powers(self, base: int) -> int:
-        """powers(base), packed."""
+        """powers(base), packed, built once per base mod p: the only cached
+        form of a power row.  Its p slots hold the residues base^e."""
         base %= self.p
         packed = self._packed.get(base)
         if packed is None:
@@ -272,8 +275,6 @@ class Prime:
 
     def packed_binom_row(self, n: int) -> int:
         """binom_row(n), packed; requires 0 <= n < p."""
-        if not 0 <= n < self.p:
-            raise TopOutOfRangeError(f"binomial top {n} outside [0, {self.p})")
         packed = self._packed_binom.get(n)
         if packed is None:
             packed = self._packed_binom[n] = self.pack(self.binom_row(n))
@@ -286,8 +287,6 @@ class Prime:
         binom_row(n) times the n+1 powers of base, taken by a running
         product: O(n), whatever p, and cached nowhere.
         """
-        if not 0 <= n < self.p:
-            raise TopOutOfRangeError(f"binomial top {n} outside [0, {self.p})")
         p = self.p
         base %= p
         out = [1]
@@ -378,11 +377,7 @@ def conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:
 
 
 def make_prime(p: int) -> Prime:
-    """Validate p and build its factorial tables.
-
-    Raises NotPrimeError for composites and TooSmallError for p < 5 (p = 2, 3
-    are excluded: several congruences need p >= 5 and nonempty {1,...,p-2}).
-    """
+    """Validate p (see check_prime) and build its factorial tables."""
     return Prime(p)
 
 

@@ -33,7 +33,7 @@ from itertools import islice, repeat
 from operator import mul
 
 from .errors import HypothesisViolationError, ZeroDenominatorError
-from .modarith import Prime, mod_inverse
+from .modarith import Prime, mod_inverse, unpack_slots
 
 Term = tuple[int, int]  # (offset, signed exponent)
 
@@ -163,13 +163,15 @@ def residue_matrix(pr: Prime, a: int) -> ResidueMatrix:
     Row m, column n holds sum over k in {1,...,p-1} minus {a} of
     k^m * (a-k)^(-n).  Each row is one packed combination, as in
     power_moments, over those k: the packed powers of (a-k)^-1, looked up
-    once per matrix, weighted by k^m.  No row is derived from another.
+    once per matrix, weighted by k^m, read from the slots of the packed
+    powers of k.  No row is derived from another.
     """
     p = pr.p
     if not 1 <= a <= p - 1:
         raise HypothesisViolationError(f"a = {a} outside [1, p-1]")
     ks = [k for k in range(1, p) if k != a]
     rows = [pr.packed_powers(mod_inverse(a - k, p)) for k in ks]
-    weights = zip(*map(pr.powers, ks))  # (k^m for every k) for m = 0..p-1
+    # (k^m for every k) for m = 0..p-1; the slots of a packed row are residues
+    weights = zip(*[unpack_slots(pr.packed_powers(k), pr.pack_width, p) for k in ks])
     entries = tuple(tuple(pr.unpack(sum(map(mul, km, rows)), p)) for km in weights)
     return ResidueMatrix(pr, a, entries)

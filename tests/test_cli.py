@@ -27,7 +27,7 @@ from wolstenholme.errors import (
     StrategyInapplicableError,
     ZeroDenominatorError,
 )
-from wolstenholme.modarith import make_prime
+from wolstenholme.modarith import Prime, make_prime
 from wolstenholme.oracle import SumSpec, auto_exclusions, brute_sum
 
 
@@ -223,8 +223,20 @@ def test_verify_repeated_primes_are_verified_once(capsys):
 
 
 def test_verify_composite_prime_rejected(capsys):
-    code, _, err = run_cli(capsys, "verify", "--theorems", "thm1.2", "--primes", "15")
-    assert code == 2
+    for primes, message in (("15", "p = 15 is composite"),
+                            ("3", "p = 3: moduli below 5 are not supported")):
+        code, out, err = run_cli(capsys, "verify", "--theorems", "thm1.2", "--primes", primes)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_validates_each_prime_without_building_it(capsys, monkeypatch):
+    # the primes are checked before the run without their factorial tables,
+    # so each one's Prime is built once, by the run
+    built = []
+    real = Prime.__init__
+    monkeypatch.setattr(Prime, "__init__", lambda pr, p: built.append(p) or real(pr, p))
+    code, _, _ = run_cli(capsys, "verify", "--theorems", "eq2,thm1.1", "--primes", "5,7")
+    assert code == 0 and built == [5, 7]
 
 
 @pytest.mark.parametrize("argv", [
@@ -391,7 +403,8 @@ _ROOT = Path(__file__).resolve().parents[1]
 _BIG_TABLE = """
 import resource, sys
 from wolstenholme.cli import main
-code = main(["table", "sum-table", "-p", "1009", "-m", "500", "-n", "600", "-o", sys.argv[1]])
+target, p, m, n = sys.argv[1:]
+code = main(["table", "sum-table", "-p", p, "-m", m, "-n", n, "-o", target])
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -415,26 +428,31 @@ def _rendered_monomials(text, p):
 
 
 def test_big_sum_table_is_fast_and_small(tmp_path):
-    # dense rows held all p*m*n = 3*10^8 cells here: 91 s, and about 2.4 GB
-    target = tmp_path / "table.txt"
-    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    start = time.perf_counter()
-    child = subprocess.run([sys.executable, "-c", _BIG_TABLE, str(target)], env=env,
-                           capture_output=True, text=True, check=True)
-    elapsed = time.perf_counter() - start
-    code, max_rss_kib = map(int, child.stdout.split())  # Linux reports KiB
-    assert code == 0 and elapsed < 10 and max_rss_kib < 200 * 1024
-    lines = target.read_text().splitlines()
-    assert [line.split(":")[0] for line in lines] == [str(s) for s in range(1, 1009)]
+    # p = 1009: dense rows held all p*m*n = 3*10^8 cells here: 91 s, and
+    # about 2.4 GB.  Rows s < 916 have one nonzero anti-diagonal (e = 1008),
+    # later rows two (e = 2016 too).  p = 2003: its power sums read p-1
+    # packed power rows, and a p-long tuple cached beside each took it to
+    # 218 MB (82 MB without).  Only rows s >= 1995 reach e = 2002; the rest
+    # read 0
     spec = importlib.util.spec_from_file_location("reference", _ROOT / "perfbench" / "reference.py")
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
     reference.comb = functools.cache(math.comb)  # the same binomials, each computed once
-    # rows s < 916 have one nonzero anti-diagonal (e = 1008), later rows two (e = 2016 too)
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
     rng = random.Random(10)
-    for s in rng.sample(range(1, 916), 2) + rng.sample(range(916, 1009), 2):
-        got = _rendered_monomials(lines[s - 1].split(": ", 1)[1], 1009)
-        assert got == reference.sum_row(1009, 500, 600, s), s
+    for p, m, n, max_mb, split in ((1009, 500, 600, 200, 916), (2003, 3, 4, 150, 1995)):
+        target = tmp_path / f"table-{p}.txt"
+        start = time.perf_counter()
+        child = subprocess.run([sys.executable, "-c", _BIG_TABLE, str(target), str(p), str(m),
+                                str(n)], env=env, capture_output=True, text=True, check=True)
+        elapsed = time.perf_counter() - start
+        code, max_rss_kib = map(int, child.stdout.split())  # Linux reports KiB
+        assert code == 0 and elapsed < 10 and max_rss_kib < max_mb * 1024, (p, max_rss_kib)
+        lines = target.read_text().splitlines()
+        assert [line.split(":")[0] for line in lines] == [str(s) for s in range(1, p)]
+        for s in rng.sample(range(1, split), 2) + rng.sample(range(split, p), 2):
+            got = _rendered_monomials(lines[s - 1].split(": ", 1)[1], p)
+            assert got == (reference.sum_row(p, m, n, s) or {(0, 0): 0}), (p, s)
 
 
 _BIG_P_CLOSED = """

@@ -157,10 +157,13 @@ def test_prime_lookup_caches():
 
 def test_weighted_row_rejects_tops_outside_0_to_p():
     pr = make_prime(13)
-    pr.weighted_row(12, 3)  # a cached row at n = p-1 must not answer n = -1
+    pr.weighted_row(12, 3)  # rows cached at n = p-1 must not answer n = -1
+    pr.packed_binom_row(12)
     for n in (-1, 13, 14):
         with pytest.raises(TopOutOfRangeError):
             pr.weighted_row(n, 3)
+        with pytest.raises(TopOutOfRangeError):
+            pr.packed_binom_row(n)
 
 
 def _expanded(p, a, b, m, n):
@@ -268,7 +271,7 @@ def test_conv_caches_nothing():
         m, n = rng.randrange(257), rng.randrange(257)
         conv(pr, rng.randrange(-300, 600), rng.randrange(-300, 600), m, n,
              rng.randrange(-1, m + n + 2))
-    for cache in (pr._powers, pr._binom_rows):
+    for cache in (pr._packed, pr._binom_rows):
         assert cache == {}
 
 

@@ -265,15 +265,23 @@ def test_power_moments_zero_base_and_excluded_k(p):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
-def test_residue_matrix_matches_double_loop(p):
-    pr = make_prime(p)
-    for a in range(1, p):
-        ks = [k for k in range(1, p) if k != a]
-        want = tuple(
-            tuple(sum(pow(k, m, p) * pow(a - k, -n, p) for k in ks) % p for n in range(p))
-            for m in range(p)
-        )
-        assert residue_matrix(pr, a).entries == want
+def test_residue_matrix_matches_double_loop(monkeypatch, p):
+    # on the native path, then on a fresh Prime on the slot-by-slot packing
+    # and unpacking that big-endian hosts take
+    wants = []
+    for byte_path in (False, True):
+        if byte_path:
+            monkeypatch.setattr(modarith, "_SLOT_CODES", {})
+        pr = make_prime(p)
+        for a in range(1, p):
+            if not byte_path:
+                ks = [k for k in range(1, p) if k != a]
+                wants.append(tuple(
+                    tuple(sum(pow(k, m, p) * pow(a - k, -n, p) for k in ks) % p
+                          for n in range(p))
+                    for m in range(p)
+                ))
+            assert residue_matrix(pr, a).entries == wants[a - 1]
 
 
 def test_residue_matrix_observations():

@@ -313,7 +313,7 @@ def test_sampled_runs_at_p_1009_cache_no_rows(monkeypatch, theorem):
     rep = run_one(theorem, pr, budget=1000, seed=0)
     assert rep.passed and not rep.exhaustive and rep.grid == 1000
     assert calls == []
-    for cache in (pr._powers, pr._binom_rows):
+    for cache in (pr._packed, pr._binom_rows):
         assert cache == {}
 
 
@@ -343,7 +343,7 @@ def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
     assert all(len(col) == p and col.itemsize <= 4 for col in built)
     assert all(col is pr._columns[e] for e, cols in served.items() for col in cols)
     assert sum(map(len, served.values())) == 3 * 1000  # three terms a draw
-    for cache in (pr._powers, pr._binom_rows):
+    for cache in (pr._packed, pr._binom_rows):
         assert cache == {}
 
 
@@ -358,7 +358,7 @@ def test_sampled_n_term_runs_at_p_1009_build_no_power_table(theorem):
     pr = make_prime(1009)
     rep = run_one(theorem, pr, budget=1000, seed=0)
     assert rep.passed and not rep.exhaustive
-    assert pr._powers == {}
+    assert pr._packed == {}
 
 # --- every grid theorem reports every failing instance -----------------------
 

@@ -53,6 +53,9 @@ COMMANDS = tuple("verify " + args for args in (
     "sum-table -p 13 -m 12 -n 12",
     "sum-table -p 13 -m 12 -n 12 -f csv --signed",
     "residue-matrix -p 31 -a 5",
+    # the residue matrix and power sums read from packed power rows alone
+    "residue-matrix -p 257 -a 100 -f json",
+    "sum-table -p 2003 -m 3 -n 4 -f csv",
 )) + tuple("eval " + args for args in (
     "-p 1009 (1+k)^500(2+k)^600(3+k)^700(5+k)^800k^900",
     "-p 97 (3+k)^40(7+k)^50/((11+k)^20k^30)",
