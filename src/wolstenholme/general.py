@@ -5,6 +5,17 @@ All three evaluators agree with each other and with the brute-force oracle;
 they differ in how they reach the answer, which is the point: each one
 cross-checks the others.
 
+Each route has a row entry point, (pr, offsets, head, lasts) -> the sums at
+the points (offsets, (*head, m)) for m in lasts.  The product of the head's
+factors does not depend on m, so one computation on the route's own kernel
+answers the row: one _composition_sums call over the union of its levels,
+one cyclic_product, or one _esp_values stream and at most one
+build_product.  The point functions run the same row kernels at the one
+exponent m_n.
+verify checks the n-term grids a row at a time: every m_n of a head where
+an arity is enumerated, or where a sampled arity holds N >= (p-1)^2
+instances, in ceil(N/(p-1)) seeded rows; a smaller sample is 1-point rows.
+
 _composition_sums, the multi-index kernel, works on packed rows
 (Prime.pack): a row of residues as one big integer, pack_width bytes a
 slot, so that one integer product is a whole convolution as long as no
@@ -134,16 +145,58 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
     return out
 
 
+def _row_bases(pr: Prime, offsets, head, lasts) -> tuple[int, ...]:
+    """The shifted bases b_i of a row, the points (offsets, (*head, m)) for m
+    in lasts, once every point is checked: they differ only in m, so the
+    points at the least and the greatest m stand for all of them.  Each row
+    entry point checks its row here and hands the bases to its route's row
+    kernel; a point function hands over those of its checked params."""
+    for m in {min(lasts), max(lasts)}:
+        gp = GeneralSumParams(pr, tuple(offsets), (*head, m))
+    return gp.shifted
+
+
+def _levels(p: int, total: int) -> range:
+    """M_1, M_2, ... down to M_t >= 0 for exponents summing to total."""
+    return range(total - (p - 1), -1, -(p - 1))
+
+
+def multi_index_row(pr: Prime, offsets, head, lasts) -> list[int]:
+    """[multi_index_J at (offsets, (*head, m)) for m in lasts], from one
+    _composition_sums call over the union of the row's levels: the product
+    of the head's factors (1 + b_i x)^m_i does not depend on m.  A total
+    below p-1 has no level, so its sum is 0; with every exponent p-1 the
+    sum is -n."""
+    return _multi_index(pr, _row_bases(pr, offsets, head, lasts), head, lasts)
+
+
+def _multi_index(pr: Prime, bases, head, lasts) -> list[int]:
+    p = pr.p
+    s = sum(head)
+    corner = p - 1 if all(m == p - 1 for m in head) else None
+    levels = {m: _levels(p, s + m) for m in lasts if m != corner}
+    targets = sorted({t for row in levels.values() for t in row})
+    value = dict(zip(targets, _composition_sums(pr, head, bases, targets)))
+    return [-sum(map(value.__getitem__, levels[m])) % p if m != corner
+            else -(len(head) + 1) % p for m in lasts]
+
+
 def multi_index_J(gp: GeneralSumParams) -> int:
     """Sum over all k of (a_1+k)^m_1 ... (a_n+k)^m_n via bounded compositions."""
-    pr = gp.pr
+    return _multi_index(gp.pr, gp.shifted, gp.exps[:-1], gp.exps[-1:])[0]
+
+
+def coeff_extraction_row(pr: Prime, offsets, head, lasts) -> list[int]:
+    """[coeff_extraction_sum at (offsets, (*head, m)) for m in lasts], every
+    one read from one cyclic_product of the head's factors: the sum at m is
+    minus its slot -m mod p-1, 0 where the product does not reach."""
+    return _coeff_extraction(pr, _row_bases(pr, offsets, head, lasts), head, lasts)
+
+
+def _coeff_extraction(pr: Prime, bases, head, lasts) -> list[int]:
     p = pr.p
-    if gp.total < p - 1:
-        return 0
-    if all(m == p - 1 for m in gp.exps):
-        return -gp.n % p
-    levels = [gp.level(i) for i in range(1, gp.t + 1)]
-    return -sum(_composition_sums(pr, gp.exps[:-1], gp.shifted, levels)) % p
+    c = cyclic_product(pr, bases, head)
+    return [-c[j] % p if j < len(c) else 0 for j in (-m % (p - 1) for m in lasts)]
 
 
 def coeff_extraction_sum(gp: GeneralSumParams) -> int:
@@ -153,10 +206,9 @@ def coeff_extraction_sum(gp: GeneralSumParams) -> int:
     (b_i + x)^m_i.  Since 1 <= m_n <= p-1, those indices are exactly the
     j >= 0 with j = -m_n mod p-1, so the sum is minus one coefficient of that
     product taken mod x^(p-1) - 1, which polyring.cyclic_product builds in
-    p-1 packed slots whatever the degree.
+    at most p-1 packed slots whatever the degree.
     """
-    p = gp.pr.p
-    return -cyclic_product(gp.pr, gp.shifted, gp.exps[:-1])[-gp.exps[-1] % (p - 1)] % p
+    return _coeff_extraction(gp.pr, gp.shifted, gp.exps[:-1], gp.exps[-1:])[0]
 
 
 def root_power_sum(gp: GeneralSumParams, r: int) -> int:
@@ -172,9 +224,9 @@ def root_power_sum(gp: GeneralSumParams, r: int) -> int:
     return acc if r % 2 == 0 else -acc % p
 
 
-def _esp_values(gp: GeneralSumParams, r_max: int):
-    """Yield e_0..e_r_max, the coefficients of E(x) = the product over i < n
-    of (1 - b_i x)^m_i; valid only for r_max < p.
+def _esp_values(pr: Prime, bases, exps, r_max: int):
+    """Yield e_0..e_r_max, the coefficients of E(x) = the product over i of
+    (1 - b_i x)^m_i, m_i in exps; valid only for r_max < p.
 
     E is D-finite: with Q = the product of (1 - b_i x), of degree d = n-1,
     and P = -sum of m_i b_i times the product over j != i of (1 - b_j x),
@@ -183,14 +235,13 @@ def _esp_values(gp: GeneralSumParams, r_max: int):
     with f_i = i e_i, a recurrence of order d.  Each step is one dot product
     over the last d pairs (e_i, f_i), O(n) whatever r, and needs no table.
     """
-    pr = gp.pr
     p = pr.p
     if r_max >= p:
         raise IndexNotInvertibleError(f"r_max = {r_max} >= p = {p}: index not invertible")
     # pairs[k] = (q_k, P_(k-1)), P_(-1) = 0.  Multiplying in one factor
     # (1 - b x)^m multiplies Q by (1 - b x) and takes P to P (1 - b x) - m b Q.
     pairs = [(1, 0)]
-    for b, m in zip(gp.shifted, gp.exps):  # zip drops m_n, which has no base
+    for b, m in zip(bases, exps):
         mb = m * b
         pairs = [((q - b * q0) % p, (P - b * P0 - mb * q0) % p)
                  for (q, P), (q0, P0) in zip(pairs + [(0, 0)], [(0, 0)] + pairs)]
@@ -219,7 +270,38 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
     or above p raise IndexNotInvertibleError; those e-values must come from
     polynomial coefficients instead.
     """
-    return tuple(_esp_values(gp, r_max))
+    return tuple(_esp_values(gp.pr, gp.shifted, gp.exps[:-1], r_max))
+
+
+def esp_row(pr: Prime, offsets, head, lasts) -> list[int]:
+    """[esp_sum at (offsets, (*head, m)) for m in lasts]: each point answered
+    by the kernel that answers it alone, each kernel run once for the row.
+
+    The e-values of the points whose M_1 is below p come from one
+    _esp_values stream, to the largest such M_1, kept only at their levels;
+    those of the points with M_1 >= p from one build_product of the head's
+    factors.
+    """
+    return _esp(pr, _row_bases(pr, offsets, head, lasts), head, lasts)
+
+
+def _esp(pr: Prime, bases, head, lasts) -> list[int]:
+    p = pr.p
+    s = sum(head)
+    levels = {m: _levels(p, s + m) for m in lasts}
+    deep = {m for m, row in levels.items() if row and row[0] >= p}  # M_1 >= p
+    low = {r for m, row in levels.items() if m not in deep for r in row}
+    signed, coeffs = {}, {}  # (-1)^r e_r by level r: streamed, and for deep
+    if low:
+        signed = {r: -e if r % 2 else e
+                  for r, e in enumerate(_esp_values(pr, bases, head, max(low))) if r in low}
+    if deep:
+        # (-1)^r e_r is [x^(s-r)] of the product of (b_i + x)^m_i, whose
+        # degree s = m_1 + ... + m_(n-1) no level exceeds
+        f = build_product(pr, bases, head)
+        coeffs = {r: coeff(f, s - r) for m in deep for r in levels[m]}
+    return [-sum(map((coeffs if m in deep else signed).__getitem__, levels[m])) % p
+            for m in lasts]
 
 
 def esp_sum(gp: GeneralSumParams) -> int:
@@ -233,22 +315,7 @@ def esp_sum(gp: GeneralSumParams) -> int:
     That product is a PolyZp, not the coefficient route's cyclic product, so
     the two routes share no kernel.
     """
-    pr = gp.pr
-    p = pr.p
-    levels = [gp.level(i) for i in range(1, gp.t + 1)]
-    if not levels:
-        return 0
-    m1 = levels[0]
-    if m1 < p:
-        wanted = set(levels)
-        acc = sum(-e if r % 2 else e for r, e in enumerate(_esp_values(gp, m1)) if r in wanted)
-    else:
-        # (-1)^r e_r is [x^(cap-r)] of the product of (b_i + x)^m_i, whose
-        # degree cap = m_1 + ... + m_(n-1) no level exceeds
-        f = build_product(pr, gp.shifted, gp.exps[:-1])
-        cap = sum(gp.exps[:-1])
-        acc = sum(coeff(f, cap - r) for r in levels)
-    return -acc % p
+    return _esp(gp.pr, gp.shifted, gp.exps[:-1], gp.exps[-1:])[0]
 
 
 def scaling_reduce(gp: GeneralSumParams) -> tuple[int, GeneralSumParams]:

@@ -87,9 +87,11 @@ def build_product(pr: Prime, offsets, exps) -> PolyZp:
 
 
 def cyclic_product(pr: Prime, offsets, exps) -> list[int]:
-    """The p-1 coefficients of the product of (b_i + x)^(m_i) mod
-    x^(p-1) - 1: slot j sums the product's coefficients at every index
-    congruent to j mod p-1.  Requires 1 <= m_i <= p-1; the empty product is 1.
+    """The coefficients of the product of (b_i + x)^(m_i) mod x^(p-1) - 1:
+    slot j sums the product's coefficients at every index congruent to j
+    mod p-1.  Only the slots the product reaches are returned, min(p-1,
+    sum(m_i)+1) of them; every later slot is 0.  Requires 1 <= m_i <= p-1;
+    the empty product is [1].
 
     A factor's row C(m, j) b^(m-j), j = 0..m, is Prime.weighted_row(m, b)
     reversed, its x^(p-1) (at m = p-1) folded onto x^0, and packed at
@@ -114,7 +116,7 @@ def cyclic_product(pr: Prime, offsets, exps) -> list[int]:
             full = pr.pack(out) * pr.pack(row)
             row = pr.unpack((full & mask) + (full >> shift), min(n, len(out) + len(row) - 1))
         out = row
-    return out + [0] * (n - len(out))
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,13 @@ Either way the grid is read as chunks (points, lhs, rhs): the two sides at
 a run of instances, brute force or left side first, each side computed on
 its own, and the instances' points.  Point checks come in runs, a chunk
 per run; a row sweep yields whole rows, such as a box's brute side at every
-exponent of one head from one power_moments row.  _compare_rows compares
-the chunks, counts the instances and names each failing one.
+exponent of one head from one power_moments row.  The n-term ids check a
+row of m_n at a time, exhaustive or sampled: the brute side from one
+oracle.brute_row and the checked side from one call of the route's row
+entry point in general.  A sampled arity of N >= (p-1)^2 instances draws
+ceil(N/(p-1)) seeded rows, the last one cut to N; a smaller one draws its
+points as 1-point rows.  _compare_rows compares the chunks, counts the
+instances and names each failing one.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .modarith import Prime, binom, conv, make_prime, pow_nonzero
 from .oracle import (
     SumSpec,
     auto_exclusions,
+    brute_row,
     brute_sum,
     brute_sum_mod_p2,
     power_moments,
@@ -325,51 +331,69 @@ _run_thm3_6 = _box(
 )
 
 
-def _general(evaluator) -> Grid:
+def _general(route) -> Grid:
     """The n-term sums at arity 2, 3 and 4 against brute force, on points
-    (offsets, exps); evaluator(gp) is the side checked.  Each arity is held
-    to the budget on its own, so count is that of arity 4, the largest."""
+    (offsets, exps), checked a row (offsets, head, lasts) at a time: the
+    points (offsets, (*head, m)) for m in lasts.  oracle.brute_row gives a
+    row's brute side and route(pr, offsets, head, lasts), a row entry point
+    of general looked up at call time, its checked side.  Each arity is held
+    to the budget on its own, so count is that of arity 4, the largest.  A
+    sampled arity of N >= (p-1)^2 instances is ceil(N/(p-1)) seeded rows,
+    a smaller one its N seeded points as 1-point rows (_general_rows)."""
 
-    def check(pr, offsets, exps):
-        gp = gen.GeneralSumParams(pr, offsets, exps)
-        spec = SumSpec(pr, tuple(zip(offsets, exps)), frozenset())
-        return brute_sum(spec), evaluator(gp)
+    def chunks(pr, rows):
+        for offsets, head, lasts in rows:
+            brute = brute_row(pr, tuple(zip(offsets, head)), offsets[-1], lasts)
+            points = ((offsets, (*head, m)) for m in lasts)
+            yield points, brute, route(pr, offsets, head, lasts)
 
-    return Grid(("offsets", "exps"), check, lambda p: _general_points(p, inf, 0),
+    return Grid(("offsets", "exps"), rows=lambda pr, mode: chunks(pr, _general_rows(pr.p, inf, 0)),
                 count=lambda p: perm(p, 4) * (p - 1) ** 4,
-                sample=lambda pr, budget, seed: _each(pr, check,
-                                                      _general_points(pr.p, budget, seed)))
+                sample=lambda pr, budget, seed: chunks(pr, _general_rows(pr.p, budget, seed)))
 
 
-def _general_points(p, budget, seed):
-    """The points of arity 2, 3 and 4 in turn, each arity drawn on
-    seed + arity.
+def _general_rows(p, budget, seed):
+    """The rows (offsets, head, lasts) of arity 2, 3 and 4 in turn, each
+    arity drawn on seed + arity.
 
-    An arity whose grid fits the budget is enumerated.  Otherwise every
-    distinct-offset tuple still gets budget // count seeded exponent tuples
-    (at least one), and when even the offset tuples exceed the budget both
-    are sampled.
+    An arity whose grid fits the budget is enumerated, a row per (offsets,
+    head), so m_n walks fastest.  Otherwise it takes N instances:
+    budget // count seeded exponent tuples (at least one) per distinct-offset
+    tuple, or N = budget when even those exceed the budget.  When
+    N >= (p-1)^2 they are ceil(N/(p-1)) seeded rows, offsets by rng.sample
+    and the head by randrange, the last cut to its first N mod p-1 exponents:
+    still at least as many rows as a row has points.  Below that bound they
+    are the N seeded points, offsets enumerated or sampled, as 1-point rows.
     """
+    full = range(1, p)
     for arity in (2, 3, 4):
         rng = random.Random(seed + arity)
+        offsets = permutations(range(p), arity)
+        count = perm(p, arity)
+        if count * (p - 1) ** arity <= budget:
+            yield from ((offs, head, full) for offs in offsets
+                        for head in product(full, repeat=arity - 1))
+            continue
+        n = count * max(1, budget // count) if count <= budget else budget
+        if n >= (p - 1) ** 2:
+            for start in range(0, n, p - 1):
+                offs = tuple(rng.sample(range(p), arity))
+                yield offs, tuple(rng.randrange(1, p) for _ in range(arity - 1)), full[: n - start]
+            continue
 
         def exps():
             return tuple(rng.randrange(1, p) for _ in range(arity))
 
-        offsets = permutations(range(p), arity)
-        count = perm(p, arity)
-        if count * (p - 1) ** arity <= budget:
-            points = product(offsets, product(range(1, p), repeat=arity))
-        elif count <= budget:
-            points = ((offs, exps()) for offs in offsets for _ in range(max(1, budget // count)))
+        if count <= budget:
+            points = ((offs, exps()) for offs in offsets for _ in range(n // count))
         else:
-            points = ((tuple(rng.sample(range(p), arity)), exps()) for _ in range(budget))
-        yield from points
+            points = ((tuple(rng.sample(range(p), arity)), exps()) for _ in range(n))
+        yield from ((offs, e[:-1], e[-1:]) for offs, e in points)
 
 
-_run_thm4_1 = _general(lambda gp: gen.multi_index_J(gp))
-_run_thm4_4 = _general(lambda gp: gen.coeff_extraction_sum(gp))
-_run_thm4_5 = _general(lambda gp: gen.esp_sum(gp))
+_run_thm4_1 = _general(lambda pr, *row: gen.multi_index_row(pr, *row))
+_run_thm4_4 = _general(lambda pr, *row: gen.coeff_extraction_row(pr, *row))
+_run_thm4_5 = _general(lambda pr, *row: gen.esp_row(pr, *row))
 
 
 # --- binomial identities, lhs against rhs -------------------------------------

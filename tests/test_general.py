@@ -16,15 +16,18 @@ from wolstenholme.errors import (
 )
 from wolstenholme.general import (
     GeneralSumParams,
+    coeff_extraction_row,
     coeff_extraction_sum,
+    esp_row,
     esp_sum,
     multi_index_J,
+    multi_index_row,
     newton_esp,
     root_power_sum,
     scaling_reduce,
 )
 from wolstenholme.modarith import binom, make_prime, mod_inverse
-from wolstenholme.oracle import SumSpec, brute_sum
+from wolstenholme.oracle import SumSpec, brute_row, brute_sum
 from wolstenholme.polyring import build_product, coeff
 
 P5 = make_prime(5)
@@ -218,6 +221,42 @@ def test_three_way_agreement_sampled():
             assert multi_index_J(gp) == want
             assert coeff_extraction_sum(gp) == want
             assert esp_sum(gp) == want
+
+
+@pytest.mark.parametrize("p", [11, 97, 1009])
+def test_row_entry_points_match_their_point_functions_and_brute_sum(p):
+    # every m_n of one seeded row per arity 2-4, of a row whose head is all
+    # p-1 (the multi-index corner at m_n = p-1), and of a row whose M_1
+    # = sum(head) + m_n - (p-1) straddles p, so that its esp points are
+    # answered by the recurrence below m_n = 2p-1-sum(head) and by
+    # build_product from there on.  At p = 1009 the point functions are
+    # called at 40 seeded m_n, m_n = 1 and p-1, and the two m_n at the
+    # straddle; every other check covers every m_n
+    pr = make_prime(p)
+    rng = random.Random(p)
+    rows = [(tuple(rng.sample(range(p), n)), tuple(rng.randrange(1, p) for _ in range(n - 1)))
+            for n in (2, 3, 4)]
+    rows += [(tuple(rng.sample(range(p), 3)), (p - 1, p - 1)),
+             (tuple(rng.sample(range(p), 4)), (p - 1, p // 2, 1))]
+    full = range(1, p)
+    for offsets, head in rows:
+        brute = brute_row(pr, tuple(zip(offsets, head)), offsets[-1], full)
+        edge = 2 * p - 1 - sum(head)
+        some = full if p < 1000 else sorted({1, p - 1, *rng.sample(full, 40)}
+                                            | {edge - 1, edge} & set(full))
+        assert brute == [_brute(GeneralSumParams(pr, offsets, (*head, m))) for m in full]
+        for row, point in ((multi_index_row, multi_index_J),
+                           (coeff_extraction_row, coeff_extraction_sum), (esp_row, esp_sum)):
+            assert row(pr, offsets, head, full) == brute, (row.__name__, offsets, head)
+            got = [point(GeneralSumParams(pr, offsets, (*head, m))) for m in some]
+            assert got == [brute[m - 1] for m in some], (point.__name__, offsets, head)
+    assert sum(head) + 1 - (p - 1) < p <= sum(head)  # the last row straddles p
+    assert multi_index_row(pr, rows[3][0], rows[3][1], [p - 1]) == [-3 % p]
+    # a row is checked as its points are: every m in [1, p-1], distinct offsets
+    for row in (multi_index_row, coeff_extraction_row, esp_row):
+        for offsets, lasts in (((1, 2), [0, 1]), ((1, 2), [1, p]), ((1, 1), [1])):
+            with pytest.raises((HypothesisViolationError, DuplicateOffsetsError)):
+                row(pr, offsets, (1,), lasts)
 
 
 def test_specializations():

@@ -649,6 +649,54 @@ def test_box_sweep_reports_every_instance_of_a_corrupted_kernel_row(monkeypatch,
     assert (rep.grid, rep.exhaustive) == (clean.grid, True) == (6 * 5 * 6 ** 3, True)
 
 
+@pytest.mark.parametrize("p, budget", [(5, 40_000), (11, 10_000)], ids=["swept", "sampled"])
+@pytest.mark.parametrize("theorem, route", [("thm4.1", "multi_index_row"),
+                                            ("thm4.4", "coeff_extraction_row"),
+                                            ("thm4.5", "esp_row")])
+def test_n_term_sweep_reports_exactly_a_corrupted_cell(monkeypatch, theorem, route, p, budget):
+    # one slot of one row of the checked side is wrong: exactly that point
+    # must fail, with its params, and the grid must not change.  At p = 5
+    # every arity is enumerated; at p = 11 every arity is drawn in rows
+    from wolstenholme import general
+
+    real = getattr(general, route)
+    calls, hit = [], []
+
+    def corrupted(pr, offsets, head, lasts):
+        row = real(pr, offsets, head, lasts)
+        calls.append(len(lasts))
+        if len(calls) == 1000:  # a row of arity 3
+            hit.append(((offsets, (*head, lasts[2])), row[2]))
+            row[2] = (row[2] + 1) % pr.p
+        return row
+
+    clean = run_one(theorem, p, budget=budget, seed=3)
+    monkeypatch.setattr(general, route, corrupted)
+    rep = run_one(theorem, p, budget=budget, seed=3)
+    [((offsets, exps), value)] = hit
+    assert len(offsets) == 3 and set(calls) == {p - 1}
+    assert clean.passed and (rep.grid, rep.exhaustive) == (clean.grid, p == 5)
+    assert rep.failures == [{"params": {"offsets": offsets, "exps": exps},
+                             "expected": value, "got": (value + 1) % p}]
+
+
+def test_sampled_n_term_rows_keep_each_arity_s_instance_count():
+    # at p = 13 with budget 10,000 every arity is drawn in rows of 12: 832
+    # (9,984 instances), 715 (8,580) and 834, the last cut to its first
+    # 10,000 mod 12 = 4 exponents.  A sample of N = (p-1)^2 instances is
+    # rows; one of N = (p-1)^2 - 1 is N 1-point rows
+    rows = list(verify._general_rows(13, 10_000, 0))
+    assert [len(offsets) for offsets, _, _ in rows] == [2] * 832 + [3] * 715 + [4] * 834
+    assert [lasts for _, _, lasts in rows] == [range(1, 13)] * 2380 + [range(1, 5)]
+    assert run_one("thm4.4", 13, seed=0).grid == 28_564
+    rows = list(verify._general_rows(13, 144, 0))
+    assert [(len(offsets), len(lasts)) for offsets, _, lasts in rows] == [(2, 12)] * 12 + [
+        (3, 12)] * 12 + [(4, 12)] * 12
+    rows = list(verify._general_rows(13, 143, 0))
+    assert [(len(offsets), len(lasts)) for offsets, _, lasts in rows] == [
+        (n, 1) for n in (2, 3, 4) for _ in range(143)]
+
+
 def test_figures_at_p_97_is_fast():
     # every residue matrix was an O(p^3) loop; figures took 9-10 s at p = 97
     start = time.perf_counter()
@@ -749,10 +797,11 @@ def test_cor3_12_across_b_at_slot_width_edges(p):
 
 
 def _wrong_evaluator(name):
-    """Patch general.<name>, the evaluator of one n-term theorem, to a wrong
-    constant, so that every point fails."""
+    """Patch general.<name>, the row entry point of one n-term theorem, to a
+    wrong constant at every point of every row, so that every point fails."""
     from wolstenholme import general
-    return lambda monkeypatch: monkeypatch.setattr(general, name, lambda gp: -1)
+    return lambda monkeypatch: monkeypatch.setattr(
+        general, name, lambda pr, offsets, head, lasts: [-1] * len(lasts))
 
 
 def _quick_case_off_by_one(monkeypatch):
@@ -811,19 +860,20 @@ def _pow_nonzero_off_by_one(monkeypatch):
 # SHA-256 prefix of the failure list as JSON): params, expected and got of
 # every failure, in order
 RUNNER_PINS = {
-    # arities 2 and 3 exhaustive, 4 by offset tuple; all three draw the same points
-    ("thm4.1", 5, 10_000, 7, "p2", _wrong_evaluator("multi_index_J")):
-        (14120, False, 14120, "334f416061bbbab0"),
-    ("thm4.4", 5, 10_000, 7, "p2", _wrong_evaluator("coeff_extraction_sum")):
-        (14120, False, 14120, "334f416061bbbab0"),
-    ("thm4.5", 5, 10_000, 7, "p2", _wrong_evaluator("esp_sum")):
-        (14120, False, 14120, "334f416061bbbab0"),
+    # arities 2 and 3 exhaustive, 4 in 2,490 seeded rows of every m_4, as its
+    # 9,960 instances reach (p-1)^2; all three draw the same points
+    ("thm4.1", 5, 10_000, 7, "p2", _wrong_evaluator("multi_index_row")):
+        (14120, False, 14120, "ba510a61974ce7de"),
+    ("thm4.4", 5, 10_000, 7, "p2", _wrong_evaluator("coeff_extraction_row")):
+        (14120, False, 14120, "ba510a61974ce7de"),
+    ("thm4.5", 5, 10_000, 7, "p2", _wrong_evaluator("esp_row")):
+        (14120, False, 14120, "ba510a61974ce7de"),
     # every arity fully sampled
-    ("thm4.1", 13, 40, 7, "p2", _wrong_evaluator("multi_index_J")):
+    ("thm4.1", 13, 40, 7, "p2", _wrong_evaluator("multi_index_row")):
         (120, False, 120, "9c3f2c7c6b0608ab"),
-    ("thm4.4", 13, 40, 7, "p2", _wrong_evaluator("coeff_extraction_sum")):
+    ("thm4.4", 13, 40, 7, "p2", _wrong_evaluator("coeff_extraction_row")):
         (120, False, 120, "9c3f2c7c6b0608ab"),
-    ("thm4.5", 13, 40, 7, "p2", _wrong_evaluator("esp_sum")):
+    ("thm4.5", 13, 40, 7, "p2", _wrong_evaluator("esp_row")):
         (120, False, 120, "9c3f2c7c6b0608ab"),
     ("quickcase", 13, 40, 7, "p2", _quick_case_off_by_one):
         (46, False, 46, "c0a60a5337d58a10"),

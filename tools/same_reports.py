@@ -38,6 +38,8 @@ COMMANDS = tuple("verify " + args for args in (
     "thm4.1,thm4.4,thm4.5 --primes 257 --budget 300 --seed 5",
     "--theorems thm2.3,thm3.6 --primes 1009 --budget 300 --seed 2",
     "--theorems thm1.2,thm1.3 --primes 5..97 --mod p",
+    # whole sampled rows of m_n at three primes
+    "--theorems thm4.1,thm4.4,thm4.5 --primes 11,13,97 --seed 1",
 )) + tuple("table " + args for args in (
     "coeff-table -p 11 -m 7 -n 7",
     "coeff-table -p 97 -m 48 -n 50 -f json",
