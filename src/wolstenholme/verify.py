@@ -7,14 +7,12 @@ exhaustively; a larger one takes its seeded sample, so failures reproduce.
 Either way the grid is read as chunks (points, lhs, rhs): the two sides at
 a run of instances, brute force or left side first, each side computed on
 its own, and the instances' points.  Point checks come in runs, a chunk
-per run; a row sweep yields whole rows, such as a box's brute side at every
-exponent of one head from one power_moments row.  The n-term ids check a
-row of m_n at a time, exhaustive or sampled: the brute side from one
-oracle.brute_row and the checked side from one call of the route's row
-entry point in general.  A sampled arity of N >= (p-1)^2 instances draws
-ceil(N/(p-1)) seeded rows, the last one cut to N; a smaller one draws its
-points as 1-point rows.  _compare_rows compares the chunks, counts the
-instances and names each failing one.
+per run; a row sweep yields whole rows.  The closed-form boxes and the
+n-term ids check a row of their last exponent at a time, exhaustive or
+sampled in rows (_sampled_rows): a box's brute side from one power_moments
+row, an n-term row's from one oracle.brute_row and its checked side from
+one call of the route's row entry point in general.  _compare_rows
+compares the chunks, counts the instances and names each failing one.
 """
 
 from __future__ import annotations
@@ -176,10 +174,12 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
     exclusions a frozenset: the brute side is the sum over k in [0, p)
     outside exclusions of the product of the terms (o+k)^f and of
     (off+k)^(sign*e), times (-1)^e when alternating.  closed(pr, *point) is
-    the closed side.  A sampled point is one brute_sum; the exhaustive sweep
-    yields one row per head, its brute side at every e read from one
-    power_moments row of weights prod (o+k)^f over the bases (off+k)^sign,
-    both read through term_products as brute_sum reads its terms.
+    the closed side, one call per point.  The exhaustive sweep yields one
+    row per head, its brute side at every e read from one power_moments row
+    of weights prod (o+k)^f over the bases (off+k)^sign, both read through
+    term_products as brute_sum reads its terms.  A sample checks the rows
+    of seeded heads as the sweep does, or below the bound of _sampled_rows
+    seeded points, each one brute_sum.
     """
 
     def check(pr, *point):
@@ -190,16 +190,18 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
             brute = -brute % pr.p
         return brute, closed(pr, *point)
 
-    def rows(pr, mode):
+    def row(pr, head, exps):
         p = pr.p
-        *heads, exps = ranges(p)
-        for head in tuples(p, heads):
-            terms, (off, sign), excl = sums(pr, *head)
-            pairs = zip(term_products(pr, terms), term_products(pr, ((off, sign),)))
-            brute = power_moments(pr, [(w % p, -x % p if alternating else x)
-                                       for k, (w, x) in enumerate(pairs) if k not in excl])
-            closed_row = [closed(pr, *head, e) for e in exps]
-            yield _row(head, exps), brute[exps.start : exps.stop], closed_row
+        terms, (off, sign), excl = sums(pr, *head)
+        pairs = zip(term_products(pr, terms), term_products(pr, ((off, sign),)))
+        brute = power_moments(pr, [(w % p, -x % p if alternating else x)
+                                   for k, (w, x) in enumerate(pairs) if k not in excl])
+        closed_row = [closed(pr, *head, e) for e in exps]
+        return _row(head, exps), brute[exps.start : exps.stop], closed_row
+
+    def rows(pr, mode):
+        *fields, exps = ranges(pr.p)
+        return (row(pr, head, exps) for head in tuples(pr.p, fields))
 
     def tuples(p, ranges):
         if pair_lo is None:
@@ -211,11 +213,33 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
         box = prod(map(len, ranges(p)))
         return box if pair_lo is None else perm(p - pair_lo, 2) * box
 
-    def draw(rng, p):
+    def head(rng, p):
         pair = () if pair_lo is None else rng.sample(range(pair_lo, p), 2)
-        return (*pair, *[rng.randrange(r.start, r.stop) for r in ranges(p)])
+        return (*pair, *[rng.randrange(r.start, r.stop) for r in ranges(p)[:-1]])
 
-    return Grid(names, check, lambda p: tuples(p, ranges(p)), rows, count, _drawn(check, draw))
+    def draw(rng, p):
+        exps = ranges(p)[-1]
+        return (*head(rng, p), rng.randrange(exps.start, exps.stop))
+
+    def sample(pr, budget, seed):
+        rng = random.Random(seed)
+        heads = _sampled_rows(budget, ranges(pr.p)[-1], lambda: head(rng, pr.p))
+        if heads is None:
+            return _drawn(check, draw)(pr, budget, seed)
+        return (row(pr, *h) for h in heads)
+
+    return Grid(names, check, lambda p: tuples(p, ranges(p)), rows, count, sample)
+
+
+def _sampled_rows(n, lasts, head):
+    """A sample of n instances as rows (head(), lasts) once n >= L^2, L =
+    len(lasts): ceil(n/L) heads drawn in turn, the last row cut to n points
+    in all, so there are at least as many rows as a row has points.  None
+    below that bound, where a sampler draws its n points one at a time."""
+    size = len(lasts)
+    if n < size * size:
+        return None
+    return ((head(), lasts[: n - start]) for start in range(0, n, size))
 
 
 # --- power sums ---------------------------------------------------------------
@@ -337,9 +361,8 @@ def _general(route) -> Grid:
     points (offsets, (*head, m)) for m in lasts.  oracle.brute_row gives a
     row's brute side and route(pr, offsets, head, lasts), a row entry point
     of general looked up at call time, its checked side.  Each arity is held
-    to the budget on its own, so count is that of arity 4, the largest.  A
-    sampled arity of N >= (p-1)^2 instances is ceil(N/(p-1)) seeded rows,
-    a smaller one its N seeded points as 1-point rows (_general_rows)."""
+    to the budget on its own, so count is that of arity 4, the largest; a
+    sample is drawn by _general_rows."""
 
     def chunks(pr, rows):
         for offsets, head, lasts in rows:
@@ -359,11 +382,10 @@ def _general_rows(p, budget, seed):
     An arity whose grid fits the budget is enumerated, a row per (offsets,
     head), so m_n walks fastest.  Otherwise it takes N instances:
     budget // count seeded exponent tuples (at least one) per distinct-offset
-    tuple, or N = budget when even those exceed the budget.  When
-    N >= (p-1)^2 they are ceil(N/(p-1)) seeded rows, offsets by rng.sample
-    and the head by randrange, the last cut to its first N mod p-1 exponents:
-    still at least as many rows as a row has points.  Below that bound they
-    are the N seeded points, offsets enumerated or sampled, as 1-point rows.
+    tuple, or N = budget when even those exceed the budget: the seeded rows
+    of _sampled_rows, offsets by rng.sample and the head by randrange, or
+    below its bound the N seeded points, offsets enumerated or sampled, as
+    1-point rows.
     """
     full = range(1, p)
     for arity in (2, 3, 4):
@@ -375,19 +397,19 @@ def _general_rows(p, budget, seed):
                         for head in product(full, repeat=arity - 1))
             continue
         n = count * max(1, budget // count) if count <= budget else budget
-        if n >= (p - 1) ** 2:
-            for start in range(0, n, p - 1):
-                offs = tuple(rng.sample(range(p), arity))
-                yield offs, tuple(rng.randrange(1, p) for _ in range(arity - 1)), full[: n - start]
+
+        def exps(size):
+            return tuple(rng.randrange(1, p) for _ in range(size))
+
+        rows = _sampled_rows(n, full, lambda: (tuple(rng.sample(range(p), arity)), exps(arity - 1)))
+        if rows is not None:
+            yield from ((offs, head, lasts) for (offs, head), lasts in rows)
             continue
 
-        def exps():
-            return tuple(rng.randrange(1, p) for _ in range(arity))
-
         if count <= budget:
-            points = ((offs, exps()) for offs in offsets for _ in range(n // count))
+            points = ((offs, exps(arity)) for offs in offsets for _ in range(n // count))
         else:
-            points = ((tuple(rng.sample(range(p), arity)), exps()) for _ in range(n))
+            points = ((tuple(rng.sample(range(p), arity)), exps(arity)) for _ in range(n))
         yield from ((offs, e[:-1], e[-1:]) for offs, e in points)
 
 

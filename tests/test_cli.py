@@ -400,12 +400,20 @@ def test_verify_output_file_is_replaced_only_when_the_reports_are_ready(tmp_path
 
 
 _ROOT = Path(__file__).resolve().parents[1]
-_BIG_TABLE = """
-import resource, sys
+# The child's own peak RSS in KiB.  ru_maxrss would keep the high-water
+# mark of the pytest image that the child replaced at exec; VmHWM belongs to
+# the new address space alone.
+_PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+_BIG_TABLE = _PEAK_KIB + """
+import sys
 from wolstenholme.cli import main
 target, p, m, n = sys.argv[1:]
 code = main(["table", "sum-table", "-p", p, "-m", m, "-n", n, "-o", target])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(code, peak_kib())
 """
 
 
@@ -446,7 +454,7 @@ def test_big_sum_table_is_fast_and_small(tmp_path):
         child = subprocess.run([sys.executable, "-c", _BIG_TABLE, str(target), str(p), str(m),
                                 str(n)], env=env, capture_output=True, text=True, check=True)
         elapsed = time.perf_counter() - start
-        code, max_rss_kib = map(int, child.stdout.split())  # Linux reports KiB
+        code, max_rss_kib = map(int, child.stdout.split())
         assert code == 0 and elapsed < 10 and max_rss_kib < max_mb * 1024, (p, max_rss_kib)
         lines = target.read_text().splitlines()
         assert [line.split(":")[0] for line in lines] == [str(s) for s in range(1, p)]
@@ -455,11 +463,11 @@ def test_big_sum_table_is_fast_and_small(tmp_path):
             assert got == (reference.sum_row(p, m, n, s) or {(0, 0): 0}), (p, s)
 
 
-_BIG_P_CLOSED = """
-import resource, sys
+_BIG_P_CLOSED = _PEAK_KIB + """
+import sys
 from wolstenholme.cli import main
 code = main(["eval", "--strategy", sys.argv[1], "-p", "1000003", sys.argv[2]])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(code, peak_kib())
 """
 
 
@@ -488,7 +496,7 @@ def test_closed_form_at_p_1000003_holds_no_p_long_cache(strategy, expression, va
     child = subprocess.run([sys.executable, "-c", _BIG_P_CLOSED, strategy, expression],
                            env=env, capture_output=True, text=True, check=True, timeout=60)
     *printed, last = child.stdout.splitlines()
-    code, max_rss_kib = map(int, last.split())  # Linux reports KiB
+    code, max_rss_kib = map(int, last.split())
     assert code == 0 and printed == [value] and max_rss_kib < max_mb * 1024
 
 

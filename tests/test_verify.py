@@ -605,6 +605,12 @@ def test_box_rows_match_brute_sum(monkeypatch, theorem, p):
     assert rep.grid == grid.count(p) > 0
 
 
+def _thm3_6_weights(p, a, b, m, n):
+    """The (weight, base) pairs of the brute moments of thm3.6's head
+    (a, b, m, n): ((a+k)^m (b+k)^n mod p, k) for every k in [0, p)."""
+    return [(pow(a + k, m, p) * pow(b + k, n, p) % p, k) for k in range(p)]
+
+
 @pytest.mark.parametrize("entries", [(3,), tuple(range(7))], ids=["entry", "row"])
 def test_box_sweep_reports_every_instance_of_a_corrupted_kernel_row(monkeypatch, entries):
     # one wrong entry, then one wrong row, of the brute moments of one head
@@ -617,12 +623,9 @@ def test_box_sweep_reports_every_instance_of_a_corrupted_kernel_row(monkeypatch,
     p, head = 7, (2, 5, 3, 4)
     pr = make_prime(p)
 
-    def weighted(a, b, m, n):
-        return [(pow(a + k, m, p) * pow(b + k, n, p) % p, k) for k in range(p)]
-
     heads = [(a, b, m, n) for a in range(1, p) for b in range(1, p) if b != a
              for m in range(1, p) for n in range(1, p)]
-    hits = [h for h in heads if weighted(*h) == weighted(*head)]
+    hits = [h for h in heads if _thm3_6_weights(p, *h) == _thm3_6_weights(p, *head)]
     assert hits == [head, (5, 2, 4, 3)]
     clean = run_one("thm3.6", p)
     real = verify.power_moments
@@ -630,7 +633,7 @@ def test_box_sweep_reports_every_instance_of_a_corrupted_kernel_row(monkeypatch,
     def corrupted(pr, pairs):
         pairs = list(pairs)
         row = real(pr, pairs)
-        if pairs == weighted(*head):
+        if pairs == _thm3_6_weights(p, *head):
             for s in entries:
                 row[s] = (row[s] + 1) % p
         return row
@@ -647,6 +650,101 @@ def test_box_sweep_reports_every_instance_of_a_corrupted_kernel_row(monkeypatch,
     assert clean.passed and len(expected) == 2 * len(set(entries) - {0})
     assert rep.failures == expected
     assert (rep.grid, rep.exhaustive) == (clean.grid, True) == (6 * 5 * 6 ** 3, True)
+
+
+@pytest.mark.parametrize("theorem", BOXES)
+def test_row_sampled_boxes_match_brute_sum(monkeypatch, theorem):
+    # at p = 11 a budget of 999 samples every box in rows of its last range,
+    # the last row cut short; with the closed form forced to fail, each
+    # failure's expected value is the brute side, read off one power_moments
+    # row per head, and must be brute_sum of that point
+    from wolstenholme.modarith import make_prime
+
+    module, name, _ = CHECKED[theorem]
+    monkeypatch.setattr(module, name, lambda *args: -1)
+    grid, pr = REGISTRY[theorem].run, make_prime(11)
+    real = verify.brute_sum
+    monkeypatch.setattr(verify, "brute_sum", lambda spec: pytest.fail("a row called brute_sum"))
+    rep = run_one(theorem, pr, budget=999, seed=5)
+    monkeypatch.setattr(verify, "brute_sum", real)
+    points = [tuple(f["params"].values()) for f in rep.failures]
+    assert (rep.grid, rep.exhaustive) == (999, False) and grid.count(11) > 999
+    assert (rep.grid, rep.failures) == grid.sweep(pr, points)
+
+
+def test_box_sample_is_rows_from_l_squared_instances(monkeypatch):
+    # at p = 13 the last range of thm3.6 has L = 12 exponents s and that of
+    # thm2.3 L = 13 exponents n: a sample of L^2 instances is L rows of L
+    # points, each one power_moments row and no brute_sum; one of L^2 - 1 is
+    # L^2 - 1 seeded points, each one brute_sum, as before rows
+    from wolstenholme.modarith import make_prime
+
+    pr = make_prime(13)
+    calls = {}
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, spy)
+
+    counted("brute_sum")
+    counted("power_moments")
+    for theorem, size in (("thm3.6", 12), ("thm2.3", 13)):
+        sample = REGISTRY[theorem].run.sample
+        calls.update(brute_sum=0, power_moments=0)
+        chunks = [list(points) for points, _, _ in sample(pr, size * size, 1)]
+        assert calls == {"brute_sum": 0, "power_moments": size}
+        assert [len(points) for points in chunks] == [size] * size
+        exps = list(range(1, 13) if size == 12 else range(13))
+        for points in chunks:
+            assert [point[:-1] for point in points] == [points[0][:-1]] * size
+            assert [point[-1] for point in points] == exps
+        calls.update(brute_sum=0, power_moments=0)
+        drawn = [point for points, _, _ in sample(pr, size * size - 1, 1) for point in points]
+        assert len(drawn) == size * size - 1
+        assert calls == {"brute_sum": size * size - 1, "power_moments": 0}
+    # 10,000 instances of thm3.6: 834 rows, the last cut to 10,000 mod 12 = 4
+    rows = [list(points) for points, _, _ in REGISTRY["thm3.6"].run.sample(pr, 10_000, 0)]
+    assert [len(points) for points in rows] == [12] * 833 + [4]
+    assert [point[-1] for point in rows[-1]] == [1, 2, 3, 4]
+
+
+def test_sampled_box_rows_report_every_instance_of_a_corrupted_kernel_row(monkeypatch):
+    # one wrong entry s = 3 of the brute moments of one sampled head of
+    # thm3.6 at p = 11: exactly the sampled points that read it must fail,
+    # with their params, and the grid must not change
+    from wolstenholme.modarith import make_prime
+    from wolstenholme.oracle import SumSpec, brute_sum
+
+    p, entry = 11, 3
+    pr = make_prime(p)
+    rows = [list(points) for points, _, _ in REGISTRY["thm3.6"].run.sample(pr, 10_000, 3)]
+    target = _thm3_6_weights(p, *rows[500][0][:-1])
+    hits = [points[entry - 1] for points in rows
+            if _thm3_6_weights(p, *points[0][:-1]) == target]
+    assert len(rows) == 1000 and hits
+    clean = run_one("thm3.6", pr, budget=10_000, seed=3)
+    real = verify.power_moments
+
+    def corrupted(pr, pairs):
+        row = real(pr, pairs)
+        if pairs == target:
+            row[entry] = (row[entry] + 1) % p
+        return row
+
+    monkeypatch.setattr(verify, "power_moments", corrupted)
+    rep = run_one("thm3.6", pr, budget=10_000, seed=3)
+    expected = []
+    for a, b, m, n, s in hits:
+        got = brute_sum(SumSpec(pr, ((a, m), (b, n), (0, s)), frozenset()))
+        params = {"a": a, "b": b, "m": m, "n": n, "s": s}
+        expected.append({"params": params, "expected": (got + 1) % p, "got": got})
+    assert clean.passed and rep.failures == expected
+    assert (rep.grid, rep.exhaustive) == (clean.grid, clean.exhaustive) == (10_000, False)
 
 
 @pytest.mark.parametrize("p, budget", [(5, 40_000), (11, 10_000)], ids=["swept", "sampled"])
@@ -804,6 +902,12 @@ def _wrong_evaluator(name):
         general, name, lambda pr, offsets, head, lasts: [-1] * len(lasts))
 
 
+def _closed_form_off_by_one(theorem):
+    """Patch the closed form of one box theorem to answer one too big at
+    every point."""
+    return lambda monkeypatch: _force_wrong(monkeypatch, theorem)
+
+
 def _quick_case_off_by_one(monkeypatch):
     real = closedforms.quick_case
 
@@ -875,6 +979,13 @@ RUNNER_PINS = {
         (120, False, 120, "9c3f2c7c6b0608ab"),
     ("thm4.5", 13, 40, 7, "p2", _wrong_evaluator("esp_row")):
         (120, False, 120, "9c3f2c7c6b0608ab"),
+    # 1,000 seeded heads (a, b, m, n) of thm3.1, each on its row of every s,
+    # and 910 of thm2.3 (a, b, m) on their rows of every n, the last cut to
+    # n = 0, as 10,000 instances reach L^2
+    ("thm3.1", 11, 10_000, 7, "p2", _closed_form_off_by_one("thm3.1")):
+        (10000, False, 10000, "56a1e508fb6bb9c3"),
+    ("thm2.3", 11, 10_000, 7, "p2", _closed_form_off_by_one("thm2.3")):
+        (10000, False, 10000, "1fc8bf7fbaef2028"),
     ("quickcase", 13, 40, 7, "p2", _quick_case_off_by_one):
         (46, False, 46, "c0a60a5337d58a10"),
     ("tablecorr", 13, 40, 7, "p2", _sum_rows_off): (36, False, 3, "7d5300020e0da8ce"),

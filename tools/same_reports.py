@@ -40,6 +40,10 @@ COMMANDS = tuple("verify " + args for args in (
     "--theorems thm1.2,thm1.3 --primes 5..97 --mod p",
     # whole sampled rows of m_n at three primes
     "--theorems thm4.1,thm4.4,thm4.5 --primes 11,13,97 --seed 1",
+    # every box sampled at the row threshold: budget L^2 = 169 for the last
+    # range of thm2.1 and thm2.3 at p = 13, past it everywhere else
+    "--theorems thm2.1,thm2.3,rem2.5,thm2.6,thm2.8,thm3.1,thm3.4,thm3.5,thm3.6 --primes 11,13"
+    " --budget 169 --seed 4",
 )) + tuple("table " + args for args in (
     "coeff-table -p 11 -m 7 -n 7",
     "coeff-table -p 97 -m 48 -n 50 -f json",
