@@ -6,12 +6,13 @@ they differ in how they reach the answer, which is the point: each one
 cross-checks the others.
 
 Each route has a row entry point, (pr, offsets, head, lasts) -> the sums at
-the points (offsets, (*head, m)) for m in lasts.  The product of the head's
-factors does not depend on m, so one computation on the route's own kernel
-answers the row: one _composition_sums call over the union of its levels,
-one cyclic_product, or one _esp_values stream and at most one
-build_product.  The point functions run the same row kernels at the one
-exponent m_n.
+the points (offsets, (*head, m)) for m in lasts, checked once by _check.
+The product of the head's factors does not depend on m, so one computation
+on the route's own kernel answers the row: one _composition_sums call over
+the window [0, max M_1], one cyclic_product, or one _esp_values stream and
+at most one build_product.  A point's sum is minus the sum of its levels
+M_1, M_1 - (p-1), ... down to 0: in a row, one strided slice of a list
+indexed by level.  The point functions run the row kernels at one m_n.
 verify checks the n-term grids a row at a time: every m_n of a head where
 an arity is enumerated, or where a sampled arity holds N >= (p-1)^2
 instances, in ceil(N/(p-1)) seeded rows; a smaller sample is 1-point rows.
@@ -19,8 +20,9 @@ instances, in ceil(N/(p-1)) seeded rows; a smaller sample is 1-point rows.
 _composition_sums, the multi-index kernel, works on packed rows
 (Prime.pack): a row of residues as one big integer, pack_width bytes a
 slot, so that one integer product is a whole convolution as long as no
-slot sum exceeds p (p-1)^2.  It multiplies the running product by one
-packed weighted row per middle term and reduces only the window it keeps.
+slot sum exceeds p (p-1)^2 (Kronecker substitution).  It multiplies the
+running product by one packed weighted row per term, the last one too
+when the targets fill their window, and reduces only the window it keeps.
 _esp_values, the esp kernel, streams the e-values of the shifted roots
 from a linear recurrence of order n-1, the one that Newton's identities
 become once the power sums are summed as geometric series; it holds only
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from operator import mul
 
 from .errors import (
@@ -41,7 +44,25 @@ from .errors import (
     ZeroPivotError,
 )
 from .modarith import Prime, mod_inverse, unpack_slots
-from .polyring import build_product, coeff, cyclic_product
+from .polyring import build_product, cyclic_product
+
+
+def _check(p: int, offsets, head, lasts) -> None:
+    """Raise unless every point (offsets, (*head, m)), m in lasts, meets the
+    hypotheses: one exponent per offset, offsets pairwise distinct in
+    [0, p), every exponent in [1, p-1].  The points differ only in m, so
+    the least and the greatest m stand for all of them."""
+    if len(offsets) != len(head) + 1 or not lasts:
+        raise HypothesisViolationError("offsets and exps must be nonempty, equal length")
+    for a in offsets:
+        if not 0 <= a < p:
+            raise HypothesisViolationError(f"offset {a} outside [0, {p})")
+    if len(set(offsets)) != len(offsets):
+        raise DuplicateOffsetsError(f"offsets {offsets} are not pairwise distinct")
+    for m in (*head, min(lasts), max(lasts)):
+        if not 1 <= m <= p - 1:
+            raise HypothesisViolationError(f"exponent {m} outside [1, p-1]")
+
 
 @dataclass(frozen=True)
 class GeneralSumParams:
@@ -56,17 +77,7 @@ class GeneralSumParams:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        p = self.pr.p
-        if len(self.offsets) != len(self.exps) or not self.offsets:
-            raise HypothesisViolationError("offsets and exps must be nonempty, equal length")
-        for a in self.offsets:
-            if not 0 <= a < p:
-                raise HypothesisViolationError(f"offset {a} outside [0, {p})")
-        if len(set(self.offsets)) != len(self.offsets):
-            raise DuplicateOffsetsError(f"offsets {self.offsets} are not pairwise distinct")
-        for m in self.exps:
-            if not 1 <= m <= p - 1:
-                raise HypothesisViolationError(f"exponent {m} outside [1, p-1]")
+        _check(self.pr.p, self.offsets, self.exps[:-1], self.exps[-1:])
 
     @property
     def n(self) -> int:
@@ -79,9 +90,8 @@ class GeneralSumParams:
     @property
     def shifted(self) -> tuple[int, ...]:
         """b_i = a_i - a_n mod p for i < n; all nonzero since offsets differ."""
-        p = self.pr.p
         last = self.offsets[-1]
-        return tuple((a - last) % p for a in self.offsets[:-1])
+        return tuple((a - last) % self.pr.p for a in self.offsets[:-1])
 
     def level(self, i: int) -> int:
         """M_i = m_1 + ... + m_n - i(p-1)."""
@@ -107,9 +117,12 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
     indices that can still reach a target, [min target - remaining
     capacity, max target].  Each middle term is one packed product of that
     window and the term's weighted row, unpacked once and sliced to the new
-    window; the last term adds one sliced dot product per target.  Cost:
-    r-2 products of at most T + max m slots for r terms and top target T,
-    plus O(max m) a target.
+    window.  Targets that fill their window [min, max] (a row's levels)
+    take the last term the same way, as one more packed product sliced to
+    that window; sparse targets (a point's levels, p-1 apart) take it as one
+    sliced dot product each.  Cost: r-1 or r-2 products of at most
+    T + max m slots for r terms and top target T, plus O(max m) a sparse
+    target.
     """
     p = pr.p
     if not exps:
@@ -119,13 +132,15 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
     if not live:
         return [0] * len(targets)
     lo_t, hi_t = min(live), max(live)
+    dense = 1 < len(live) == hi_t - lo_t + 1
+    packed = len(exps) - (not dense)  # the terms taken as packed products
     rows = [pr.weighted_row(m, b) for m, b in zip(exps, bases)]
     # cur[j - lo] = [x^j] of the product so far, which is the empty product 1
-    # when the last term is the only one
-    cur, lo = rows[0] if len(rows) > 1 else (1,), 0
+    # when a sparse last term is the only one
+    cur, lo = rows[0] if packed else (1,), 0
     rem = cap - exps[0]
     width = pr.pack_width
-    for m, w in zip(exps[1:-1], rows[1:-1]):
+    for m, w in zip(exps[1:packed], rows[1:packed]):
         rem -= m
         new_lo = max(lo, lo_t - rem)
         top = min(hi_t, lo + len(cur) - 1 + m)
@@ -133,6 +148,8 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
         # products of two residues, which a slot holds
         slots = unpack_slots(pr.pack(cur) * pr.pack(w), width, len(cur) + m)
         cur, lo = [v % p for v in slots[new_lo - lo : top - lo + 1]], new_lo
+    if dense:
+        return [cur[t - lo] if lo_t <= t <= hi_t else 0 for t in targets]
     m, w = exps[-1], rows[-1]
     hi = lo + len(cur) - 1
     out = []
@@ -146,39 +163,29 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
 
 
 def _row_bases(pr: Prime, offsets, head, lasts) -> tuple[int, ...]:
-    """The shifted bases b_i of a row, the points (offsets, (*head, m)) for m
-    in lasts, once every point is checked: they differ only in m, so the
-    points at the least and the greatest m stand for all of them.  Each row
-    entry point checks its row here and hands the bases to its route's row
-    kernel; a point function hands over those of its checked params."""
-    for m in {min(lasts), max(lasts)}:
-        gp = GeneralSumParams(pr, tuple(offsets), (*head, m))
-    return gp.shifted
-
-
-def _levels(p: int, total: int) -> range:
-    """M_1, M_2, ... down to M_t >= 0 for exponents summing to total."""
-    return range(total - (p - 1), -1, -(p - 1))
+    """The shifted bases b_i = a_i - a_n of a row that _check passes, for
+    its route's row kernel; a point function hands over its params' own."""
+    _check(pr.p, offsets, head, lasts)
+    last = offsets[-1]
+    return tuple((a - last) % pr.p for a in offsets[:-1])
 
 
 def multi_index_row(pr: Prime, offsets, head, lasts) -> list[int]:
-    """[multi_index_J at (offsets, (*head, m)) for m in lasts], from one
-    _composition_sums call over the union of the row's levels: the product
-    of the head's factors (1 + b_i x)^m_i does not depend on m.  A total
-    below p-1 has no level, so its sum is 0; with every exponent p-1 the
-    sum is -n."""
+    """[multi_index_J at (offsets, (*head, m)) for m in lasts]: the product
+    of the head's factors (1 + b_i x)^m_i does not depend on m, so one
+    _composition_sums call over every level of the row answers it.  A
+    total below p-1 has no level, so its sum is 0."""
     return _multi_index(pr, _row_bases(pr, offsets, head, lasts), head, lasts)
 
 
 def _multi_index(pr: Prime, bases, head, lasts) -> list[int]:
     p = pr.p
-    s = sum(head)
-    corner = p - 1 if all(m == p - 1 for m in head) else None
-    levels = {m: _levels(p, s + m) for m in lasts if m != corner}
-    targets = sorted({t for row in levels.values() for t in row})
-    value = dict(zip(targets, _composition_sums(pr, head, bases, targets)))
-    return [-sum(map(value.__getitem__, levels[m])) % p if m != corner
-            else -(len(head) + 1) % p for m in lasts]
+    tops = [sum(head) + m - (p - 1) for m in lasts]  # M_1 at each point
+    if len(tops) == 1:  # a point's levels, p-1 apart
+        return [-sum(_composition_sums(pr, head, bases, range(tops[0], -1, 1 - p))) % p]
+    # a row's levels fill the window [0, max M_1]
+    values = _composition_sums(pr, head, bases, range(max(tops) + 1))
+    return [-sum(values[t :: 1 - p]) % p if t >= 0 else 0 for t in tops]
 
 
 def multi_index_J(gp: GeneralSumParams) -> int:
@@ -278,37 +285,36 @@ def esp_row(pr: Prime, offsets, head, lasts) -> list[int]:
     by the kernel that answers it alone, each kernel run once for the row.
 
     The e-values of the points whose M_1 is below p come from one
-    _esp_values stream, to the largest such M_1, kept only at their levels;
-    those of the points with M_1 >= p from one build_product of the head's
-    factors.
+    _esp_values stream, to the largest such M_1: a row keeps it and reads
+    each point's levels as one strided slice, a point sums its levels as
+    they stream.  Those of the points with M_1 >= p come from one
+    build_product of the head's factors, as its coefficients reversed.
     """
     return _esp(pr, _row_bases(pr, offsets, head, lasts), head, lasts)
 
 
 def _esp(pr: Prime, bases, head, lasts) -> list[int]:
     p = pr.p
-    s = sum(head)
-    levels = {m: _levels(p, s + m) for m in lasts}
-    deep = {m for m, row in levels.items() if row and row[0] >= p}  # M_1 >= p
-    low = {r for m, row in levels.items() if m not in deep for r in row}
-    signed, coeffs = {}, {}  # (-1)^r e_r by level r: streamed, and for deep
-    if low:
-        signed = {r: -e if r % 2 else e
-                  for r, e in enumerate(_esp_values(pr, bases, head, max(low))) if r in low}
-    if deep:
-        # (-1)^r e_r is [x^(s-r)] of the product of (b_i + x)^m_i, whose
-        # degree s = m_1 + ... + m_(n-1) no level exceeds
-        f = build_product(pr, bases, head)
-        coeffs = {r: coeff(f, s - r) for m in deep for r in levels[m]}
-    return [-sum(map((coeffs if m in deep else signed).__getitem__, levels[m])) % p
-            for m in lasts]
+    tops = [sum(head) + m - (p - 1) for m in lasts]  # M_1 at each point
+    # the levels of a point differ by the even p-1, so all have M_1's sign
+    if len(tops) == 1 and 0 <= tops[0] < p:  # a point's levels, summed as they stream
+        t = tops[0]
+        levels = islice(_esp_values(pr, bases, head, t), t % (p - 1), None, p - 1)
+        return [(-1) ** (t + 1) * sum(levels) % p]
+    low = max([t for t in tops if t < p], default=-1)
+    e = list(_esp_values(pr, bases, head, low)) if low >= 0 else []
+    # (-1)^r e_r is [x^(s-r)] of the product of (b_i + x)^m_i, monic of
+    # degree s = m_1 + ... + m_(n-1), which no level exceeds
+    signed = build_product(pr, bases, head).coeffs[::-1] if max(tops) >= p else ()
+    return [-sum(signed[t :: 1 - p]) % p if t >= p
+            else (-1) ** (t + 1) * sum(e[t :: 1 - p]) % p if t >= 0 else 0 for t in tops]
 
 
 def esp_sum(gp: GeneralSumParams) -> int:
     """Same sum once more, as -sum over i of (-1)^(M_i) e_(M_i).
 
     e-values come from the order-(n-1) recurrence (_esp_values), streamed
-    to M_1 and kept only at the levels, when every needed index stays below
+    to M_1 and summed at the levels, when every needed index stays below
     p, and otherwise from the coefficients of the whole product, built
     factor by factor with polyring.build_product (M_1 can reach
     (n-1)(p-1) >= p for n >= 3, where the recurrence divides by zero).

@@ -13,8 +13,7 @@ rotated by off.  This is still literal: every value is an exactly computed
 power of its own base, every product over the terms is formed, and no
 exponent is reduced mod p-1 and no discrete log or primitive root is used,
 the theory that the congruences under test rest on.  Only the reuse across
-calls is new.  brute_row sums a row that differs only in its last exponent:
-the head's products once, then one dot product with each exponent's column.
+calls is new.
 
 power_moments evaluates a whole run of such sums at once, sum of w * x^s for
 every exponent s, by packing each power table (x^0, ..., x^(p-1)) into one
@@ -22,7 +21,10 @@ Python int, one fixed-width slot per exponent.  That is exact integer
 arithmetic, not an algebraic shortcut: every product w * x^s is still formed
 and added, only p of them side by side in one big-integer multiply-add, and
 the slots are wide enough that no carry ever crosses into the next one.
-Prime.unpack then reduces each slot mod p.
+Prime.unpack then reduces each slot mod p.  So verify reads a row of sums
+that differ only in their last exponent, a closed-form box row or an n-term
+row, as one power_moments row weighted by the other terms' products, and a
+single sum as one brute_sum.
 """
 
 from __future__ import annotations
@@ -117,25 +119,6 @@ def brute_sum(spec: SumSpec) -> int:
         next(values)  # the product at excluded k, formed and skipped
         start = k + 1
     return (total + sum(values)) % p
-
-
-def brute_row(pr: Prime, head, off: int, exps) -> list[int]:
-    """[the sum over every k of the products of the head terms (o+k)^f and
-    of (off+k)^e, mod p, for e in exps]: brute_sum over a row of sums that
-    differ only in the last exponent, every offset in [0, p) and every
-    exponent in [0, p-1], so that no k is excluded.
-
-    The head's exact products are taken once, from term_products, at
-    x = off + k for x = 0..p-1 (each head offset shifted by -off); each e is
-    then one literal dot product of them with power_column(e), whose slot x
-    is (off+k)^e.  No packed power table is read.
-    """
-    p = pr.p
-    if not all(0 <= o < p and 0 <= e < p for o, e in (*head, (off, min(exps)), (off, max(exps)))):
-        raise HypothesisViolationError("brute_row takes offsets in [0, p), exponents in [0, p-1]")
-    w = list(term_products(pr, [((o - off) % p, f) for o, f in head]))
-    column = pr.power_column
-    return [sum(map(mul, w, column(e))) % p for e in exps]
 
 
 def power_moments(pr: Prime, weighted) -> list[int]:

@@ -9,10 +9,11 @@ a run of instances, brute force or left side first, each side computed on
 its own, and the instances' points.  Point checks come in runs, a chunk
 per run; a row sweep yields whole rows.  The closed-form boxes and the
 n-term ids check a row of their last exponent at a time, exhaustive or
-sampled in rows (_sampled_rows): a box's brute side from one power_moments
-row, an n-term row's from one oracle.brute_row and its checked side from
-one call of the route's row entry point in general.  _compare_rows
-compares the chunks, counts the instances and names each failing one.
+sampled in rows (_sampled_rows): the brute side of a row from one
+power_moments row, of a 1-point row or drawn point from one brute_sum, and
+an n-term row's checked side from one call of the route's row entry point
+in general.  _compare_rows compares the chunks, counts the instances and
+names each failing one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .modarith import Prime, binom, conv, make_prime, pow_nonzero
 from .oracle import (
     SumSpec,
     auto_exclusions,
-    brute_row,
     brute_sum,
     brute_sum_mod_p2,
     power_moments,
@@ -358,16 +358,26 @@ _run_thm3_6 = _box(
 def _general(route) -> Grid:
     """The n-term sums at arity 2, 3 and 4 against brute force, on points
     (offsets, exps), checked a row (offsets, head, lasts) at a time: the
-    points (offsets, (*head, m)) for m in lasts.  oracle.brute_row gives a
-    row's brute side and route(pr, offsets, head, lasts), a row entry point
-    of general looked up at call time, its checked side.  Each arity is held
-    to the budget on its own, so count is that of arity 4, the largest; a
-    sample is drawn by _general_rows."""
+    points (offsets, (*head, m)) for m in lasts.  A row's brute side is one
+    power_moments row, as a box row's is, weighted by the head's products at
+    x = a_n + k for x = 0..p-1 (term_products, head offsets shifted by -a_n);
+    a 1-point row's is one brute_sum, as a box draw's is.  route(pr,
+    offsets, head, lasts), a row entry point of general looked up at call
+    time, gives the checked side.  Each arity is held to the budget on its
+    own, so count is that of arity 4, the largest; a sample is drawn by
+    _general_rows."""
 
     def chunks(pr, rows):
+        p = pr.p
         for offsets, head, lasts in rows:
-            brute = brute_row(pr, tuple(zip(offsets, head)), offsets[-1], lasts)
             points = ((offsets, (*head, m)) for m in lasts)
+            if len(lasts) > 1:
+                off = offsets[-1]
+                w = term_products(pr, [((a - off) % p, m) for a, m in zip(offsets, head)])
+                moments = power_moments(pr, zip([v % p for v in w], range(p)))
+                brute = [moments[m] for m in lasts]
+            else:
+                brute = [brute_sum(SumSpec(pr, tuple(zip(offsets, (*head, *lasts))), frozenset()))]
             yield points, brute, route(pr, offsets, head, lasts)
 
     return Grid(("offsets", "exps"), rows=lambda pr, mode: chunks(pr, _general_rows(pr.p, inf, 0)),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -27,7 +28,7 @@ from wolstenholme.general import (
     scaling_reduce,
 )
 from wolstenholme.modarith import binom, make_prime, mod_inverse
-from wolstenholme.oracle import SumSpec, brute_row, brute_sum
+from wolstenholme.oracle import SumSpec, brute_sum
 from wolstenholme.polyring import build_product, coeff
 
 P5 = make_prime(5)
@@ -223,6 +224,10 @@ def test_three_way_agreement_sampled():
             assert esp_sum(gp) == want
 
 
+ROUTES = ((multi_index_row, multi_index_J), (coeff_extraction_row, coeff_extraction_sum),
+          (esp_row, esp_sum))
+
+
 @pytest.mark.parametrize("p", [11, 97, 1009])
 def test_row_entry_points_match_their_point_functions_and_brute_sum(p):
     # every m_n of one seeded row per arity 2-4, of a row whose head is all
@@ -240,13 +245,11 @@ def test_row_entry_points_match_their_point_functions_and_brute_sum(p):
              (tuple(rng.sample(range(p), 4)), (p - 1, p // 2, 1))]
     full = range(1, p)
     for offsets, head in rows:
-        brute = brute_row(pr, tuple(zip(offsets, head)), offsets[-1], full)
+        brute = [_brute(GeneralSumParams(pr, offsets, (*head, m))) for m in full]
         edge = 2 * p - 1 - sum(head)
         some = full if p < 1000 else sorted({1, p - 1, *rng.sample(full, 40)}
                                             | {edge - 1, edge} & set(full))
-        assert brute == [_brute(GeneralSumParams(pr, offsets, (*head, m))) for m in full]
-        for row, point in ((multi_index_row, multi_index_J),
-                           (coeff_extraction_row, coeff_extraction_sum), (esp_row, esp_sum)):
+        for row, point in ROUTES:
             assert row(pr, offsets, head, full) == brute, (row.__name__, offsets, head)
             got = [point(GeneralSumParams(pr, offsets, (*head, m))) for m in some]
             assert got == [brute[m - 1] for m in some], (point.__name__, offsets, head)
@@ -257,6 +260,72 @@ def test_row_entry_points_match_their_point_functions_and_brute_sum(p):
         for offsets, lasts in (((1, 2), [0, 1]), ((1, 2), [1, p]), ((1, 1), [1])):
             with pytest.raises((HypothesisViolationError, DuplicateOffsetsError)):
                 row(pr, offsets, (1,), lasts)
+
+
+def _stride_edge_rows(p):
+    """Rows (offsets, head) whose m_n reach each edge of the strided level
+    read values[M_1::-(p-1)], M_1 = sum(head) + m_n - (p-1):
+    - head (1,) and (1, 1): M_1 < 0 (value 0) up to m_n = p-2-sum(head),
+      then M_1 = 0, the only level;
+    - head (2, p-1): M_1 = p-1 at m_n = p-3, whose levels are p-1 and 0;
+    - heads of sum in [p, 2p-3]: M_1 = p-1 and M_1 = p, where esp switches
+      from the _esp_values stream to build_product;
+    - heads all p-1: the corner, every exponent p-1 at m_n = p-1."""
+    heads = [(1,), (1, 1), (2, p - 1), (p - 1, (p + 1) // 2), (p - 2, 3, 3),
+             (p - 1,), (p - 1, p - 1), (p - 1, p - 1, p - 1)]
+    return [(tuple(range(3, 3 + 2 * len(h) + 1, 2)), h) for h in heads]
+
+
+@pytest.mark.parametrize("p", [11, 97, 1009])
+def test_route_rows_at_the_stride_edges_match_brute_sum(p):
+    # every route row equals brute_sum at every point, and so does each of
+    # its points as a 1-point row.  Rows are every m_n below p = 1009, and
+    # there the m_n at and beside each edge
+    pr = make_prime(p)
+    seen = set()
+    for offsets, head in _stride_edge_rows(p):
+        s = sum(head) - (p - 1)  # M_1 = s + m_n
+        edges = {m for m in range(1, p) if s + m in (-1, 0, p - 2, p - 1, p, p + 1)}
+        lasts = range(1, p) if p < 1000 else sorted(
+            {1, 2, p - 2, p - 1} | {m + d for m in edges for d in (-1, 0, 1)} & set(range(1, p)))
+        want = [_brute(GeneralSumParams(pr, offsets, (*head, m))) for m in lasts]
+        for row, _ in ROUTES:
+            assert row(pr, offsets, head, lasts) == want, (row.__name__, head)
+            assert [row(pr, offsets, head, [m])[0] for m in lasts] == want, (row.__name__, head)
+        tops = {s + m for m in lasts}
+        seen |= {"below 0" for t in tops if t < 0} | {"level 0" for t in tops if t == 0}
+        seen |= {"p-1 and 0" for t in tops if t == p - 1} | {"p" for t in tops if t == p}
+        seen |= {"corner" for m in lasts if set(head) == {p - 1} == {m}}
+    assert seen == {"below 0", "level 0", "p-1 and 0", "p", "corner"}
+
+
+# malformed rows (offsets, head, lasts) at p = 11
+MALFORMED = [
+    ((1, 1, 2), (3, 4), (5, 6)),  # a duplicate offset
+    ((4, 2, 4), (3, 4), (5,)),
+    ((1, 11, 2), (3, 4), (5, 6)),  # an offset outside [0, p)
+    ((-1, 2), (3,), (5,)),
+    ((1, 2), (0,), (5, 6)),  # an exponent 0 or p in the head
+    ((1, 2, 3), (4, 11), (5,)),
+    ((1, 2), (3,), (0, 5)),  # an exponent 0 or p in lasts
+    ((1, 2), (3,), (5, 6, 11)),
+    ((1, 2, 3), (3,), (5,)),  # a length mismatch
+    ((1,), (3,), (5, 6)),
+    ((), (), (5,)),
+    ((1, 1), (0,), (11,)),  # a duplicate offset and bad exponents
+]
+
+
+@pytest.mark.parametrize("offsets, head, lasts", MALFORMED)
+def test_malformed_rows_raise_as_their_points_do(offsets, head, lasts):
+    # each row entry point raises the class and message that its point
+    # function raises at the row's first point that fails
+    for row, point in ROUTES:
+        with pytest.raises((HypothesisViolationError, DuplicateOffsetsError)) as want:
+            for m in lasts:
+                point(GeneralSumParams(P11, offsets, (*head, m)))
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            row(P11, offsets, head, lasts)
 
 
 def test_specializations():

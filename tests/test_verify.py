@@ -360,6 +360,32 @@ def test_sampled_n_term_runs_at_p_1009_build_no_power_table(theorem):
     assert rep.passed and not rep.exhaustive
     assert pr._packed == {}
 
+def test_n_term_rows_read_power_moments_and_1_point_rows_brute_sum(monkeypatch):
+    # a row-sampled run at p = 11 takes each row's brute side from one
+    # power_moments row and its checked side from a row entry point: no
+    # brute_sum and no point function.  At p = 257 every sample is 1-point
+    # rows, each one brute_sum of its point, and no packed power row is built
+    from wolstenholme import general
+    from wolstenholme.modarith import make_prime
+
+    for name in ("multi_index_J", "coeff_extraction_sum", "esp_sum"):
+        monkeypatch.setattr(general, name, lambda gp: pytest.fail("a point function was called"))
+    real = verify.brute_sum
+    terms = []
+    monkeypatch.setattr(verify, "brute_sum", lambda spec: terms.append(spec.terms) or real(spec))
+    for theorem in ("thm4.1", "thm4.4", "thm4.5"):
+        rep = run_one(theorem, 11, budget=10_000, seed=1)
+        assert rep.passed and (rep.grid, rep.exhaustive) == (27_720, False)
+        assert terms == []
+        pr = make_prime(257)
+        rep = run_one(theorem, pr, budget=300, seed=1)
+        assert rep.passed and (rep.grid, rep.exhaustive) == (900, False)
+        rows = list(verify._general_rows(257, 300, 1))
+        assert terms == [tuple(zip(offsets, (*head, *lasts))) for offsets, head, lasts in rows]
+        assert pr._packed == {}
+        terms.clear()
+
+
 # --- every grid theorem reports every failing instance -----------------------
 
 # theorem id -> (module, name) of the closed form or right side its check

@@ -44,6 +44,9 @@ COMMANDS = tuple("verify " + args for args in (
     # range of thm2.1 and thm2.3 at p = 13, past it everywhere else
     "--theorems thm2.1,thm2.3,rem2.5,thm2.6,thm2.8,thm3.1,thm3.4,thm3.5,thm3.6 --primes 11,13"
     " --budget 169 --seed 4",
+    # arity 2 enumerated in whole rows (69,632 points), arities 3 and 4 in
+    # sampled rows, at p = 17
+    "--theorems thm4.1,thm4.4,thm4.5 --primes 17 --budget 70000 --seed 2",
 )) + tuple("table " + args for args in (
     "coeff-table -p 11 -m 7 -n 7",
     "coeff-table -p 97 -m 48 -n 50 -f json",
