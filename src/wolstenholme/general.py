@@ -64,6 +64,12 @@ def _check(p: int, offsets, head, lasts) -> None:
             raise HypothesisViolationError(f"exponent {m} outside [1, p-1]")
 
 
+def _shift(p: int, offsets) -> tuple[int, ...]:
+    """b_i = a_i - a_n mod p for i < n; all nonzero when the offsets differ."""
+    last = offsets[-1]
+    return tuple((a - last) % p for a in offsets[:-1])
+
+
 @dataclass(frozen=True)
 class GeneralSumParams:
     """Offsets a_1..a_n (pairwise distinct) and exponents m_1..m_n in [1, p-1].
@@ -90,8 +96,7 @@ class GeneralSumParams:
     @property
     def shifted(self) -> tuple[int, ...]:
         """b_i = a_i - a_n mod p for i < n; all nonzero since offsets differ."""
-        last = self.offsets[-1]
-        return tuple((a - last) % self.pr.p for a in self.offsets[:-1])
+        return _shift(self.pr.p, self.offsets)
 
     def level(self, i: int) -> int:
         """M_i = m_1 + ... + m_n - i(p-1)."""
@@ -166,8 +171,7 @@ def _row_bases(pr: Prime, offsets, head, lasts) -> tuple[int, ...]:
     """The shifted bases b_i = a_i - a_n of a row that _check passes, for
     its route's row kernel; a point function hands over its params' own."""
     _check(pr.p, offsets, head, lasts)
-    last = offsets[-1]
-    return tuple((a - last) % pr.p for a in offsets[:-1])
+    return _shift(pr.p, offsets)
 
 
 def multi_index_row(pr: Prime, offsets, head, lasts) -> list[int]:
@@ -306,8 +310,15 @@ def _esp(pr: Prime, bases, head, lasts) -> list[int]:
     # (-1)^r e_r is [x^(s-r)] of the product of (b_i + x)^m_i, monic of
     # degree s = m_1 + ... + m_(n-1), which no level exceeds
     signed = build_product(pr, bases, head).coeffs[::-1] if max(tops) >= p else ()
-    return [-sum(signed[t :: 1 - p]) % p if t >= p
-            else (-1) ** (t + 1) * sum(e[t :: 1 - p]) % p if t >= 0 else 0 for t in tops]
+    out = []
+    for t in tops:
+        if t >= p:
+            out.append(-sum(signed[t :: 1 - p]) % p)
+        elif t >= 0:
+            out.append((-1) ** (t + 1) * sum(e[t :: 1 - p]) % p)
+        else:
+            out.append(0)
+    return out
 
 
 def esp_sum(gp: GeneralSumParams) -> int:

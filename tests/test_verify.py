@@ -360,6 +360,7 @@ def test_sampled_n_term_runs_at_p_1009_build_no_power_table(theorem):
     assert rep.passed and not rep.exhaustive
     assert pr._packed == {}
 
+
 def test_n_term_rows_read_power_moments_and_1_point_rows_brute_sum(monkeypatch):
     # a row-sampled run at p = 11 takes each row's brute side from one
     # power_moments row and its checked side from a row entry point: no
