@@ -14,8 +14,9 @@ at most one build_product.  A point's sum is minus the sum of its levels
 M_1, M_1 - (p-1), ... down to 0: in a row, one strided slice of a list
 indexed by level.  The point functions run the row kernels at one m_n.
 verify checks the n-term grids a row at a time: every m_n of a head where
-an arity is enumerated, or where a sampled arity holds N >= (p-1)^2
-instances, in ceil(N/(p-1)) seeded rows; a smaller sample is 1-point rows.
+an arity is enumerated, and a sample of N instances in ceil(N/r) seeded
+rows of r = min(p-1, isqrt(N)) values of m_n, every one in order from
+N = (p-1)^2 on and r drawn ones below.
 
 _composition_sums, the multi-index kernel, works on packed rows
 (Prime.pack): a row of residues as one big integer, pack_width bytes a

@@ -23,8 +23,9 @@ and added, only p of them side by side in one big-integer multiply-add, and
 the slots are wide enough that no carry ever crosses into the next one.
 Prime.unpack then reduces each slot mod p.  So verify reads a row of sums
 that differ only in their last exponent, a closed-form box row or an n-term
-row, as one power_moments row weighted by the other terms' products, and a
-single sum as one brute_sum.
+row, as one power_moments row weighted by the other terms' products when
+the row is a run of exponents, and as one dot product of those weights with
+power_column(e) per exponent e when the exponents were drawn.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ a run of instances, brute force or left side first, each side computed on
 its own, and the instances' points.  Point checks come in runs, a chunk
 per run; a row sweep yields whole rows.  The closed-form boxes and the
 n-term ids check a row of their last exponent at a time, exhaustive or
-sampled in rows (_sampled_rows): the brute side of a row from one
-power_moments row, of a 1-point row or drawn point from one brute_sum, and
-an n-term row's checked side from one call of the route's row entry point
-in general.  _compare_rows compares the chunks, counts the instances and
-names each failing one.
+sampled in rows (_sampled_rows, the one sampler of both): the brute side of
+a row from _brute_row, one power_moments row for a run of exponents or one
+dot product a point for drawn ones, and an n-term row's checked side from
+one call of the route's row entry point in general.  _compare_rows compares
+the chunks, counts the instances and names each failing one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import islice, permutations, product, repeat
-from math import comb, inf, perm, prod
+from math import comb, inf, isqrt, perm, prod
 from operator import itemgetter, mul
 
 from . import closedforms as cf
@@ -174,12 +174,12 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
     exclusions a frozenset: the brute side is the sum over k in [0, p)
     outside exclusions of the product of the terms (o+k)^f and of
     (off+k)^(sign*e), times (-1)^e when alternating.  closed(pr, *point) is
-    the closed side, one call per point.  The exhaustive sweep yields one
-    row per head, its brute side at every e read from one power_moments row
-    of weights prod (o+k)^f over the bases (off+k)^sign, both read through
-    term_products as brute_sum reads its terms.  A sample checks the rows
-    of seeded heads as the sweep does, or below the bound of _sampled_rows
-    seeded points, each one brute_sum.
+    the closed side, one call per point.  A row is one head at a run of
+    exponents, its brute side _brute_row of the weights prod (o+k)^f at the
+    bases (off+k)^sign, both read through term_products as brute_sum reads
+    its terms.  The exhaustive sweep yields a row per head at every e, a
+    sample the rows of _sampled_rows.  check(pr, *point), one brute_sum, is
+    the point-by-point reference of Grid.sweep.
     """
 
     def check(pr, *point):
@@ -194,10 +194,9 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
         p = pr.p
         terms, (off, sign), excl = sums(pr, *head)
         pairs = zip(term_products(pr, terms), term_products(pr, ((off, sign),)))
-        brute = power_moments(pr, [(w % p, -x % p if alternating else x)
-                                   for k, (w, x) in enumerate(pairs) if k not in excl])
-        closed_row = [closed(pr, *head, e) for e in exps]
-        return _row(head, exps), brute[exps.start : exps.stop], closed_row
+        brute = _brute_row(pr, [(w % p, -x % p if alternating else x)
+                                for k, (w, x) in enumerate(pairs) if k not in excl], exps)
+        return _row(head, exps), brute, [closed(pr, *head, e) for e in exps]
 
     def rows(pr, mode):
         *fields, exps = ranges(pr.p)
@@ -217,29 +216,36 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
         pair = () if pair_lo is None else rng.sample(range(pair_lo, p), 2)
         return (*pair, *[rng.randrange(r.start, r.stop) for r in ranges(p)[:-1]])
 
-    def draw(rng, p):
-        exps = ranges(p)[-1]
-        return (*head(rng, p), rng.randrange(exps.start, exps.stop))
-
     def sample(pr, budget, seed):
         rng = random.Random(seed)
-        heads = _sampled_rows(budget, ranges(pr.p)[-1], lambda: head(rng, pr.p))
-        if heads is None:
-            return _drawn(check, draw)(pr, budget, seed)
-        return (row(pr, *h) for h in heads)
+        rows = _sampled_rows(budget, ranges(pr.p)[-1], lambda: head(rng, pr.p), rng)
+        return (row(pr, *r) for r in rows)
 
     return Grid(names, check, lambda p: tuples(p, ranges(p)), rows, count, sample)
 
 
-def _sampled_rows(n, lasts, head):
-    """A sample of n instances as rows (head(), lasts) once n >= L^2, L =
-    len(lasts): ceil(n/L) heads drawn in turn, the last row cut to n points
-    in all, so there are at least as many rows as a row has points.  None
-    below that bound, where a sampler draws its n points one at a time."""
-    size = len(lasts)
-    if n < size * size:
-        return None
-    return ((head(), lasts[: n - start]) for start in range(0, n, size))
+def _sampled_rows(n, lasts, head, rng):
+    """A sample of n instances as rows (head(), values): r = min(L, isqrt(n))
+    values a row, L = len(lasts), and ceil(n/r) heads drawn in turn, the last
+    row cut to n points in all, so there are at least r rows.  At n >= L^2 a
+    row's values are lasts in order, a range; below, r distinct ones that
+    rng.sample draws from lasts after the row's head."""
+    size = min(len(lasts), isqrt(n))
+    for start in range(0, n, size):
+        h, cut = head(), min(size, n - start)
+        yield h, lasts[:cut] if size == len(lasts) else rng.sample(lasts, cut)
+
+
+def _brute_row(pr, pairs, lasts):
+    """[sum of w * x^e over the (w, x) pairs mod p for e in lasts], weights in
+    [0, p): one power_moments row, sliced, when lasts is a range, else one
+    dot product per e of the weights with power_column(e) read at each x,
+    which builds no packed power table."""
+    if isinstance(lasts, range):
+        return power_moments(pr, pairs)[lasts.start : lasts.stop]
+    ws, xs = zip(*pairs)
+    at = itemgetter(*xs)
+    return [sum(map(mul, ws, at(pr.power_column(e)))) % pr.p for e in lasts]
 
 
 # --- power sums ---------------------------------------------------------------
@@ -358,10 +364,9 @@ _run_thm3_6 = _box(
 def _general(route) -> Grid:
     """The n-term sums at arity 2, 3 and 4 against brute force, on points
     (offsets, exps), checked a row (offsets, head, lasts) at a time: the
-    points (offsets, (*head, m)) for m in lasts.  A row's brute side is one
-    power_moments row, as a box row's is, weighted by the head's products at
-    x = a_n + k for x = 0..p-1 (term_products, head offsets shifted by -a_n);
-    a 1-point row's is one brute_sum, as a box draw's is.  route(pr,
+    points (offsets, (*head, m)) for m in lasts.  A row's brute side is
+    _brute_row, as a box row's is, of the head's products at x = a_n + k for
+    x = 0..p-1 (term_products, head offsets shifted by -a_n).  route(pr,
     offsets, head, lasts), a row entry point of general looked up at call
     time, gives the checked side.  Each arity is held to the budget on its
     own, so count is that of arity 4, the largest; a sample is drawn by
@@ -370,15 +375,10 @@ def _general(route) -> Grid:
     def chunks(pr, rows):
         p = pr.p
         for offsets, head, lasts in rows:
-            points = ((offsets, (*head, m)) for m in lasts)
-            if len(lasts) > 1:
-                off = offsets[-1]
-                w = term_products(pr, [((a - off) % p, m) for a, m in zip(offsets, head)])
-                moments = power_moments(pr, zip([v % p for v in w], range(p)))
-                brute = [moments[m] for m in lasts]
-            else:
-                brute = [brute_sum(SumSpec(pr, tuple(zip(offsets, (*head, *lasts))), frozenset()))]
-            yield points, brute, route(pr, offsets, head, lasts)
+            off = offsets[-1]
+            w = term_products(pr, [((a - off) % p, m) for a, m in zip(offsets, head)])
+            brute = _brute_row(pr, zip([v % p for v in w], range(p)), lasts)
+            yield ((offsets, (*head, m)) for m in lasts), brute, route(pr, offsets, head, lasts)
 
     return Grid(("offsets", "exps"), rows=lambda pr, mode: chunks(pr, _general_rows(pr.p, inf, 0)),
                 count=lambda p: perm(p, 4) * (p - 1) ** 4,
@@ -390,12 +390,10 @@ def _general_rows(p, budget, seed):
     arity drawn on seed + arity.
 
     An arity whose grid fits the budget is enumerated, a row per (offsets,
-    head), so m_n walks fastest.  Otherwise it takes N instances:
-    budget // count seeded exponent tuples (at least one) per distinct-offset
-    tuple, or N = budget when even those exceed the budget: the seeded rows
-    of _sampled_rows, offsets by rng.sample and the head by randrange, or
-    below its bound the N seeded points, offsets enumerated or sampled, as
-    1-point rows.
+    head), so m_n walks fastest.  Otherwise it takes the seeded rows of
+    _sampled_rows, offsets by rng.sample and the head by randrange, of
+    N = count * max(1, budget // count) instances, count = perm(p, arity)
+    the number of offset tuples, or of N = budget when count exceeds it.
     """
     full = range(1, p)
     for arity in (2, 3, 4):
@@ -408,19 +406,12 @@ def _general_rows(p, budget, seed):
             continue
         n = count * max(1, budget // count) if count <= budget else budget
 
-        def exps(size):
-            return tuple(rng.randrange(1, p) for _ in range(size))
+        def head():
+            offs = tuple(rng.sample(range(p), arity))
+            return offs, tuple(rng.randrange(1, p) for _ in range(arity - 1))
 
-        rows = _sampled_rows(n, full, lambda: (tuple(rng.sample(range(p), arity)), exps(arity - 1)))
-        if rows is not None:
-            yield from ((offs, head, lasts) for (offs, head), lasts in rows)
-            continue
-
-        if count <= budget:
-            points = ((offs, exps(arity)) for offs in offsets for _ in range(n // count))
-        else:
-            points = ((tuple(rng.sample(range(p), arity)), exps(arity)) for _ in range(n))
-        yield from ((offs, e[:-1], e[-1:]) for offs, e in points)
+        rows = _sampled_rows(n, full, head, rng)
+        yield from ((offs, exps, lasts) for (offs, exps), lasts in rows)
 
 
 _run_thm4_1 = _general(lambda pr, *row: gen.multi_index_row(pr, *row))

@@ -318,11 +318,14 @@ def test_sampled_runs_at_p_1009_cache_no_rows(monkeypatch, theorem):
 
 
 def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
-    # each brute_sum reads its terms from the Prime's power columns: at most
-    # 2p-1 of them, p entries of at most 4 bytes each, each built once and
-    # then shared by every later draw, and no other lookup row is built.
-    # The run reads more than p/4 distinct exponents: pow builds the first
-    # p/4 columns and a running product every later one
+    # the 1,000 instances are 33 rows of isqrt(1000) = 31 drawn exponents s,
+    # the last cut to 8.  A row reads the columns of its head's two terms
+    # and of its base k^1 once, then one column per s for its brute dot
+    # products: at most 2p-1 columns, p entries of at most 4 bytes each,
+    # each built once and then shared by every later read, and no packed
+    # power table or other lookup row is built.  The run reads more than
+    # p/4 distinct exponents: pow builds the first p/4 columns and a running
+    # product every later one
     from wolstenholme.modarith import Prime, make_prime
 
     real = Prime.power_column
@@ -342,10 +345,9 @@ def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
     assert pr._pow_columns == (p + 3) // 4 < len(served)
     assert all(len(col) == p and col.itemsize <= 4 for col in built)
     assert all(col is pr._columns[e] for e, cols in served.items() for col in cols)
-    assert sum(map(len, served.values())) == 3 * 1000  # three terms a draw
+    assert sum(map(len, served.values())) == 3 * 33 + 1000
     for cache in (pr._packed, pr._binom_rows):
         assert cache == {}
-
 
 
 @pytest.mark.parametrize("theorem", ["thm4.1", "thm4.4", "thm4.5"])
@@ -361,30 +363,44 @@ def test_sampled_n_term_runs_at_p_1009_build_no_power_table(theorem):
     assert pr._packed == {}
 
 
-def test_n_term_rows_read_power_moments_and_1_point_rows_brute_sum(monkeypatch):
-    # a row-sampled run at p = 11 takes each row's brute side from one
-    # power_moments row and its checked side from a row entry point: no
-    # brute_sum and no point function.  At p = 257 every sample is 1-point
-    # rows, each one brute_sum of its point, and no packed power row is built
+def test_n_term_rows_read_power_moments_or_power_columns(monkeypatch):
+    # every n-term row takes its checked side from a row entry point and its
+    # brute side from _brute_row: no point function and no brute_sum.  At
+    # p = 11 the rows are whole, each one power_moments row.  At p = 257 each
+    # arity is 18 rows of isqrt(300) = 17 drawn m_n, the last cut to 11, read
+    # as dot products with the power columns, so no packed power row is
+    # built; with the route forced wrong, every failure's expected value is
+    # brute_sum of its point
     from wolstenholme import general
     from wolstenholme.modarith import make_prime
+    from wolstenholme.oracle import SumSpec, brute_sum
 
     for name in ("multi_index_J", "coeff_extraction_sum", "esp_sum"):
         monkeypatch.setattr(general, name, lambda gp: pytest.fail("a point function was called"))
-    real = verify.brute_sum
-    terms = []
-    monkeypatch.setattr(verify, "brute_sum", lambda spec: terms.append(spec.terms) or real(spec))
+    monkeypatch.setattr(verify, "brute_sum", lambda spec: pytest.fail("a row called brute_sum"))
+    real = verify.power_moments
+    moments = []
+    monkeypatch.setattr(verify, "power_moments",
+                        lambda pr, pairs: moments.append(pr.p) or real(pr, pairs))
+    whole = len(list(verify._general_rows(11, 10_000, 1)))
+    rows = list(verify._general_rows(257, 300, 1))
+    assert [len(lasts) for _, _, lasts in rows] == ([17] * 17 + [11]) * 3
     for theorem in ("thm4.1", "thm4.4", "thm4.5"):
         rep = run_one(theorem, 11, budget=10_000, seed=1)
         assert rep.passed and (rep.grid, rep.exhaustive) == (27_720, False)
-        assert terms == []
+        assert moments == [11] * whole
+        moments.clear()
         pr = make_prime(257)
         rep = run_one(theorem, pr, budget=300, seed=1)
         assert rep.passed and (rep.grid, rep.exhaustive) == (900, False)
-        rows = list(verify._general_rows(257, 300, 1))
-        assert terms == [tuple(zip(offsets, (*head, *lasts))) for offsets, head, lasts in rows]
-        assert pr._packed == {}
-        terms.clear()
+        assert moments == [] and pr._packed == {}
+    monkeypatch.setattr(general, "esp_row", lambda pr, offsets, head, lasts: [-1] * len(lasts))
+    rep = run_one("thm4.5", pr, budget=300, seed=1)
+    assert [f["params"] for f in rep.failures] == [
+        {"offsets": offsets, "exps": (*head, m)} for offsets, head, lasts in rows for m in lasts]
+    assert [f["expected"] for f in rep.failures] == [
+        brute_sum(SumSpec(pr, tuple(zip(offsets, exps)), frozenset()))
+        for offsets, exps in (f["params"].values() for f in rep.failures)]
 
 
 # --- every grid theorem reports every failing instance -----------------------
@@ -458,48 +474,53 @@ def test_driver_reports_every_wrong_instance(monkeypatch, theorem, p, budget):
 
 # The failing params of every draw at p = 13, budget 40, seed 7, with every
 # check forced to fail (cor3.12: its part-2 right side); a change to a
-# sampler's stream of random calls changes these lists.
+# sampler's stream of random calls changes these lists.  A box draws 7 heads,
+# each on a row of isqrt(40) = 6 distinct exponents, the last row cut to 4.
 PINNED = {
     "thm2.3": [
-        (5, 2, 6, 10), (0, 1, 8, 1), (5, 9, 0, 8), (3, 0, 1, 6), (6, 1, 3, 1), (8, 6, 0, 9),
-        (1, 3, 10, 10), (9, 0, 9, 9), (6, 0, 3, 0), (8, 2, 4, 6), (2, 8, 1, 9), (4, 8, 10, 2),
-        (1, 9, 9, 10), (3, 5, 1, 8), (11, 1, 9, 0), (9, 3, 7, 10), (8, 6, 12, 5), (7, 9, 7, 5),
-        (4, 3, 12, 2), (11, 3, 1, 9), (4, 8, 7, 5), (11, 7, 4, 9), (1, 12, 8, 6), (2, 5, 2, 7),
-        (6, 0, 10, 1), (12, 8, 9, 12), (5, 12, 11, 5), (9, 7, 9, 12), (7, 1, 1, 4),
-        (7, 11, 10, 1), (0, 11, 11, 4), (10, 9, 10, 7), (4, 11, 6, 10), (5, 0, 7, 5),
-        (2, 9, 1, 7), (0, 3, 12, 4), (2, 11, 3, 6), (6, 7, 1, 2), (7, 6, 8, 4), (2, 6, 8, 4),
+        (5, 2, 6, 10), (5, 2, 6, 0), (5, 2, 6, 1), (5, 2, 6, 8), (5, 2, 6, 12), (5, 2, 6, 5),
+        (9, 0, 8, 3), (9, 0, 8, 0), (9, 0, 8, 1), (9, 0, 8, 6), (9, 0, 8, 9), (9, 0, 8, 10),
+        (3, 1, 8, 6), (3, 1, 8, 0), (3, 1, 8, 9), (3, 1, 8, 1), (3, 1, 8, 3), (3, 1, 8, 11),
+        (9, 12, 6, 0), (9, 12, 6, 3), (9, 12, 6, 12), (9, 12, 6, 8), (9, 12, 6, 2), (9, 12, 6, 4),
+        (6, 2, 8, 1), (6, 2, 8, 9), (6, 2, 8, 4), (6, 2, 8, 8), (6, 2, 8, 2), (6, 2, 8, 12),
+        (9, 12, 10, 3), (9, 12, 10, 5), (9, 12, 10, 1),
+        (9, 12, 10, 8), (9, 12, 10, 10), (9, 12, 10, 0),
+        (9, 3, 7, 10), (9, 3, 7, 8), (9, 3, 7, 6), (9, 3, 7, 5),
     ],
     "thm2.8": [
-        (6, 3, 7, 11), (1, 2, 9, 2), (6, 10, 1, 9), (4, 1, 2, 7), (7, 2, 4, 2), (9, 7, 1, 10),
-        (2, 4, 11, 11), (10, 1, 10, 10), (7, 1, 4, 1), (9, 3, 5, 7), (3, 9, 2, 10),
-        (5, 9, 11, 3), (2, 10, 10, 11), (4, 6, 2, 9), (12, 2, 10, 1), (10, 4, 8, 11),
-        (9, 7, 6, 8), (10, 8, 6, 5), (4, 3, 12, 4), (2, 10, 5, 9), (8, 6, 12, 8),
-        (5, 10, 2, 2), (9, 7, 3, 6), (3, 8, 7, 1), (11, 2, 9, 10), (6, 12, 12, 6),
-        (10, 8, 10, 8), (2, 12, 5, 8), (12, 11, 2, 1), (12, 5, 11, 10), (11, 8, 5, 12),
-        (7, 11, 6, 1), (8, 6, 3, 10), (2, 8, 1, 4), (5, 3, 12, 4), (7, 12, 8, 2), (3, 8, 7, 9),
-        (5, 3, 7, 9), (5, 7, 6, 11), (7, 4, 3, 2),
+        (6, 3, 7, 11), (6, 3, 7, 1), (6, 3, 7, 2), (6, 3, 7, 9), (6, 3, 7, 10), (6, 3, 7, 3),
+        (10, 1, 9, 4), (10, 1, 9, 1), (10, 1, 9, 2), (10, 1, 9, 7), (10, 1, 9, 9), (10, 1, 9, 11),
+        (4, 2, 9, 7), (4, 2, 9, 1), (4, 2, 9, 10), (4, 2, 9, 2), (4, 2, 9, 4), (4, 2, 9, 6),
+        (11, 10, 1, 10), (11, 10, 1, 12), (11, 10, 1, 7),
+        (11, 10, 1, 1), (11, 10, 1, 4), (11, 10, 1, 9),
+        (9, 3, 5, 7), (9, 3, 5, 3), (9, 3, 5, 9), (9, 3, 5, 2), (9, 3, 5, 5), (9, 3, 5, 8),
+        (11, 3, 2, 10), (11, 3, 2, 12), (11, 3, 2, 4), (11, 3, 2, 6), (11, 3, 2, 2), (11, 3, 2, 5),
+        (12, 2, 10, 1), (12, 2, 10, 10), (12, 2, 10, 4), (12, 2, 10, 8),
     ],
     "thm3.1": [
-        (6, 3, 7, 11, 1), (2, 9, 2, 6, 10), (1, 9, 4, 1, 2), (7, 12, 2, 4, 2),
-        (9, 7, 1, 10, 2), (4, 11, 11, 10, 1), (10, 12, 7, 1, 4), (1, 9, 3, 5, 7),
-        (3, 9, 2, 10, 5), (9, 11, 3, 2, 10), (10, 11, 4, 6, 2), (9, 2, 10, 1, 10),
-        (4, 8, 11, 9, 7), (6, 8, 10, 8, 6), (5, 4, 3, 12, 4), (2, 10, 5, 9, 8),
-        (6, 8, 5, 10, 2), (2, 9, 7, 3, 6), (3, 8, 7, 1, 11), (2, 9, 10, 6, 6),
-        (12, 6, 10, 8, 10), (8, 2, 2, 5, 8), (12, 11, 2, 1, 12), (12, 5, 11, 10, 11),
-        (8, 5, 12, 7, 11), (6, 1, 8, 6, 3), (10, 2, 8, 1, 4), (5, 3, 12, 4, 7),
-        (7, 8, 2, 3, 8), (7, 9, 5, 3, 7), (9, 5, 12, 7, 6), (11, 7, 4, 3, 2),
-        (3, 12, 4, 11, 4), (1, 8, 10, 3, 5), (5, 1, 3, 7, 9), (6, 10, 10, 6, 3),
-        (12, 9, 10, 11, 11), (12, 1, 8, 11, 9), (7, 12, 7, 7, 2), (8, 11, 7, 1, 4),
+        (6, 3, 7, 11, 1), (6, 3, 7, 11, 2), (6, 3, 7, 11, 9),
+        (6, 3, 7, 11, 11), (6, 3, 7, 11, 6), (6, 3, 7, 11, 5),
+        (1, 9, 4, 1, 2), (1, 9, 4, 1, 7), (1, 9, 4, 1, 11),
+        (1, 9, 4, 1, 12), (1, 9, 4, 1, 4), (1, 9, 4, 1, 1),
+        (9, 7, 1, 10, 2), (9, 7, 1, 10, 4), (9, 7, 1, 10, 10),
+        (9, 7, 1, 10, 1), (9, 7, 1, 10, 7), (9, 7, 1, 10, 9),
+        (4, 1, 9, 3, 5), (4, 1, 9, 3, 7), (4, 1, 9, 3, 3),
+        (4, 1, 9, 3, 9), (4, 1, 9, 3, 2), (4, 1, 9, 3, 12),
+        (5, 9, 11, 3, 2), (5, 9, 11, 3, 10), (5, 9, 11, 3, 11),
+        (5, 9, 11, 3, 4), (5, 9, 11, 3, 6), (5, 9, 11, 3, 1),
+        (9, 2, 10, 1, 10), (9, 2, 10, 1, 4), (9, 2, 10, 1, 8),
+        (9, 2, 10, 1, 9), (9, 2, 10, 1, 7), (9, 2, 10, 1, 12),
+        (6, 8, 10, 8, 6), (6, 8, 10, 8, 5), (6, 8, 10, 8, 4), (6, 8, 10, 8, 3),
     ],
     "thm3.5": [
-        (6, 3, 7, 11), (1, 2, 9, 2), (6, 10, 1, 9), (4, 1, 2, 7), (7, 2, 4, 2), (9, 7, 1, 10),
-        (2, 4, 11, 11), (10, 1, 10, 10), (7, 1, 4, 1), (9, 3, 5, 7), (3, 9, 2, 10),
-        (5, 9, 11, 3), (2, 10, 10, 11), (4, 6, 2, 9), (12, 2, 10, 1), (10, 4, 8, 11),
-        (9, 7, 6, 8), (10, 8, 6, 5), (4, 3, 12, 4), (2, 10, 5, 9), (8, 6, 12, 8),
-        (5, 10, 2, 2), (9, 7, 3, 6), (3, 8, 7, 1), (11, 2, 9, 10), (6, 12, 12, 6),
-        (10, 8, 10, 8), (2, 12, 5, 8), (12, 11, 2, 1), (12, 5, 11, 10), (11, 8, 5, 12),
-        (7, 11, 6, 1), (8, 6, 3, 10), (2, 8, 1, 4), (5, 3, 12, 4), (7, 12, 8, 2), (3, 8, 7, 9),
-        (5, 3, 7, 9), (5, 7, 6, 11), (7, 4, 3, 2),
+        (6, 3, 7, 11), (6, 3, 7, 1), (6, 3, 7, 2), (6, 3, 7, 9), (6, 3, 7, 10), (6, 3, 7, 3),
+        (10, 1, 9, 4), (10, 1, 9, 1), (10, 1, 9, 2), (10, 1, 9, 7), (10, 1, 9, 9), (10, 1, 9, 11),
+        (4, 2, 9, 7), (4, 2, 9, 1), (4, 2, 9, 10), (4, 2, 9, 2), (4, 2, 9, 4), (4, 2, 9, 6),
+        (11, 10, 1, 10), (11, 10, 1, 12), (11, 10, 1, 7),
+        (11, 10, 1, 1), (11, 10, 1, 4), (11, 10, 1, 9),
+        (9, 3, 5, 7), (9, 3, 5, 3), (9, 3, 5, 9), (9, 3, 5, 2), (9, 3, 5, 5), (9, 3, 5, 8),
+        (11, 3, 2, 10), (11, 3, 2, 12), (11, 3, 2, 4), (11, 3, 2, 6), (11, 3, 2, 2), (11, 3, 2, 5),
+        (12, 2, 10, 1), (12, 2, 10, 10), (12, 2, 10, 4), (12, 2, 10, 8),
     ],
     "thm3.11": [
         (5, 2, 11, 5, 6), (0, 1, 11, 0, 0), (9, 0, 11, 3, 8), (0, 1, 12, 1, 1),
@@ -681,29 +702,37 @@ def test_box_sweep_reports_every_instance_of_a_corrupted_kernel_row(monkeypatch,
 
 @pytest.mark.parametrize("theorem", BOXES)
 def test_row_sampled_boxes_match_brute_sum(monkeypatch, theorem):
-    # at p = 11 a budget of 999 samples every box in rows of its last range,
-    # the last row cut short; with the closed form forced to fail, each
-    # failure's expected value is the brute side, read off one power_moments
-    # row per head, and must be brute_sum of that point
+    # at p = 11 a budget of 999 samples every box in whole rows of its last
+    # range, the last row cut short, each read off one power_moments row; a
+    # budget of 99 at p = 11 or 300 at p = 257 in rows of isqrt(budget)
+    # drawn exponents, each read as one dot product with its power column
+    # (thm2.1 with its alternating sign and exclusions {0, a}, thm2.3 with
+    # its exponent n = 0).  With the closed form forced to fail, each
+    # failure's expected value is the brute side, and must be brute_sum of
+    # that point
     from wolstenholme.modarith import make_prime
 
     module, name, _ = CHECKED[theorem]
     monkeypatch.setattr(module, name, lambda *args: -1)
-    grid, pr = REGISTRY[theorem].run, make_prime(11)
-    real = verify.brute_sum
-    monkeypatch.setattr(verify, "brute_sum", lambda spec: pytest.fail("a row called brute_sum"))
-    rep = run_one(theorem, pr, budget=999, seed=5)
-    monkeypatch.setattr(verify, "brute_sum", real)
-    points = [tuple(f["params"].values()) for f in rep.failures]
-    assert (rep.grid, rep.exhaustive) == (999, False) and grid.count(11) > 999
-    assert (rep.grid, rep.failures) == grid.sweep(pr, points)
+    real, grid = verify.brute_sum, REGISTRY[theorem].run
+    for p, budget in ((11, 999), (11, 99), (257, 300)):
+        pr = make_prime(p)
+        monkeypatch.setattr(verify, "brute_sum", lambda spec: pytest.fail("a row called brute_sum"))
+        rep = run_one(theorem, pr, budget=budget, seed=5)
+        monkeypatch.setattr(verify, "brute_sum", real)
+        points = [tuple(f["params"].values()) for f in rep.failures]
+        assert (rep.grid, rep.exhaustive) == (budget, False) and grid.count(p) > budget
+        assert (rep.grid, rep.failures) == grid.sweep(pr, points)
+        if theorem == "thm2.3":
+            assert 0 in [point[-1] for point in points]
 
 
 def test_box_sample_is_rows_from_l_squared_instances(monkeypatch):
     # at p = 13 the last range of thm3.6 has L = 12 exponents s and that of
     # thm2.3 L = 13 exponents n: a sample of L^2 instances is L rows of L
     # points, each one power_moments row and no brute_sum; one of L^2 - 1 is
-    # L^2 - 1 seeded points, each one brute_sum, as before rows
+    # L + 1 rows of isqrt(L^2 - 1) = L - 1 distinct drawn exponents, read as
+    # dot products with the power columns: no power_moments and no brute_sum
     from wolstenholme.modarith import make_prime
 
     pr = make_prime(13)
@@ -731,9 +760,12 @@ def test_box_sample_is_rows_from_l_squared_instances(monkeypatch):
             assert [point[:-1] for point in points] == [points[0][:-1]] * size
             assert [point[-1] for point in points] == exps
         calls.update(brute_sum=0, power_moments=0)
-        drawn = [point for points, _, _ in sample(pr, size * size - 1, 1) for point in points]
-        assert len(drawn) == size * size - 1
-        assert calls == {"brute_sum": size * size - 1, "power_moments": 0}
+        drawn = [list(points) for points, _, _ in sample(pr, size * size - 1, 1)]
+        assert calls == {"brute_sum": 0, "power_moments": 0}
+        assert [len(points) for points in drawn] == [size - 1] * (size + 1)
+        for points in drawn:
+            assert [point[:-1] for point in points] == [points[0][:-1]] * (size - 1)
+            assert len({point[-1] for point in points} & set(exps)) == size - 1
     # 10,000 instances of thm3.6: 834 rows, the last cut to 10,000 mod 12 = 4
     rows = [list(points) for points, _, _ in REGISTRY["thm3.6"].run.sample(pr, 10_000, 0)]
     assert [len(points) for points in rows] == [12] * 833 + [4]
@@ -809,7 +841,8 @@ def test_sampled_n_term_rows_keep_each_arity_s_instance_count():
     # at p = 13 with budget 10,000 every arity is drawn in rows of 12: 832
     # (9,984 instances), 715 (8,580) and 834, the last cut to its first
     # 10,000 mod 12 = 4 exponents.  A sample of N = (p-1)^2 instances is
-    # rows; one of N = (p-1)^2 - 1 is N 1-point rows
+    # whole rows; one of N = (p-1)^2 - 1 is 13 rows of isqrt(N) = 11
+    # distinct drawn exponents
     rows = list(verify._general_rows(13, 10_000, 0))
     assert [len(offsets) for offsets, _, _ in rows] == [2] * 832 + [3] * 715 + [4] * 834
     assert [lasts for _, _, lasts in rows] == [range(1, 13)] * 2380 + [range(1, 5)]
@@ -819,7 +852,42 @@ def test_sampled_n_term_rows_keep_each_arity_s_instance_count():
         (3, 12)] * 12 + [(4, 12)] * 12
     rows = list(verify._general_rows(13, 143, 0))
     assert [(len(offsets), len(lasts)) for offsets, _, lasts in rows] == [
-        (n, 1) for n in (2, 3, 4) for _ in range(143)]
+        (n, 11) for n in (2, 3, 4) for _ in range(13)]
+    assert all(len(set(lasts) & set(range(1, 13))) == 11 for _, _, lasts in rows)
+
+
+@pytest.mark.parametrize("size", [12, 13, 256, 1008])
+def test_sampled_rows_hold_n_points_in_rows_of_isqrt_n(size):
+    # r = min(L, isqrt(N)) values a row and one head per row, the last row
+    # cut so that the rows hold N points: at least r rows, each of at most r
+    # distinct values of lasts, whole in-order ranges exactly when N >= L^2.
+    # Every N in 1..3L^2 for L = 12 and 13; for L = 256 and 1008, N = 1, L^2
+    # - 1, L^2, 3L^2 and six seeded more
+    import random
+    from math import isqrt
+
+    lasts = range(size) if size == 13 else range(1, size + 1)
+    allowed, top = set(lasts), 3 * size * size
+    rng = random.Random(size)
+    if size < 100:
+        ns = range(1, top + 1)
+    else:
+        ns = [1, size * size - 1, size * size, top, *rng.sample(range(2, top), 6)]
+    for n in ns:
+        heads = iter(range(n))
+        rows = list(verify._sampled_rows(n, lasts, lambda: next(heads), rng))
+        r = min(size, isqrt(n))
+        assert [head for head, _ in rows] == list(range(len(rows))) and len(rows) >= r
+        assert sum(len(values) for _, values in rows) == n
+        for _, values in rows:
+            distinct = set(values)
+            assert 0 < len(distinct) == len(values) <= r and distinct <= allowed
+            assert isinstance(values, range) == (n >= size * size)
+            if isinstance(values, range):
+                assert values == lasts[: len(values)]
+    # N = 1,000 at L = 256: 33 rows of 31 drawn exponents, the last cut to 8
+    rows = verify._sampled_rows(1000, range(1, 257), lambda: None, rng)
+    assert [len(values) for _, values in rows] == [31] * 32 + [8]
 
 
 def test_figures_at_p_97_is_fast():
@@ -999,13 +1067,14 @@ RUNNER_PINS = {
         (14120, False, 14120, "ba510a61974ce7de"),
     ("thm4.5", 5, 10_000, 7, "p2", _wrong_evaluator("esp_row")):
         (14120, False, 14120, "ba510a61974ce7de"),
-    # every arity fully sampled
+    # every arity sampled in 7 seeded heads, each on a row of isqrt(40) = 6
+    # drawn m_n, the last cut to 4
     ("thm4.1", 13, 40, 7, "p2", _wrong_evaluator("multi_index_row")):
-        (120, False, 120, "9c3f2c7c6b0608ab"),
+        (120, False, 120, "2e8341e8ec98e648"),
     ("thm4.4", 13, 40, 7, "p2", _wrong_evaluator("coeff_extraction_row")):
-        (120, False, 120, "9c3f2c7c6b0608ab"),
+        (120, False, 120, "2e8341e8ec98e648"),
     ("thm4.5", 13, 40, 7, "p2", _wrong_evaluator("esp_row")):
-        (120, False, 120, "9c3f2c7c6b0608ab"),
+        (120, False, 120, "2e8341e8ec98e648"),
     # 1,000 seeded heads (a, b, m, n) of thm3.1, each on its row of every s,
     # and 910 of thm2.3 (a, b, m) on their rows of every n, the last cut to
     # n = 0, as 10,000 instances reach L^2

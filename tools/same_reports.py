@@ -47,6 +47,8 @@ COMMANDS = tuple("verify " + args for args in (
     # arity 2 enumerated in whole rows (69,632 points), arities 3 and 4 in
     # sampled rows, at p = 17
     "--theorems thm4.1,thm4.4,thm4.5 --primes 17 --budget 70000 --seed 2",
+    # rows of isqrt(40) = 6 drawn exponents at a small prime
+    "--theorems thm2.1,thm2.3,thm3.6,thm4.1,thm4.4,thm4.5 --primes 13 --budget 40 --seed 7",
 )) + tuple("table " + args for args in (
     "coeff-table -p 11 -m 7 -n 7",
     "coeff-table -p 97 -m 48 -n 50 -f json",
