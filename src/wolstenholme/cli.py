@@ -18,11 +18,10 @@ from .errors import (
     ExpressionError,
     StrategyInapplicableError,
     WolstenholmeError,
-    ZeroDenominatorError,
 )
 from .expressions import parse_expression
 from .modarith import Prime, check_prime, is_prime, make_prime
-from .oracle import SumSpec, auto_exclusions, brute_sum, make_spec, residue_matrix
+from .oracle import SumSpec, brute_sum, check_denominators, make_spec, residue_matrix
 from .polyring import symbolic_coeff_table, symbolic_sum_table, table_to_json
 from .verify import REGISTRY, check_request, resolve_theorems, run_verification
 
@@ -50,13 +49,10 @@ def _route(spec: SumSpec, complete) -> int:
     """One evaluation route: complete(pr, terms) sums the k-form product
     (normalize_spec) over every k, and the product at each of its excluded
     k is subtracted.  Any exclusion set works, as long as it holds every k
-    where a denominator vanishes; otherwise ZeroDenominatorError, as
-    brute_sum raises."""
+    where a denominator vanishes (check_denominators, as for brute_sum)."""
+    check_denominators(spec)
     pr = spec.pr
     p = pr.p
-    vanishing = auto_exclusions(pr, spec.terms) - spec.exclusions
-    if vanishing:
-        raise ZeroDenominatorError(f"a denominator vanishes at unexcluded k = {min(vanishing)}")
     norm = cf.normalize_spec(spec)
     total = complete(pr, norm.terms)
     for k in norm.exclusions:

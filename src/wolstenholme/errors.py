@@ -79,4 +79,5 @@ class UnknownTheoremError(WolstenholmeError, ValueError):
 
 
 class BadParamsError(WolstenholmeError, ValueError):
-    """Table generation parameters invalid for the requested table kind."""
+    """Invalid command parameters: a table's for its kind, verify's budget,
+    primes or mode, or an -o file that cannot be written."""

@@ -12,7 +12,8 @@ on the route's own kernel answers the row: one _composition_sums call over
 the window [0, max M_1], one cyclic_product, or one _esp_values stream and
 at most one build_product.  A point's sum is minus the sum of its levels
 M_1, M_1 - (p-1), ... down to 0: in a row, one strided slice of a list
-indexed by level.  The point functions run the row kernels at one m_n.
+indexed by level.  A point function is its route's row entry point at one
+m_n, so each route is one function.
 verify checks the n-term grids a row at a time: every m_n of a head where
 an arity is enumerated, and a sample of N instances in ceil(N/r) seeded
 rows of r = min(p-1, isqrt(N)) values of m_n, every one in order from
@@ -168,23 +169,14 @@ def _composition_sums(pr: Prime, exps, bases, targets) -> list[int]:
     return out
 
 
-def _row_bases(pr: Prime, offsets, head, lasts) -> tuple[int, ...]:
-    """The shifted bases b_i = a_i - a_n of a row that _check passes, for
-    its route's row kernel; a point function hands over its params' own."""
-    _check(pr.p, offsets, head, lasts)
-    return _shift(pr.p, offsets)
-
-
 def multi_index_row(pr: Prime, offsets, head, lasts) -> list[int]:
     """[multi_index_J at (offsets, (*head, m)) for m in lasts]: the product
     of the head's factors (1 + b_i x)^m_i does not depend on m, so one
     _composition_sums call over every level of the row answers it.  A
     total below p-1 has no level, so its sum is 0."""
-    return _multi_index(pr, _row_bases(pr, offsets, head, lasts), head, lasts)
-
-
-def _multi_index(pr: Prime, bases, head, lasts) -> list[int]:
     p = pr.p
+    _check(p, offsets, head, lasts)
+    bases = _shift(p, offsets)
     tops = [sum(head) + m - (p - 1) for m in lasts]  # M_1 at each point
     if len(tops) == 1:  # a point's levels, p-1 apart
         return [-sum(_composition_sums(pr, head, bases, range(tops[0], -1, 1 - p))) % p]
@@ -195,19 +187,16 @@ def _multi_index(pr: Prime, bases, head, lasts) -> list[int]:
 
 def multi_index_J(gp: GeneralSumParams) -> int:
     """Sum over all k of (a_1+k)^m_1 ... (a_n+k)^m_n via bounded compositions."""
-    return _multi_index(gp.pr, gp.shifted, gp.exps[:-1], gp.exps[-1:])[0]
+    return multi_index_row(gp.pr, gp.offsets, gp.exps[:-1], gp.exps[-1:])[0]
 
 
 def coeff_extraction_row(pr: Prime, offsets, head, lasts) -> list[int]:
     """[coeff_extraction_sum at (offsets, (*head, m)) for m in lasts], every
     one read from one cyclic_product of the head's factors: the sum at m is
     minus its slot -m mod p-1, 0 where the product does not reach."""
-    return _coeff_extraction(pr, _row_bases(pr, offsets, head, lasts), head, lasts)
-
-
-def _coeff_extraction(pr: Prime, bases, head, lasts) -> list[int]:
     p = pr.p
-    c = cyclic_product(pr, bases, head)
+    _check(p, offsets, head, lasts)
+    c = cyclic_product(pr, _shift(p, offsets), head)
     return [-c[j] % p if j < len(c) else 0 for j in (-m % (p - 1) for m in lasts)]
 
 
@@ -220,7 +209,7 @@ def coeff_extraction_sum(gp: GeneralSumParams) -> int:
     product taken mod x^(p-1) - 1, which polyring.cyclic_product builds in
     at most p-1 packed slots whatever the degree.
     """
-    return _coeff_extraction(gp.pr, gp.shifted, gp.exps[:-1], gp.exps[-1:])[0]
+    return coeff_extraction_row(gp.pr, gp.offsets, gp.exps[:-1], gp.exps[-1:])[0]
 
 
 def root_power_sum(gp: GeneralSumParams, r: int) -> int:
@@ -295,11 +284,9 @@ def esp_row(pr: Prime, offsets, head, lasts) -> list[int]:
     they stream.  Those of the points with M_1 >= p come from one
     build_product of the head's factors, as its coefficients reversed.
     """
-    return _esp(pr, _row_bases(pr, offsets, head, lasts), head, lasts)
-
-
-def _esp(pr: Prime, bases, head, lasts) -> list[int]:
     p = pr.p
+    _check(p, offsets, head, lasts)
+    bases = _shift(p, offsets)
     tops = [sum(head) + m - (p - 1) for m in lasts]  # M_1 at each point
     # the levels of a point differ by the even p-1, so all have M_1's sign
     if len(tops) == 1 and 0 <= tops[0] < p:  # a point's levels, summed as they stream
@@ -333,7 +320,7 @@ def esp_sum(gp: GeneralSumParams) -> int:
     That product is a PolyZp, not the coefficient route's cyclic product, so
     the two routes share no kernel.
     """
-    return _esp(gp.pr, gp.shifted, gp.exps[:-1], gp.exps[-1:])[0]
+    return esp_row(gp.pr, gp.offsets, gp.exps[:-1], gp.exps[-1:])[0]
 
 
 def scaling_reduce(gp: GeneralSumParams) -> tuple[int, GeneralSumParams]:

@@ -97,22 +97,28 @@ def term_products(pr: Prime, terms):
     return reduce(partial(map, mul), rotated) if rotated else repeat(1, pr.p)
 
 
-def brute_sum(spec: SumSpec) -> int:
-    """Evaluate the sum literally; exact ground truth for all closed forms.
-
-    The exact products are summed as they stream, skipping the one at each
-    excluded k, and the sum is reduced mod p once.
-    An unexcluded vanishing denominator raises ZeroDenominatorError, naming
-    the smallest such k and, at it, the first such term.
-    """
+def check_denominators(spec: SumSpec) -> None:
+    """Raise ZeroDenominatorError, naming the smallest such k and the first
+    such term at it, if a denominator vanishes at an unexcluded k."""
     p = spec.pr.p
-    excl = spec.exclusions
     zeros = [((-off) % p, i) for i, (off, exp) in enumerate(spec.terms)
-             if exp < 0 and (-off) % p not in excl]
+             if exp < 0 and (-off) % p not in spec.exclusions]
     if zeros:
         k, i = min(zeros)
         off, exp = spec.terms[i]
         raise ZeroDenominatorError(f"denominator (({off})+k)^{exp} vanishes at unexcluded k = {k}")
+
+
+def brute_sum(spec: SumSpec) -> int:
+    """Evaluate the sum literally; exact ground truth for all closed forms.
+
+    The exact products are summed as they stream, skipping the one at each
+    excluded k, and the sum is reduced mod p once.  check_denominators runs
+    first.
+    """
+    check_denominators(spec)
+    p = spec.pr.p
+    excl = spec.exclusions
     values = iter(term_products(spec.pr, spec.terms))
     total = start = 0
     for k in sorted(excl):

@@ -30,7 +30,7 @@ from operator import itemgetter, mul
 from . import closedforms as cf
 from . import general as gen
 from . import identities as ident
-from .errors import BadParamsError, UnknownTheoremError
+from .errors import BadParamsError, DisagreementError, UnknownTheoremError
 from .modarith import Prime, binom, conv, make_prime, pow_nonzero
 from .oracle import (
     SumSpec,
@@ -85,12 +85,17 @@ def _fail(failures: list, params: dict, expected: int, got: int) -> None:
 def _compare_rows(names, chunks) -> tuple[int, list]:
     """Compare the two sides of every chunk (points, lhs, rhs), instance i
     at index i: each differing instance fails with its point as params,
-    named by names, a None field left out.  Returns (grid size, failures)."""
+    named by names, a None field left out.  Sides of different lengths
+    raise DisagreementError, naming the chunk's first point.  Returns
+    (grid size, failures)."""
     failures = []
     grid = 0
     for points, lhs, rhs in chunks:
         grid += len(lhs)
         if lhs != rhs:
+            if len(lhs) != len(rhs):
+                first = dict(zip(names, next(iter(points), ())))
+                raise DisagreementError(f"chunk at {first}: {len(lhs)} left, {len(rhs)} right sides")
             for point, x, y in zip(points, lhs, rhs):
                 if x != y:
                     _fail(failures, {k: v for k, v in zip(names, point) if v is not None}, x, y)
@@ -473,13 +478,20 @@ def _cong_grid_count(p):
                for d, pairs, s_lo, s_hi in _diagonals(p, 0) if s_hi >= s_lo)
 
 
-def _draw_cong(rng, p):
-    m, n = rng.randrange(p), rng.randrange(p)
+def _draw_window(rng, p, lo):
+    """(m, n, s, M), m and n from [lo, p-1] and s from their window, or None."""
+    m, n = rng.randrange(lo, p), rng.randrange(lo, p)
     s_lo, s_hi = _window(p, m + n)
     if s_hi < s_lo:
         return None
     s = rng.randrange(s_lo, s_hi + 1)
-    M = m + n + s - (p - 1)
+    return m, n, s, m + n + s - (p - 1)
+
+
+def _draw_cong(rng, p):
+    if (drawn := _draw_window(rng, p, 0)) is None:
+        return None
+    m, n, s, M = drawn
     return m, n, s, rng.randrange(M + 1), M
 
 
@@ -512,12 +524,8 @@ def _comp_grid_count(p):
 
 def _draw_comp(rng, p):
     a, b = rng.sample(range(1, p), 2)
-    m, n = rng.randrange(1, p), rng.randrange(1, p)
-    s_lo, s_hi = _window(p, m + n)
-    if s_hi < s_lo:
-        return None
-    s = rng.randrange(s_lo, s_hi + 1)
-    return a, b, m, n, s, m + n + s - (p - 1)
+    drawn = _draw_window(rng, p, 1)
+    return None if drawn is None else (a, b, *drawn)
 
 
 def _comp_rows(pr, mode):
@@ -745,7 +753,7 @@ _run_tablecorr = Grid(
 
 
 def _figures_row(pr, a):
-    """The five residue-matrix observations for one offset a, each 1 if it
+    """The six residue-matrix observations for one offset a, each 1 if it
     holds and 0 if not."""
     p = pr.p
     mat = residue_matrix(pr, a).entries

@@ -1,6 +1,9 @@
 import importlib.util
 from pathlib import Path
 
+from wolstenholme.cli import _parse_primes, build_parser
+from wolstenholme.verify import REGISTRY, resolve_theorems
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_reports.py"
 _SPEC = importlib.util.spec_from_file_location("same_reports", _PATH)
 same_reports = importlib.util.module_from_spec(_SPEC)
@@ -46,6 +49,22 @@ def test_table_commands_cover_kinds_formats_and_corners():
         assert any(a[a.index("-m") + 1] == a[a.index("-n") + 1] == str(int(a[2]) - 1)
                    for a in argvs)
     assert any(a[0] == "residue-matrix" for a in tables)
+
+
+def test_some_command_enumerates_a_whole_n_term_grid():
+    # an n-term grid is enumerated when its count, that of arity 4, fits the
+    # budget; otherwise its arities may still be enumerated one by one
+    n_term = {"thm4.1", "thm4.4", "thm4.5"}
+    parser = build_parser()
+    whole = set()
+    for command in same_reports.COMMANDS:
+        if command.startswith("verify "):
+            args = parser.parse_args(command.split())
+            for tid in n_term.intersection(resolve_theorems(args.theorems.split(","))):
+                if any(REGISTRY[tid].run.count(p) <= args.budget
+                       for p in _parse_primes(args.primes)):
+                    whole.add(tid)
+    assert whole == n_term
 
 
 def test_a_table_command_runs_and_matches_its_golden_file(tmp_path):

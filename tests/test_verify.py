@@ -837,6 +837,26 @@ def test_n_term_sweep_reports_exactly_a_corrupted_cell(monkeypatch, theorem, rou
                              "expected": value, "got": (value + 1) % p}]
 
 
+@pytest.mark.parametrize("cut", [slice(-1), slice(0)], ids=["short", "empty"])
+def test_a_short_n_term_row_fails_loudly(monkeypatch, capsys, cut):
+    # a row entry point that answers fewer points than its row holds must not
+    # pass by comparing only the points it answered
+    from wolstenholme import general
+    from wolstenholme.cli import main
+    from wolstenholme.errors import DisagreementError
+
+    real = general.esp_row
+    monkeypatch.setattr(general, "esp_row", lambda pr, *row: real(pr, *row)[cut])
+    offsets, head, lasts = next(verify._general_rows(11, 10_000, 1))
+    first = {"offsets": offsets, "exps": (*head, lasts[0])}
+    message = f"chunk at {first}: {len(lasts)} left, {len(lasts[cut])} right sides"
+    with pytest.raises(DisagreementError) as err:
+        run_one("thm4.5", 11, budget=10_000, seed=1)
+    assert str(err.value) == message
+    assert main(["verify", "--theorems", "thm4.5", "--primes", "11", "--seed", "1"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
 def test_sampled_n_term_rows_keep_each_arity_s_instance_count():
     # at p = 13 with budget 10,000 every arity is drawn in rows of 12: 832
     # (9,984 instances), 715 (8,580) and 834, the last cut to its first

@@ -47,6 +47,9 @@ COMMANDS = tuple("verify " + args for args in (
     # arity 2 enumerated in whole rows (69,632 points), arities 3 and 4 in
     # sampled rows, at p = 17
     "--theorems thm4.1,thm4.4,thm4.5 --primes 17 --budget 70000 --seed 2",
+    # every arity enumerated at p = 5 (the whole n-term grid, 34,880 points),
+    # arity 2 enumerated and arities 3 and 4 sampled at p = 7
+    "--theorems thm4.1,thm4.4,thm4.5 --primes 5,7 --budget 30720 --seed 0",
     # rows of isqrt(40) = 6 drawn exponents at a small prime
     "--theorems thm2.1,thm2.3,thm3.6,thm4.1,thm4.4,thm4.5 --primes 13 --budget 40 --seed 7",
 )) + tuple("table " + args for args in (
