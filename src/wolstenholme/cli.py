@@ -175,9 +175,11 @@ def _check_output(path: str | None) -> None:
     """
     if path is None:
         return
-    folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         raise BadParamsError(f"-o {path}: is a directory")
+    if not os.path.basename(path):
+        raise BadParamsError(f"-o {path}: no file name")
+    folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise BadParamsError(f"-o {path}: no such directory {folder}")
     if not os.access(path if os.path.exists(path) else folder, os.W_OK):

@@ -1,17 +1,15 @@
 """Closed-form evaluators for pair and triple power-term sums.
 
-Each function is total over its hypothesis domain, dispatches its special
-cases ahead of the general expression, and returns a canonical residue in
-[0, p).  Signed constants like -2 therefore come back as p-2.
+Each pair and triple form reduces its offsets mod p and tests all of its
+hypotheses in one expression; only when that fails does _reject raise a
+HypothesisViolationError for the first broken one.  Past the test, each
+dispatches its special cases ahead of the general expression and returns a
+canonical residue in [0, p), so signed constants like -2 come back as p-2.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    EqualOffsetsError,
-    HypothesisViolationError,
-    OffsetZeroError,
-)
+from .errors import EqualOffsetsError, HypothesisViolationError, OffsetZeroError
 from .modarith import Prime, binom, conv, fermat_reduce, pow_nonzero
 from .oracle import SumSpec, auto_exclusions
 
@@ -23,19 +21,28 @@ def power_sum(pr: Prime, n: int) -> int:
     return pr.p - 1 if n % (pr.p - 1) == 0 else 0
 
 
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    if not lo <= value <= hi:
-        raise HypothesisViolationError(f"{name} = {value} outside [{lo}, {hi}]")
+def _reject(p: int, lo: int, offsets: dict[str, int], exps: dict[str, int]) -> None:
+    """Raise for the first hypothesis that a form's arguments break.  The
+    offsets {name: residue}, a k factor's first as k = 0, must be pairwise
+    distinct (OffsetZeroError where one meets k, else EqualOffsetsError) and
+    each exponent lie in [lo, p-1] (HypothesisViolationError)."""
+    seen: dict[int, str] = {}
+    for name, off in offsets.items():
+        other = seen.setdefault(off, name)
+        if other != name:
+            error = OffsetZeroError if other == "k" else EqualOffsetsError
+            raise error(f"{name} = {off} mod {p}, the offset of {other}")
+    for name, e in exps.items():
+        if not lo <= e <= p - 1:
+            raise HypothesisViolationError(f"{name} = {e} outside [{lo}, {p - 1}]")
 
 
 def ratio_single(pr: Prime, a: int, m: int, n: int) -> int:
     """Sum over k in {1,...,p-1}, k != a, of k^m / (a-k)^n."""
     p = pr.p
     a %= p
-    if a == 0:
-        raise OffsetZeroError("ratio_single requires a nonzero offset a")
-    _check_range("m", m, 0, p - 1)
-    _check_range("n", n, 0, p - 1)
+    if not (a and 0 <= m < p and 0 <= n < p):
+        _reject(p, 0, {"k": 0, "a": a}, {"m": m, "n": n})
     if m == 0 and 1 <= n <= p - 2:
         return -pow(a, p - 1 - n, p) % p
     if n == p - 1 and 1 <= m <= p - 2:
@@ -51,10 +58,8 @@ def ratio_pair(pr: Prime, a: int, b: int, m: int, n: int) -> int:
     p = pr.p
     a %= p
     b %= p
-    if a == b:
-        raise EqualOffsetsError("a = b: use ratio_equal_offsets")
-    _check_range("m", m, 0, p - 1)
-    _check_range("n", n, 0, p - 1)
+    if not (a != b and 0 <= m < p and 0 <= n < p):
+        _reject(p, 0, {"a": a, "b": b}, {"m": m, "n": n})
     d = (a - b) % p
     if m == 0 and 1 <= n <= p - 2:
         val = pow(d, p - 1 - n, p)
@@ -69,22 +74,17 @@ def ratio_pair(pr: Prime, a: int, b: int, m: int, n: int) -> int:
 def ratio_equal_offsets(pr: Prime, a: int, m: int, n: int) -> int:
     """Sum over k != -a of (a+k)^m / (a+k)^n, i.e. the equal-offset ratio."""
     p = pr.p
-    _check_range("m", m, 1, p - 1)
-    _check_range("n", n, 1, p - 1)
-    if m > n:
-        return power_sum(pr, m - n)
-    if m < n:
-        return power_sum(pr, p - 1 + m - n)
-    return p - 1
+    if not (0 < m < p and 0 < n < p):
+        _reject(p, 1, {}, {"m": m, "n": n})
+    return power_sum(pr, (m - n) % (p - 1))
 
 
 def product_pair_k(pr: Prime, a: int, m: int, n: int) -> int:
     """Sum over all k of (a+k)^m * k^n."""
     p = pr.p
     a %= p
-    _check_range("a", a, 1, p - 1)
-    _check_range("m", m, 1, p - 1)
-    _check_range("n", n, 1, p - 1)
+    if not (a and 0 < m < p and 0 < n < p):
+        _reject(p, 1, {"k": 0, "a": a}, {"m": m, "n": n})
     if m == n == p - 1:
         return p - 2
     c = binom(pr, m, p - 1 - n)
@@ -95,18 +95,13 @@ def product_pair_k(pr: Prime, a: int, m: int, n: int) -> int:
 
 
 def product_pair(pr: Prime, a: int, b: int, m: int, n: int) -> int:
-    """Sum over all k of (a+k)^m * (b+k)^n, offsets distinct and nonzero."""
+    """Sum over all k of (a+k)^m * (b+k)^n, offsets distinct and nonzero: an
+    offset 0 is the k factor of product_pair_k."""
     p = pr.p
     a %= p
     b %= p
-    if a == b:
-        raise EqualOffsetsError("product_pair requires a != b")
-    if a == 0 or b == 0:
-        raise HypothesisViolationError(
-            "offset 0 is the k-term form: use product_pair_k instead"
-        )
-    _check_range("m", m, 1, p - 1)
-    _check_range("n", n, 1, p - 1)
+    if not (a and b and a != b and 0 < m < p and 0 < n < p):
+        _reject(p, 1, {"k": 0, "a": a, "b": b}, {"m": m, "n": n})
     if m == n == p - 1:
         return p - 2
     c = binom(pr, m, p - 1 - n)
@@ -119,12 +114,10 @@ def triple_binomial(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> int:
     """Sum over all k of (a+k)^m (b+k)^n k^s via the banded binomial sums
     at M = m+n+s-(p-1) and R = M-(p-1)."""
     p = pr.p
-    for name, e in (("m", m), ("n", n), ("s", s)):
-        _check_range(name, e, 1, p - 1)
-    _check_range("a", a, 1, p - 1)
-    _check_range("b", b, 1, p - 1)
-    if a == b:
-        raise HypothesisViolationError("triple_binomial requires a != b")
+    a %= p
+    b %= p
+    if not (a and b and a != b and 0 < m < p and 0 < n < p and 0 < s < p):
+        _reject(p, 1, {"k": 0, "a": a, "b": b}, {"m": m, "n": n, "s": s})
     M = m + n + s - (p - 1)
     if M < 0:
         return 0
@@ -137,23 +130,13 @@ def triple_binomial(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> int:
     return p - 3  # m = n = s = p-1
 
 
-def _triple_check(pr: Prime, a: int, b: int, *exps: int) -> tuple[int, int]:
-    p = pr.p
-    a %= p
-    b %= p
-    if a == b:
-        raise EqualOffsetsError("offsets must differ")
-    _check_range("a", a, 1, p - 1)
-    _check_range("b", b, 1, p - 1)
-    for name, e in zip("mns", exps):
-        _check_range(name, e, 1, p - 1)
-    return a, b
-
-
 def triple_s1(pr: Prime, a: int, b: int, m: int, n: int) -> int:
     """Sum over all k of (a+k)^m (b+k)^n k."""
     p = pr.p
-    a, b = _triple_check(pr, a, b, m, n)
+    a %= p
+    b %= p
+    if not (a and b and a != b and 0 < m < p and 0 < n < p):
+        _reject(p, 1, {"k": 0, "a": a, "b": b}, {"m": m, "n": n})
     d = (a - b) % p
     if m == n == p - 1:
         return (a + b) % p
@@ -176,7 +159,10 @@ def triple_s2(pr: Prime, a: int, b: int, m: int, n: int) -> int:
     equivalence over full grids pins this down.
     """
     p = pr.p
-    a, b = _triple_check(pr, a, b, m, n)
+    a %= p
+    b %= p
+    if not (a and b and a != b and 0 < m < p and 0 < n < p):
+        _reject(p, 1, {"k": 0, "a": a, "b": b}, {"m": m, "n": n})
     d = (a - b) % p
     if m == n == p - 1:
         return -(a * a + b * b) % p
@@ -202,10 +188,8 @@ def triple_general(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> int:
     p = pr.p
     a %= p
     b %= p
-    if a == b or a == 0 or b == 0:
-        raise HypothesisViolationError("triple_general requires distinct nonzero a, b")
-    for name, e in (("m", m), ("n", n), ("s", s)):
-        _check_range(name, e, 1, p - 1)
+    if not (a and b and a != b and 0 < m < p and 0 < n < p and 0 < s < p):
+        _reject(p, 1, {"k": 0, "a": a, "b": b}, {"m": m, "n": n, "s": s})
     if m == n == s == p - 1:
         return p - 3
     if m == p - 1:

@@ -30,20 +30,20 @@ class ZeroDenominatorError(WolstenholmeError, ZeroDivisionError):
     """A negative-exponent base vanished at a k the sum did not exclude."""
 
 
-class OffsetZeroError(WolstenholmeError, ValueError):
-    """Offset a = 0 where a nonzero offset is required."""
-
-
-class EqualOffsetsError(WolstenholmeError, ValueError):
-    """Two offsets coincide where distinct offsets are required."""
-
-
 class HypothesisViolationError(WolstenholmeError, ValueError):
     """Parameters outside the hypothesis domain of the requested formula."""
 
 
-class DuplicateOffsetsError(WolstenholmeError, ValueError):
-    """Offsets of a general sum must be pairwise distinct."""
+class OffsetZeroError(HypothesisViolationError):
+    """An offset is 0 mod p where the formula's k factor has offset 0."""
+
+
+class EqualOffsetsError(HypothesisViolationError):
+    """Two offsets of a pair or triple formula are equal mod p."""
+
+
+class DuplicateOffsetsError(HypothesisViolationError):
+    """Two offsets of a general n-term sum are equal."""
 
 
 class IndexNotInvertibleError(WolstenholmeError, ValueError):

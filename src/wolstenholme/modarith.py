@@ -108,20 +108,19 @@ class Prime:
     (binomial rows, packed power rows, packed binomial rows, power columns,
     stride tables and Barrett masks) are dicts keyed by top, base, exponent
     or slot count, and hold only the entries read so far, so a Prime costs
-    its two factorial tables until a route reads more.  The inverse map
-    x -> x^-1 (0 -> 0), one array of column_code, is built on the first read
-    of a negative power column.  powers and weighted_row cache nothing.
-    pack and unpack turn a row into one packed int and a combination of
-    packed rows back into residues.  The power columns that the
-    brute oracle reads, one per exponent |e| <= p-1, hold at most 2p-1
-    columns plus the inverse map, p entries of column_code each, at most
-    4 bytes an entry below p = 2^32: about 4 MB at p = 1009.  A positive
-    column is built by one pow per entry until p / _FILL_DIVISOR (p/4) of
-    them have been built that way; each later miss at e fills the missing
-    columns up to e from the nearest cached one below it, by x^e =
-    x^(e-1) x.  Column -e is column e read through the inverse map,
-    (x^-1)^e.  So every entry is an exact power of its own base, with no
-    exponent reduced mod p-1, and reading it is still brute force.
+    its two factorial tables until a route reads more.  powers and
+    weighted_row cache nothing.  pack and unpack turn a row into one packed
+    int and a combination of packed rows back into residues.  The power
+    columns that the brute oracle reads, one per exponent |e| <= p-1, hold
+    at most 2p-1 columns, p entries of column_code each, at most 4 bytes an
+    entry below p = 2^32: about 4 MB at p = 1009.  A positive column is
+    built by one pow per entry until p / _FILL_DIVISOR (p/4) of them have
+    been built that way; each later miss at e fills the missing columns up
+    to e from the nearest cached one below it, by x^e = x^(e-1) x.  Column
+    -1, the inverse map x -> x^-1 (0 -> 0), comes from the factorial
+    tables, and column -e is column e read through it, (x^-1)^e.  So every
+    entry is an exact power of its own base, with no exponent reduced mod
+    p-1, and reading it is still brute force.
 
     The stride tables, one per base v (see stride_table), are p (2p-2) slots
     of reduce_width bytes each.  At most p of them exist, about 2.7 KB each
@@ -131,7 +130,7 @@ class Prime:
 
     __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "reduce_width",
                  "_barrett", "_binom_rows", "_packed", "_packed_binom", "_columns",
-                 "_pow_columns", "_inverses", "_strides", "_reduce_masks")
+                 "_pow_columns", "_strides", "_reduce_masks")
 
     def __init__(self, p: int):
         check_prime(p)
@@ -170,7 +169,6 @@ class Prime:
         self._packed_binom: dict[int, int] = {}
         self._columns: dict[int, array] = {}
         self._pow_columns = 0  # positive columns built by pow so far
-        self._inverses: array | None = None
         self._strides: dict[int, int] = {}
         self._reduce_masks: dict[int, int] = {}
 
@@ -204,18 +202,22 @@ class Prime:
         A positive column is one pow(x, e, p) per x, until p / _FILL_DIVISOR
         columns have been built that way; after that a miss fills the run
         of missing columns that ends at e, each the one below it times x,
-        from the nearest cached column below e.  Column -e is
-        power_column(e) permuted by the inverse map: x^-e = (x^-1)^e, as
-        pow(x, -e, p) defines it.
+        from the nearest cached column below e.  Column -1 is x^-1 =
+        (x-1)! (x!)^-1 from the factorial tables, and column -e is
+        power_column(e) read through it: x^-e = (x^-1)^e, as pow(x, -e, p)
+        defines it.
         """
         p = self.p
         if not -p < e < p:
             raise HypothesisViolationError(f"|exponent| {e} exceeds p-1 = {p - 1}")
         col = self._columns.get(e)
         if col is None:
-            if e < 0:
+            if e == -1:
+                col = array(self.column_code, [0])
+                col.extend(map(mod, map(mul, self.fact, islice(self.inv_fact, 1, None)), repeat(p)))
+            elif e < 0:
                 twin = self.power_column(-e)
-                col = array(self.column_code, map(twin.__getitem__, self._inverse_map()))
+                col = array(self.column_code, map(twin.__getitem__, self.power_column(-1)))
             elif _FILL_DIVISOR * self._pow_columns >= p:
                 self._fill_columns(e)
                 return self._columns[e]
@@ -240,17 +242,6 @@ class Prime:
             f = 1
         for g in range(f, e + 1):
             col = cols[g] = array(code, [y * x % p for y, x in zip(col, range(p))])
-
-    def _inverse_map(self) -> array:
-        """(x^-1 mod p for x = 0..p-1), with 0 in slot 0, built once: x^-1 =
-        (x-1)! (x!)^-1 from the factorial tables."""
-        inv = self._inverses
-        if inv is None:
-            p = self.p
-            inv = array(self.column_code, [0])
-            inv.extend(map(mod, map(mul, self.fact, islice(self.inv_fact, 1, None)), repeat(p)))
-            self._inverses = inv
-        return inv
 
     def pack(self, row) -> int:
         """row as one int, pack_width bytes per slot (see pack_slots)."""

@@ -180,10 +180,11 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
     outside exclusions of the product of the terms (o+k)^f and of
     (off+k)^(sign*e), times (-1)^e when alternating.  closed(pr, *point) is
     the closed side, one call per point.  A row is one head at a run of
-    exponents, its brute side _brute_row of the weights prod (o+k)^f at the
-    bases (off+k)^sign, both read through term_products as brute_sum reads
-    its terms.  The exhaustive sweep yields a row per head at every e, a
-    sample the rows of _sampled_rows.  check(pr, *point), one brute_sum, is
+    exponents, its brute side _brute_row of the weight prod (o+k)^f put at
+    the base (off+k)^sign, negated when alternating, of each unexcluded k:
+    each base comes from one k.  Both are read through term_products as
+    brute_sum reads its terms.  The exhaustive sweep yields a row per head
+    at every e, a sample the rows of _sampled_rows.  check(pr, *point), one brute_sum, is
     the point-by-point reference of Grid.sweep.
     """
 
@@ -199,8 +200,11 @@ def _box(names, sums, closed, ranges, pair_lo=None, alternating=False) -> Grid:
         p = pr.p
         terms, (off, sign), excl = sums(pr, *head)
         pairs = zip(term_products(pr, terms), term_products(pr, ((off, sign),)))
-        brute = _brute_row(pr, [(w % p, -x % p if alternating else x)
-                                for k, (w, x) in enumerate(pairs) if k not in excl], exps)
+        weights = [0] * p
+        for k, (w, x) in enumerate(pairs):
+            if k not in excl:
+                weights[-x % p if alternating else x] = w % p
+        brute = _brute_row(pr, weights, exps)
         return _row(head, exps), brute, [closed(pr, *head, e) for e in exps]
 
     def rows(pr, mode):
@@ -241,16 +245,14 @@ def _sampled_rows(n, lasts, head, rng):
         yield h, lasts[:cut] if size == len(lasts) else rng.sample(lasts, cut)
 
 
-def _brute_row(pr, pairs, lasts):
-    """[sum of w * x^e over the (w, x) pairs mod p for e in lasts], weights in
-    [0, p): one power_moments row, sliced, when lasts is a range, else one
-    dot product per e of the weights with power_column(e) read at each x,
-    which builds no packed power table."""
+def _brute_row(pr, weights, lasts):
+    """[sum of weights[x] * x^e over x = 0..p-1 mod p for e in lasts],
+    weights in [0, p): one power_moments row, sliced, when lasts is a range,
+    else one dot product per e of the weights with power_column(e), which
+    builds no packed power table."""
     if isinstance(lasts, range):
-        return power_moments(pr, pairs)[lasts.start : lasts.stop]
-    ws, xs = zip(*pairs)
-    at = itemgetter(*xs)
-    return [sum(map(mul, ws, at(pr.power_column(e)))) % pr.p for e in lasts]
+        return power_moments(pr, list(zip(weights, range(pr.p))))[lasts.start : lasts.stop]
+    return [sum(map(mul, weights, pr.power_column(e))) % pr.p for e in lasts]
 
 
 # --- power sums ---------------------------------------------------------------
@@ -382,7 +384,7 @@ def _general(route) -> Grid:
         for offsets, head, lasts in rows:
             off = offsets[-1]
             w = term_products(pr, [((a - off) % p, m) for a, m in zip(offsets, head)])
-            brute = _brute_row(pr, zip([v % p for v in w], range(p)), lasts)
+            brute = _brute_row(pr, [v % p for v in w], lasts)
             yield ((offsets, (*head, m)) for m in lasts), brute, route(pr, offsets, head, lasts)
 
     return Grid(("offsets", "exps"), rows=lambda pr, mode: chunks(pr, _general_rows(pr.p, inf, 0)),

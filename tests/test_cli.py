@@ -351,6 +351,10 @@ def test_residue_matrix_above_its_size_limit_is_a_usage_error(capsys, monkeypatc
     ("verify", "--theorems", "thm2.1", "--primes", "7", "-o", "{dir}"),
     ("table", "sum-table", "-p", "11", "-m", "3", "-n", "4", "-o", "{missing}/x"),
     ("table", "residue-matrix", "-p", "11", "-a", "2", "-o", "{dir}"),
+    ("verify", "--theorems", "thm2.1", "--primes", "7", "-o", ""),
+    ("verify", "--theorems", "thm2.1", "--primes", "7", "-o", "{missing}/"),
+    ("table", "sum-table", "-p", "11", "-m", "3", "-n", "4", "-o", ""),
+    ("table", "sum-table", "-p", "11", "-m", "3", "-n", "4", "-o", "{missing}/"),
 ])
 def test_unwritable_output_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
                                                             argv):
@@ -486,7 +490,7 @@ def test_closed_form_at_p_1000003_holds_no_p_long_cache(strategy, expression, va
     # p-long power table (140 MB with one), and its cyclic product holds only
     # the slots it reaches (117 MB padded to p-1).  The esp route gives the same
     # two values.  The brute oracle holds its columns: the two negative ones
-    # are their positive twins read through one inverse map: 163 MB and
+    # are their positive twins read through column -1: 163 MB and
     # 1.0-1.3 s, against 156 MB and 1.9-2.1 s with one pow(x, -e, p) per
     # entry.  The esp route's recurrence runs to r = p-5 on the first esp
     # case (221 s and 281 MB by blocked Newton) and holds no p-long power

@@ -57,6 +57,54 @@ def test_power_sum():
         power_sum(P11, -1)
 
 
+# each pair and triple form: its offsets, whether offset 0 is taken (by the
+# k factor, or for product_pair by the k form product_pair_k), the lower
+# bound of its exponents, and its exponents, in argument order
+HYPOTHESES = [
+    (ratio_single, "a", True, 0, "mn"),
+    (ratio_pair, "ab", False, 0, "mn"),
+    (ratio_equal_offsets, "a", False, 1, "mn"),
+    (product_pair_k, "a", True, 1, "mn"),
+    (product_pair, "ab", True, 1, "mn"),
+    (triple_binomial, "ab", True, 1, "mns"),
+    (triple_s1, "ab", True, 1, "mn"),
+    (triple_s2, "ab", True, 1, "mn"),
+    (triple_general, "ab", True, 1, "mns"),
+]
+
+
+@pytest.mark.parametrize("form, offsets, zero_taken, lo, exps", HYPOTHESES,
+                         ids=[h[0].__name__ for h in HYPOTHESES])
+def test_each_broken_hypothesis_raises_its_error_and_only_those(form, offsets, zero_taken,
+                                                               lo, exps):
+    # at p = 11, one hypothesis broken at a time raises its own class, a
+    # HypothesisViolationError, with a message that names the parameter;
+    # boundary exponents and offsets in [p, 2p) are valid
+    p = 11
+    base = {"a": 3, "b": 5, "m": 4, "n": 7, "s": 6}
+
+    def call(**changed):
+        args = {**base, **changed}
+        return form(P11, *(args[name] for name in offsets + exps))
+
+    broken = [(HypothesisViolationError, e, v) for e in exps for v in (lo - 1, p)]
+    if zero_taken:
+        broken += [(OffsetZeroError, x, v) for x in offsets for v in (0, p)]
+    if len(offsets) == 2:
+        broken += [(EqualOffsetsError, "b", v) for v in (base["a"], base["a"] + p)]
+    for error, name, value in broken:
+        assert issubclass(error, HypothesisViolationError)
+        with pytest.raises(error) as raised:
+            call(**{name: value})
+        assert type(raised.value) is error and str(raised.value).startswith(f"{name} = ")
+    for e in exps:
+        for value in (lo, p - 1):
+            call(**{e: value})
+    want = call()
+    for shifted in [*({x: base[x] + p} for x in offsets), {x: base[x] + p for x in offsets}]:
+        assert call(**shifted) == want
+
+
 def test_ratio_single_examples():
     assert ratio_single(P11, 1, 0, 0) == 9
     assert ratio_single(P11, 1, 0, 3) == 10

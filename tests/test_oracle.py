@@ -126,15 +126,16 @@ def test_brute_sum_at_the_column_typecode_edge(p, code):
 
 @pytest.mark.parametrize("p", [97, 1009])
 def test_five_term_brute_sum_builds_only_its_own_columns(p):
-    # five terms read their own columns and the positive twins of the
-    # negative ones, -(p-1)'s twin a term's own, all four positive ones by
-    # pow: far below the p/4 that would fill the rest
+    # five terms read their own columns, the positive twins of the negative
+    # ones, -(p-1)'s twin a term's own, and column -1 that the negative ones
+    # are read through, all four positive ones by pow: far below the p/4
+    # that would fill the rest
     pr = make_prime(p)
     terms = ((1, 3), (2, -5), (4, p - 1), (7, -(p - 1)), (9, 1 - p // 2))
     excl = auto_exclusions(pr, terms)
     assert brute_sum(SumSpec(pr, terms, excl)) == _plain_sum(p, terms, excl)
     exps = {e for off, e in terms}
-    assert pr._columns.keys() == exps | {-e for e in exps if e < 0}
+    assert pr._columns.keys() == exps | {-e for e in exps if e < 0} | {-1}
     assert pr._pow_columns == 4
 
 

@@ -99,8 +99,8 @@ COMMANDS = tuple("verify " + args for args in (
     # prime
     "--strategy coeff -p 1000003 (1+k)^2(2+k)^3",
     "--strategy esp -p 1000003 (1+k)^999999(2+k)^5",
-    # the brute oracle's negative columns, each its positive twin permuted
-    # by the inverse map, at that prime
+    # the brute oracle's negative columns, each its positive twin read
+    # through column -1, at that prime
     "--strategy brute -p 1000003 1/((1+k)(2+k)^3)",
     # the esp recurrence to r = 10002, and every route with the esp one to
     # r = 3994, at p = 10007
