@@ -2,9 +2,10 @@
 
 Each pair and triple form reduces its offsets mod p and tests all of its
 hypotheses in one expression; only when that fails does _reject raise a
-HypothesisViolationError for the first broken one.  Past the test, each
-dispatches its special cases ahead of the general expression and returns a
-canonical residue in [0, p), so signed constants like -2 come back as p-2.
+HypothesisViolationError for the first broken one.  Past the test, ratio_pair
+and product_pair are their k forms at d = a - b, triple_binomial is one level
+sum, and the others dispatch special cases ahead of a general expression.
+Each returns a canonical residue in [0, p), so -2 comes back as p-2.
 """
 
 from __future__ import annotations
@@ -54,21 +55,15 @@ def ratio_single(pr: Prime, a: int, m: int, n: int) -> int:
 
 
 def ratio_pair(pr: Prime, a: int, b: int, m: int, n: int) -> int:
-    """Sum over k not congruent to -a, -b of (a+k)^m / (b+k)^n."""
+    """Sum over k not congruent to -a, -b of (a+k)^m / (b+k)^n.  With j = a+k
+    and d = a-b its terms are (-1)^n j^m / (d-j)^n over j != 0, d, so the
+    sum is (-1)^n times ratio_single at d."""
     p = pr.p
     a %= p
     b %= p
     if not (a != b and 0 <= m < p and 0 <= n < p):
         _reject(p, 0, {"a": a, "b": b}, {"m": m, "n": n})
-    d = (a - b) % p
-    if m == 0 and 1 <= n <= p - 2:
-        val = pow(d, p - 1 - n, p)
-        return val if n % 2 == 1 else -val % p
-    if n == p - 1 and 1 <= m <= p - 2:
-        return -pow(d, m, p) % p
-    if m in (0, p - 1) and n in (0, p - 1):
-        return p - 2
-    return -(pow_nonzero(pr, d, m - n) * binom(pr, m, n)) % p
+    return (-1) ** n * ratio_single(pr, a - b, m, n) % p
 
 
 def ratio_equal_offsets(pr: Prime, a: int, m: int, n: int) -> int:
@@ -96,38 +91,28 @@ def product_pair_k(pr: Prime, a: int, m: int, n: int) -> int:
 
 def product_pair(pr: Prime, a: int, b: int, m: int, n: int) -> int:
     """Sum over all k of (a+k)^m * (b+k)^n, offsets distinct and nonzero: an
-    offset 0 is the k factor of product_pair_k."""
+    offset 0 is the k factor of product_pair_k.  Shifting k by b leaves
+    (a-b+k)^m k^n, so the sum is product_pair_k at a - b."""
     p = pr.p
     a %= p
     b %= p
     if not (a and b and a != b and 0 < m < p and 0 < n < p):
         _reject(p, 1, {"k": 0, "a": a, "b": b}, {"m": m, "n": n})
-    if m == n == p - 1:
-        return p - 2
-    c = binom(pr, m, p - 1 - n)
-    if c == 0:
-        return 0
-    return -(pow((a - b) % p, fermat_reduce(pr, m + n), p) * c) % p
+    return product_pair_k(pr, a - b, m, n)
 
 
 def triple_binomial(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> int:
-    """Sum over all k of (a+k)^m (b+k)^n k^s via the banded binomial sums
-    at M = m+n+s-(p-1) and R = M-(p-1)."""
+    """Sum over all k of (a+k)^m (b+k)^n k^s: minus the banded binomial sums
+    conv at the levels M = m+n+s-(p-1), M-(p-1) and M-2(p-1).  M is at most
+    2(p-1), and conv is 0 below level 0."""
     p = pr.p
     a %= p
     b %= p
     if not (a and b and a != b and 0 < m < p and 0 < n < p and 0 < s < p):
         _reject(p, 1, {"k": 0, "a": a, "b": b}, {"m": m, "n": n, "s": s})
     M = m + n + s - (p - 1)
-    if M < 0:
-        return 0
-    if M < p - 1:
-        return -conv(pr, a, b, m, n, M) % p
-    if M < 2 * (p - 1):
-        i2 = conv(pr, a, b, m, n, M)
-        i3 = conv(pr, a, b, m, n, M - (p - 1))
-        return -(i2 + i3) % p
-    return p - 3  # m = n = s = p-1
+    return -(conv(pr, a, b, m, n, M) + conv(pr, a, b, m, n, M - (p - 1))
+             + conv(pr, a, b, m, n, M - 2 * (p - 1))) % p
 
 
 def triple_s1(pr: Prime, a: int, b: int, m: int, n: int) -> int:

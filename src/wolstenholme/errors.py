@@ -2,7 +2,9 @@
 
 Every error raised by the library derives from WolstenholmeError, so callers
 can catch one base class.  Most also subclass ValueError because they signal
-bad argument values.
+bad argument values; ZeroDenominatorError subclasses ZeroDivisionError.
+Every broken hypothesis of a formula or an identity raises a
+HypothesisViolationError, or one of its subclasses that names the hypothesis.
 """
 
 
@@ -27,11 +29,13 @@ class TopOutOfRangeError(WolstenholmeError, ValueError):
 
 
 class ZeroDenominatorError(WolstenholmeError, ZeroDivisionError):
-    """A negative-exponent base vanished at a k the sum did not exclude."""
+    """A base vanished mod p where it must not: a negative-exponent base at a
+    k the sum did not exclude, or the base of pow_nonzero."""
 
 
 class HypothesisViolationError(WolstenholmeError, ValueError):
-    """Parameters outside the hypothesis domain of the requested formula."""
+    """Parameters outside the hypothesis domain of the requested formula, or
+    data that breaks a function's or a polynomial's stated invariants."""
 
 
 class OffsetZeroError(HypothesisViolationError):
@@ -50,15 +54,11 @@ class IndexNotInvertibleError(WolstenholmeError, ValueError):
     """The esp recurrence would divide by an index that is 0 mod p."""
 
 
-class ZeroPivotError(WolstenholmeError, ValueError):
-    """Scaling reduction needs a nonzero pivot offset."""
-
-
 class ModulusMismatchError(WolstenholmeError, ValueError):
     """Operands live over different moduli."""
 
 
-class RangeViolationError(WolstenholmeError, ValueError):
+class RangeViolationError(HypothesisViolationError):
     """Identity parameters outside their stated ranges."""
 
 

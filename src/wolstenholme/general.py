@@ -36,15 +36,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from operator import mul
 
-from .errors import (
-    DuplicateOffsetsError,
-    HypothesisViolationError,
-    IndexNotInvertibleError,
-    ZeroPivotError,
-)
+from .errors import DuplicateOffsetsError, HypothesisViolationError, IndexNotInvertibleError
 from .modarith import Prime, mod_inverse, unpack_slots
 from .polyring import build_product, cyclic_product
 
@@ -279,20 +273,15 @@ def esp_row(pr: Prime, offsets, head, lasts) -> list[int]:
     by the kernel that answers it alone, each kernel run once for the row.
 
     The e-values of the points whose M_1 is below p come from one
-    _esp_values stream, to the largest such M_1: a row keeps it and reads
-    each point's levels as one strided slice, a point sums its levels as
-    they stream.  Those of the points with M_1 >= p come from one
-    build_product of the head's factors, as its coefficients reversed.
+    _esp_values stream, to the largest such M_1, kept as a list from which
+    each point reads its levels as one strided slice.  Those of the points
+    with M_1 >= p come from one build_product of the head's factors, as its
+    coefficients reversed.
     """
     p = pr.p
     _check(p, offsets, head, lasts)
     bases = _shift(p, offsets)
     tops = [sum(head) + m - (p - 1) for m in lasts]  # M_1 at each point
-    # the levels of a point differ by the even p-1, so all have M_1's sign
-    if len(tops) == 1 and 0 <= tops[0] < p:  # a point's levels, summed as they stream
-        t = tops[0]
-        levels = islice(_esp_values(pr, bases, head, t), t % (p - 1), None, p - 1)
-        return [(-1) ** (t + 1) * sum(levels) % p]
     low = max([t for t in tops if t < p], default=-1)
     e = list(_esp_values(pr, bases, head, low)) if low >= 0 else []
     # (-1)^r e_r is [x^(s-r)] of the product of (b_i + x)^m_i, monic of
@@ -302,7 +291,7 @@ def esp_row(pr: Prime, offsets, head, lasts) -> list[int]:
     for t in tops:
         if t >= p:
             out.append(-sum(signed[t :: 1 - p]) % p)
-        elif t >= 0:
+        elif t >= 0:  # the levels differ by the even p-1, so all have M_1's sign
             out.append((-1) ** (t + 1) * sum(e[t :: 1 - p]) % p)
         else:
             out.append(0)
@@ -336,9 +325,7 @@ def scaling_reduce(gp: GeneralSumParams) -> tuple[int, GeneralSumParams]:
         raise HypothesisViolationError("scaling_reduce requires the last offset to be 0")
     if gp.n < 2:
         raise HypothesisViolationError("scaling_reduce needs at least two terms")
-    pivot = gp.offsets[-2]
-    if pivot == 0:
-        raise ZeroPivotError("pivot offset b_(n-1) must be nonzero")
+    pivot = gp.offsets[-2]  # nonzero: the offsets are distinct and the last is 0
     inv = mod_inverse(pivot, p)
     new_offsets = tuple(b * inv % p for b in gp.offsets[:-2]) + (1, 0)
     scale = pow(pivot, gp.level(1) % (p - 1), p)

@@ -30,6 +30,7 @@ from .errors import (
     NotPrimeError,
     TooSmallError,
     TopOutOfRangeError,
+    ZeroDenominatorError,
 )
 
 
@@ -406,7 +407,7 @@ def fermat_reduce(pr: Prime, exp: int) -> int:
     every nonzero residue a.  Callers must not apply this to zero bases.
     """
     if exp < 1:
-        raise ValueError("fermat_reduce requires exp >= 1")
+        raise HypothesisViolationError("fermat_reduce requires exp >= 1")
     r = exp % (pr.p - 1)
     return r if r else pr.p - 1
 
@@ -419,5 +420,5 @@ def pow_nonzero(pr: Prime, base: int, exp: int) -> int:
     """
     b = base % pr.p
     if b == 0:
-        raise ZeroDivisionError("pow_nonzero requires a base nonzero mod p")
+        raise ZeroDenominatorError("pow_nonzero requires a base nonzero mod p")
     return pow(b, exp % (pr.p - 1), pr.p)

@@ -31,7 +31,7 @@ class PolyZp:
 
     def __post_init__(self):
         if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("trailing zero coefficients must be trimmed")
+            raise HypothesisViolationError("trailing zero coefficients must be trimmed")
 
     @property
     def degree(self) -> int:
@@ -141,9 +141,9 @@ class BiPolyZp:
         if self.terms:
             ia, ib, cs = zip(*self.terms)
             if min(ia) < 0 or max(ia) >= rows or min(ib) < 0 or max(ib) >= cols:
-                raise ValueError("monomial exponents must lie inside the shape")
+                raise HypothesisViolationError("monomial exponents must lie inside the shape")
             if min(cs) < 1 or max(cs) >= p:
-                raise ValueError("coefficients must be canonical nonzero residues")
+                raise HypothesisViolationError("coefficients must be canonical nonzero residues")
 
     @property
     def coeffs(self) -> tuple[tuple[int, ...], ...]:

@@ -13,7 +13,6 @@ from wolstenholme.errors import (
     DuplicateOffsetsError,
     HypothesisViolationError,
     IndexNotInvertibleError,
-    ZeroPivotError,
 )
 from wolstenholme.general import (
     GeneralSumParams,

@@ -11,7 +11,10 @@ from wolstenholme.errors import (
     NotPrimeError,
     TooSmallError,
     TopOutOfRangeError,
+    WolstenholmeError,
+    ZeroDenominatorError,
 )
+from wolstenholme.identities import cancellation
 from wolstenholme.modarith import (
     binom,
     conv,
@@ -22,6 +25,7 @@ from wolstenholme.modarith import (
     pack_slots,
     pow_nonzero,
 )
+from wolstenholme.polyring import BiPolyZp, PolyZp
 
 PRIMES = (5, 7, 11, 13, 17)
 
@@ -122,6 +126,24 @@ def test_fermat_reduce():
     assert fermat_reduce(pr, 20) == 10
     with pytest.raises(ValueError):
         fermat_reduce(pr, 0)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda pr: fermat_reduce(pr, 0), HypothesisViolationError, id="fermat_reduce"),
+    pytest.param(lambda pr: pow_nonzero(pr, 11, 3), ZeroDenominatorError, id="pow_nonzero"),
+    pytest.param(lambda pr: PolyZp(pr, (1, 0)), HypothesisViolationError, id="PolyZp"),
+    pytest.param(lambda pr: BiPolyZp(pr, (2, 2), ((2, 0, 1),)), HypothesisViolationError,
+                 id="BiPolyZp-exponent"),
+    pytest.param(lambda pr: BiPolyZp(pr, (2, 2), ((1, 0, 11),)), HypothesisViolationError,
+                 id="BiPolyZp-coefficient"),
+    # RangeViolationError is a HypothesisViolationError
+    pytest.param(lambda pr: cancellation(pr, 3, 4, 0), HypothesisViolationError,
+                 id="RangeViolationError"),
+])
+def test_every_raise_is_in_the_error_family(call, error):
+    with pytest.raises(error) as info:
+        call(make_prime(11))
+    assert isinstance(info.value, WolstenholmeError)
 
 
 def test_fermat_reduce_preserves_powers():

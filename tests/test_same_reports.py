@@ -51,20 +51,21 @@ def test_table_commands_cover_kinds_formats_and_corners():
     assert any(a[0] == "residue-matrix" for a in tables)
 
 
-def test_some_command_enumerates_a_whole_n_term_grid():
-    # an n-term grid is enumerated when its count, that of arity 4, fits the
-    # budget; otherwise its arities may still be enumerated one by one
-    n_term = {"thm4.1", "thm4.4", "thm4.5"}
+def test_some_command_enumerates_every_counted_grid():
+    # a grid with a count is enumerated when the count fits the budget (an
+    # n-term grid's is that of arity 4; its arities may still be enumerated
+    # one by one), so every such grid is compared whole at some prime
+    counted = {tid for tid, theorem in REGISTRY.items() if theorem.run.count is not None}
     parser = build_parser()
     whole = set()
     for command in same_reports.COMMANDS:
         if command.startswith("verify "):
             args = parser.parse_args(command.split())
-            for tid in n_term.intersection(resolve_theorems(args.theorems.split(","))):
+            for tid in counted.intersection(resolve_theorems(args.theorems.split(","))):
                 if any(REGISTRY[tid].run.count(p) <= args.budget
                        for p in _parse_primes(args.primes)):
                     whole.add(tid)
-    assert whole == n_term
+    assert len(counted) == 16 and whole == counted
 
 
 def test_a_table_command_runs_and_matches_its_golden_file(tmp_path):
