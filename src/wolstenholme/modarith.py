@@ -2,8 +2,9 @@
 
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
-lookup caches, dicts filled as they are read (binomial rows, packed forms,
-power columns and packed stride tables), that the exhaustive sweeps and the
+lookup caches, filled as they are read (binomial rows, packed forms, power
+columns with their table of smallest prime factors, and packed stride
+tables), that the exhaustive sweeps and the
 brute oracle lean on in hot verification loops.  A power row base^e is kept
 only packed; a weighted row C(n, i) base^i is built on each read and cached
 nowhere.  Prime.unpack reduces a combination of packed rows slot by slot
@@ -21,7 +22,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from itertools import islice, repeat
-from math import gcd
+from math import gcd, isqrt
 from operator import mod, mul
 
 from .errors import (
@@ -63,21 +64,25 @@ def check_prime(p: int) -> None:
 _SLOT_CODES = {array(code).itemsize: code for code in "QIHB"} if sys.byteorder == "little" else {}
 
 
-# A Prime builds each positive power column by one pow per entry until it
-# has built p / _FILL_DIVISOR of them that way.  Each later miss at e fills
-# the run of missing columns that ends at e, up from the nearest cached
-# column below it, by one running product.  That is ski rental.  All fills
-# together build at most p columns, which costs about as much as p/5 pow
-# columns at p = 257 (18 against 86 us a column) and p/8 at p = 1009 (85
-# against 645 us).  p/4 lies above both, so a request that reads fewer
-# columns, such as an eval of up to five terms at p >= 31, never fills.
-# Column time per pass of the sampled-verify benchmark workload (seed 1,
-# almost all at p = 257; 2-core VM, Python 3.11): one pow per entry
-# 0.32 s; fill after p/20 0.11-0.13 s, p/10 0.12-0.14 s, p/5 0.14-0.16 s,
-# p/4 0.14-0.17 s, 2p/5 0.16-0.18 s and 7p/10 0.22-0.25 s.  Filling every
-# column 0..p-1 at the first such miss cost the same there, but took
-# verify --theorems thm3.6 --primes 10007 --budget 1000 from 20 s and 69 MB
-# to 31 s and 211 MB; this rule reads 20 s and 76 MB.
+# A Prime builds each positive power column by the sieve (see
+# _sieve_column) until it has built p / _FILL_DIVISOR of them that way.
+# Each later miss at e fills the run of missing columns that ends at e, up
+# from the nearest cached column below it, by one running product.  That is
+# ski rental.  All fills together build at most p columns, which costs about
+# as much as p/2 sieve columns at p = 257 (19 against 40 us a column) and at
+# p = 1009 (104 against 210 us); the smallest-prime-factor table costs 22 and
+# 40-80 us once per Prime.  p/4 lies below that break-even, since a sampled
+# run reads almost every column anyway, and above five, so a request that
+# reads few columns, such as an eval of up to five terms at p >= 31, never
+# fills.  Column time per pass of the sampled-verify benchmark workload
+# (13 Primes at p = 257 that read 241-256 positive columns each; 2-core VM,
+# Python 3.11): fill after p/2 0.11-0.15 s (seed 1), p/4 0.09-0.13 s and p/8
+# 0.08-0.13 s (seeds 1 and 2), against 0.12-0.17 s at p/4 with one pow per
+# entry.  p/8 was ahead by about 5 ms of a 0.6 s pass, inside the spread,
+# and would fill a five-term eval at p = 31.  verify --theorems thm3.6
+# --primes 10007 --budget 1000 builds 1013 columns, none filled at any of
+# the three: 3.3-3.6 s and 38 MB, against 7.8-9.1 s and 38 MB with one pow
+# per entry.
 _FILL_DIVISOR = 4
 
 
@@ -105,23 +110,27 @@ class Prime:
     """Validated prime modulus p >= 5 with tables of i! and (i!)^-1 mod p.
 
     Immutable after construction (the internal caches only memoize pure
-    functions), so instances are safe to share.  Its six lookup caches
-    (binomial rows, packed power rows, packed binomial rows, power columns,
-    stride tables and Barrett masks) are dicts keyed by top, base, exponent
-    or slot count, and hold only the entries read so far, so a Prime costs
-    its two factorial tables until a route reads more.  powers and
-    weighted_row cache nothing.  pack and unpack turn a row into one packed
-    int and a combination of packed rows back into residues.  The power
-    columns that the brute oracle reads, one per exponent |e| <= p-1, hold
-    at most 2p-1 columns, p entries of column_code each, at most 4 bytes an
-    entry below p = 2^32: about 4 MB at p = 1009.  A positive column is
-    built by one pow per entry until p / _FILL_DIVISOR (p/4) of them have
-    been built that way; each later miss at e fills the missing columns up
-    to e from the nearest cached one below it, by x^e = x^(e-1) x.  Column
-    -1, the inverse map x -> x^-1 (0 -> 0), comes from the factorial
-    tables, and column -e is column e read through it, (x^-1)^e.  So every
-    entry is an exact power of its own base, with no exponent reduced mod
-    p-1, and reading it is still brute force.
+    functions), so instances are safe to share.  Six of its seven lookup
+    caches (binomial rows, packed power rows, packed binomial rows, power
+    columns, stride tables and Barrett masks) are dicts keyed by top, base,
+    exponent or slot count, and hold only the entries read so far, so a
+    Prime costs its two factorial tables until a route reads more.  The
+    seventh is the smallest prime factor of every x < p, one array of p
+    entries of column_code (2 KB at p = 1009, 4 MB at p = 1000003), built
+    with the first positive power column.  powers and weighted_row cache
+    nothing.  pack and unpack turn a row into one packed int and a
+    combination of packed rows back into residues.  The power columns that
+    the brute oracle reads, one per exponent |e| <= p-1, hold at most 2p-1
+    columns, p entries of column_code each, at most 4 bytes an entry below
+    p = 2^32: about 4 MB at p = 1009.  A positive column is built by the
+    sieve, pow at each prime base and the product of two earlier entries at
+    each composite one, until p / _FILL_DIVISOR (p/4) of them have been
+    built that way; each later miss at e fills the missing columns up to e
+    from the nearest cached one below it, by x^e = x^(e-1) x.  Column -1,
+    the inverse map x -> x^-1 (0 -> 0), comes from the factorial tables,
+    and column -e is column e read through it, (x^-1)^e.  So every entry is
+    an exact power of its own base, with no exponent reduced mod p-1, and
+    reading it is still brute force.
 
     The stride tables, one per base v (see stride_table), are p (2p-2) slots
     of reduce_width bytes each.  At most p of them exist, about 2.7 KB each
@@ -131,7 +140,7 @@ class Prime:
 
     __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "reduce_width",
                  "_barrett", "_binom_rows", "_packed", "_packed_binom", "_columns",
-                 "_pow_columns", "_strides", "_reduce_masks")
+                 "_pow_columns", "_spf", "_strides", "_reduce_masks")
 
     def __init__(self, p: int):
         check_prime(p)
@@ -169,7 +178,8 @@ class Prime:
         self._packed: dict[int, int] = {}
         self._packed_binom: dict[int, int] = {}
         self._columns: dict[int, array] = {}
-        self._pow_columns = 0  # positive columns built by pow so far
+        self._pow_columns = 0  # positive columns built by _sieve_column so far
+        self._spf: array | None = None  # smallest prime factor of each x < p
         self._strides: dict[int, int] = {}
         self._reduce_masks: dict[int, int] = {}
 
@@ -200,10 +210,12 @@ class Prime:
         """(x^e mod p for x = 0..p-1), built once; requires |e| <= p-1.
         0^0 = 1.  For e < 0 the slot of x = 0, which has no inverse, holds 0.
 
-        A positive column is one pow(x, e, p) per x, until p / _FILL_DIVISOR
-        columns have been built that way; after that a miss fills the run
-        of missing columns that ends at e, each the one below it times x,
-        from the nearest cached column below e.  Column -1 is x^-1 =
+        A positive column comes from the sieve (see _sieve_column): one
+        pow(x, e, p) per prime x and col[s] col[x/s] per composite x, s its
+        smallest prime factor, until p / _FILL_DIVISOR columns have been
+        built that way; after that a miss fills the run of missing columns
+        that ends at e, each the one below it times x, from the nearest
+        cached column below e.  Column -1 is x^-1 =
         (x-1)! (x!)^-1 from the factorial tables, and column -e is
         power_column(e) read through it: x^-e = (x^-1)^e, as pow(x, -e, p)
         defines it.
@@ -223,10 +235,26 @@ class Prime:
                 self._fill_columns(e)
                 return self._columns[e]
             else:
-                col = array(self.column_code, [pow(x, e, p) for x in range(p)])
+                col = self._sieve_column(e)
                 self._pow_columns += 1
             self._columns[e] = col
         return col
+
+    def _sieve_column(self, e: int) -> array:
+        """Column e >= 0 in one ascending pass: pow(x, e, p) at each prime
+        x, and col[s] col[x/s] at each composite x, s its smallest prime
+        factor, two entries already built.  (st)^e = s^e t^e in the
+        integers, so every entry is still x^e exactly."""
+        p, spf = self.p, self._spf
+        if spf is None:
+            spf = self._spf = array(self.column_code, range(p))
+            for q in range(isqrt(p - 1), 1, -1):  # the smallest q writes last
+                spf[q * q :: q] = array(self.column_code, [q]) * ((p - 1 - q * q) // q + 1)
+        vals = [0 ** e, 1]
+        append = vals.append
+        for x, s in zip(range(2, p), islice(spf, 2, None)):
+            append(pow(x, e, p) if s == x else vals[s] * vals[x // s] % p)
+        return array(self.column_code, vals)
 
     def _fill_columns(self, e: int) -> None:
         """Cache columns f..e, the run of missing exponents that ends at e,

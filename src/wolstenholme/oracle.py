@@ -5,12 +5,16 @@ the closed-form evaluators can be checked against it exactly.
 
 brute_sum reads each value (off+k)^e from Prime.power_column(e), x^e for
 every x, built once: at most 2p-1 columns of p entries per Prime.  A
-positive column is one pow(x, e, p) per x until the Prime has built p/4 of
-them; after that a miss fills the missing columns up to e from the nearest
-cached one below, by x^e = x^(e-1) x.  Column -1 is x^-1 from the
-factorial tables, and column -e is column e read at x^-1, as (x^-1)^e.
-Term (off, e) at k = 0..p-1 is that column rotated by off.  This is still
-literal: every value is an exactly computed power of its own base, every
+positive column is built in one ascending pass by a smallest-prime-factor
+sieve: pow(x, e, p) at each prime x, and at each composite x = s t, s its
+smallest prime factor, the product s^e t^e of two entries already built.
+The table of smallest prime factors is one array of p entries per Prime.
+Once the Prime has built p/4 columns that way, a miss fills the missing
+columns up to e from the nearest cached one below, by x^e = x^(e-1) x.
+Column -1 is x^-1 from the factorial tables, and column -e is column e
+read at x^-1, as (x^-1)^e.  Term (off, e) at k = 0..p-1 is that column
+rotated by off.  This is still literal: every value is an exactly computed
+power of its own base ((st)^e = s^e t^e holds in the integers), every
 product over the terms is formed, and no exponent is reduced mod p-1 and no
 discrete log or primitive root is used, the theory that the congruences
 under test rest on.  Only the reuse across calls is new.

@@ -480,6 +480,8 @@ print(code, peak_kib())
     pytest.param("closed", "1/((1+k)(2+k)^3)", "4", 130, id="1/((1+k)(2+k)^3)-4"),
     pytest.param("coeff", "(1+k)^2 (2+k)^3", "0", 113, id="coeff-(1+k)^2 (2+k)^3-0"),
     pytest.param("brute", "1/((1+k)(2+k)^3)", "4", 170, id="brute-1/((1+k)(2+k)^3)-4"),
+    pytest.param("brute", "(1+k)^500001 (2+k)^3 (5+k)^777777 k^123457", "174407", 197,
+                 id="brute-(1+k)^500001 (2+k)^3 (5+k)^777777 k^123457-174407"),
     pytest.param("esp", "1/((1+k)(2+k)^3)", "4", 150, id="esp-1/((1+k)(2+k)^3)-4"),
     pytest.param("esp", "(1+k)^999999 (2+k)^5", "999993", 120, id="esp-(1+k)^999999 (2+k)^5"),
 ])
@@ -490,9 +492,12 @@ def test_closed_form_at_p_1000003_holds_no_p_long_cache(strategy, expression, va
     # p-long power table (140 MB with one), and its cyclic product holds only
     # the slots it reaches (117 MB padded to p-1).  The esp route gives the same
     # two values.  The brute oracle holds its columns: the two negative ones
-    # are their positive twins read through column -1: 163 MB and
-    # 1.0-1.3 s, against 156 MB and 1.9-2.1 s with one pow(x, -e, p) per
-    # entry.  The esp route's recurrence runs to r = p-5 on the first esp
+    # are their positive twins read through column -1: 155 MB and
+    # 1.3-1.6 s, against 156 MB and 1.9-2.1 s with one pow(x, -e, p) per
+    # entry.  A positive column takes one pow per prime base and one product
+    # per composite one: the four of the 4-term case take 171 MB and
+    # 1.8-2.8 s, against 167 MB and 5.0-6.5 s with one pow per entry.  The
+    # esp route's recurrence runs to r = p-5 on the first esp
     # case (221 s and 281 MB by blocked Newton) and holds no p-long power
     # table on the second (156.5 MB with one).  The timeout makes a slow
     # route fail instead of hang.

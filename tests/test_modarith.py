@@ -240,11 +240,14 @@ def test_conv_at_large_p_and_its_edges(p):
     assert conv(pr, 3, 5, p - 1, p - 1, p - 1) == _conv_sum(p, 3, 5, p - 1, p - 1, p - 1)
 
 
-@pytest.mark.parametrize("p,code", [(5, "B"), (251, "B"), (257, "H"), (1009, "H")])
+@pytest.mark.parametrize("p,code", [(5, "B"), (251, "B"), (257, "H"), (1009, "H"), (65521, "H"),
+                                    (65537, "I")])
 def test_power_column_values_and_range(p, code):
+    # two seeded exponents besides the edges; 65521 is the last prime of
+    # column code H and 65537 the first of I
     pr = make_prime(p)
     assert pr.column_code == code
-    for e in (0, 1, 2, p - 1, -1, -2, -(p - 1)):
+    for e in (0, 1, 2, p - 1, -1, -2, -(p - 1), *random.Random(p).sample(range(2, p - 1), 2)):
         col = pr.power_column(e)
         assert col.typecode == code and pr.power_column(e) is col
         assert list(col) == [pow(x, e, p) if x or e >= 0 else 0 for x in range(p)]
@@ -254,15 +257,17 @@ def test_power_column_values_and_range(p, code):
             pr.power_column(e)
 
 
-@pytest.mark.parametrize("p", [5, 13, 257])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 251, 257])
 def test_every_power_column_is_exact_in_every_read_order(p):
-    # every exponent read in ascending order, negatives first and seeded
-    # random, each on a fresh Prime: pow builds the first p/4 positive
-    # columns, one running product fills the rest and each negative column
-    # permutes its positive twin.  Every value is what pow gives, 0 at a
-    # negative exponent's zero base, and each column is built once
+    # every exponent read in ascending and descending order, negatives first
+    # and seeded random, each on a fresh Prime: the sieve builds the first
+    # p/4 positive columns, one running product fills the rest and each
+    # negative column permutes its positive twin.  Every value is what pow
+    # gives, 0 at a negative exponent's zero base, and each column is built
+    # once.  251 is the last prime of column code B and 257 the first of H
     exps = list(range(-(p - 1), p))
-    orders = {"ascending": exps, "negatives first": sorted(exps, key=lambda e: (e >= 0, -e)),
+    orders = {"ascending": exps, "descending": exps[::-1],
+              "negatives first": sorted(exps, key=lambda e: (e >= 0, -e)),
               "random": random.Random(p).sample(exps, len(exps))}
     for order, exps in orders.items():
         pr = make_prime(p)
@@ -273,8 +278,34 @@ def test_every_power_column_is_exact_in_every_read_order(p):
         assert 0 < pr._pow_columns < p - 1 and len(pr._columns) == 2 * p - 1, order
 
 
+@pytest.mark.parametrize("p", [5, 13, 257, 1009, 65537])
+def test_sieve_table_holds_each_smallest_prime_factor(p):
+    # built by the first positive column, not by column -1; x = 0, 1 hold x
+    pr = make_prime(p)
+    pr.power_column(-1)
+    assert pr._spf is None
+    pr.power_column(2)
+    want = [next((d for d in range(2, math.isqrt(x) + 1) if x % d == 0), x) for x in range(p)]
+    assert pr._spf.typecode == pr.column_code and list(pr._spf) == want
+
+
+@pytest.mark.parametrize("p", [257, 1009])
+def test_sieve_column_calls_pow_once_per_prime_base(monkeypatch, p):
+    # pi(p-1) calls per column, each at a prime base and the exponent itself:
+    # every composite base is a product of two entries already built
+    pr = make_prime(p)
+    calls = []
+    monkeypatch.setattr(modarith, "pow", lambda *args: calls.append(args) or pow(*args),
+                        raising=False)
+    primes = [x for x in range(2, p) if is_prime(x)]
+    for e in [0, 1, p - 1, *random.Random(p).sample(range(2, p - 1), 5)]:
+        calls.clear()
+        assert list(pr.power_column(e)) == [pow(x, e, p) for x in range(p)]
+        assert calls == [(q, e, p) for q in primes], e
+
+
 def test_fill_builds_columns_only_up_to_the_exponent_read():
-    # once pow has built p/4 columns, a miss builds the columns from the
+    # once the sieve has built p/4 columns, a miss builds the columns from the
     # largest cached exponent below it up to it, and none above
     p = 1009
     pr = make_prime(p)

@@ -128,7 +128,7 @@ def test_brute_sum_at_the_column_typecode_edge(p, code):
 def test_five_term_brute_sum_builds_only_its_own_columns(p):
     # five terms read their own columns, the positive twins of the negative
     # ones, -(p-1)'s twin a term's own, and column -1 that the negative ones
-    # are read through, all four positive ones by pow: far below the p/4
+    # are read through, all four positive ones by the sieve: far below the p/4
     # that would fill the rest
     pr = make_prime(p)
     terms = ((1, 3), (2, -5), (4, p - 1), (7, -(p - 1)), (9, 1 - p // 2))

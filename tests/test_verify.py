@@ -324,8 +324,8 @@ def test_sampled_run_at_p_1009_builds_each_power_column_once(monkeypatch):
     # products: at most 2p-1 columns, p entries of at most 4 bytes each,
     # each built once and then shared by every later read, and no packed
     # power table or other lookup row is built.  The run reads more than
-    # p/4 distinct exponents: pow builds the first p/4 columns and a running
-    # product every later one
+    # p/4 distinct exponents: the sieve builds the first p/4 columns and a
+    # running product every later one
     from wolstenholme.modarith import Prime, make_prime
 
     real = Prime.power_column

@@ -106,6 +106,11 @@ COMMANDS = tuple("verify " + args for args in (
     # r = 3994, at p = 10007
     "--strategy esp -p 10007 1/((1+k)(2+k)^3)",
     "-p 10007 (1+k)^4000(2+k)^5000(5+k)^3000k^2000",
+    # the brute oracle's sieve columns at each column code: B at p = 251, H
+    # at p = 257 with deep exponents, and I at p = 65537
+    "-p 251 (3+k)^200(7+k)^150(10+k)^90/(2+k)^40",
+    "-p 257 (1+k)^250(4+k)^200(9+k)^230k^180",
+    "--strategy brute -p 65537 (1+k)^60000(2+k)^32768(5+k)^65535/(3+k)^4097",
 ))
 
 _ELAPSED = re.compile(r'"elapsed_s": [^,}]*(, )?')
