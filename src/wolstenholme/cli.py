@@ -1,7 +1,7 @@
 """Command-line front end: evaluate sums, verify congruence suites, emit tables.
 
 Exit codes: 0 success, 1 verification failure or strategy disagreement,
-2 usage or parse errors.
+2 usage or parse errors, or a prime too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -63,11 +63,16 @@ def _route(spec: SumSpec, complete) -> int:
     return total % p
 
 
-def _params(pr: Prime, terms) -> gen.GeneralSumParams:
-    """The k-form terms as n-term parameters; an n-term route needs a factor."""
-    if not terms:
-        raise StrategyInapplicableError("no factors left after merging exponents")
-    return gen.GeneralSumParams(pr, *zip(*terms))
+def _point(row):
+    """complete(pr, terms) for an n-term route: its row entry point (pr,
+    offsets, head, lasts) at the k-form's one point, which is checked once
+    there.  An n-term route needs a factor."""
+    def complete(pr: Prime, terms) -> int:
+        if not terms:
+            raise StrategyInapplicableError("no factors left after merging exponents")
+        offsets, exps = zip(*terms)
+        return row(pr, offsets, exps[:-1], exps[-1:])[0]
+    return complete
 
 
 def _closed_form(pr: Prime, terms) -> int:
@@ -77,7 +82,7 @@ def _closed_form(pr: Prime, terms) -> int:
     if not terms:
         return 0
     if len(terms) > 3:
-        return gen.multi_index_J(_params(pr, terms))
+        return _point(gen.multi_index_row)(pr, terms)
     offsets, exps = zip(*terms)
     form = (cf.power_sum, cf.product_pair_k, cf.triple_general)[len(terms) - 1]
     return form(pr, *offsets[:-1], *exps)
@@ -87,16 +92,12 @@ def eval_closed(spec: SumSpec) -> int:
     return _route(spec, _closed_form)
 
 
-def eval_multi_index(spec: SumSpec) -> int:
-    return _route(spec, lambda pr, terms: gen.multi_index_J(_params(pr, terms)))
-
-
 def eval_coeff(spec: SumSpec) -> int:
-    return _route(spec, lambda pr, terms: gen.coeff_extraction_sum(_params(pr, terms)))
+    return _route(spec, _point(gen.coeff_extraction_row))
 
 
 def eval_esp(spec: SumSpec) -> int:
-    return _route(spec, lambda pr, terms: gen.esp_sum(_params(pr, terms)))
+    return _route(spec, _point(gen.esp_row))
 
 
 # Every evaluation route in output order.  Each entry looks its route up when
@@ -104,7 +105,7 @@ def eval_esp(spec: SumSpec) -> int:
 ROUTES = {
     "brute": lambda spec: brute_sum(spec),
     "closed": lambda spec: eval_closed(spec),
-    "multi-index": lambda spec: eval_multi_index(spec),
+    "multi-index": lambda spec: _route(spec, _point(gen.multi_index_row)),
     "coeff": lambda spec: eval_coeff(spec),
     "esp": lambda spec: eval_esp(spec),
 }
@@ -116,8 +117,8 @@ def evaluate_all(spec: SumSpec) -> dict[str, int]:
     """Every applicable route, plus the corollary shortcut when it answers;
     raises DisagreementError on any mismatch (that is always a bug, never a
     data problem)."""
-    # past three k-form terms eval_closed is multi_index_J itself, so one
-    # call serves the closed row and the multi-index row
+    # past three k-form terms eval_closed is the multi-index route itself, so
+    # one call serves the closed row and the multi-index row
     shared = len(cf.normalize_spec(spec).terms) > 3
     results: dict[str, int] = {}
     for name, route in ROUTES.items():
@@ -360,6 +361,9 @@ def main(argv=None) -> int:
         return 1
     except WolstenholmeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

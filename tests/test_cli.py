@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -151,18 +152,31 @@ def test_evaluate_all_detects_disagreement(monkeypatch):
 
 
 def test_evaluate_all_runs_the_multi_index_route_once(capsys, monkeypatch):
-    # with four or more merged terms the closed form is multi_index_J, so one
-    # call serves the closed row and the multi-index row
+    # with four or more merged terms the closed form is the multi-index
+    # route, so one call serves the closed row and the multi-index row
     import wolstenholme.general as gen
 
-    real = gen.multi_index_J
+    real = gen.multi_index_row
     calls = []
-    monkeypatch.setattr(gen, "multi_index_J", lambda gp: calls.append(gp) or real(gp))
+    monkeypatch.setattr(gen, "multi_index_row",
+                        lambda *args: calls.append(args) or real(*args))
     code, out, _ = run_cli(capsys, "eval", "-p", "31", "(1+k)^5 (2+k)^6 (3+k)^7 k^9")
     assert code == 0 and len(calls) == 1
     values = dict(line.split() for line in out.strip().splitlines())
     assert list(values)[:5] == ["brute", "closed", "multi-index", "coeff", "esp"]
     assert len(set(values.values())) == 1
+
+
+def test_eval_checks_each_n_term_route_once(capsys, monkeypatch):
+    # each n-term route calls its row entry point, which checks the point's
+    # hypotheses once; building a GeneralSumParams first checked them twice
+    import wolstenholme.general as gen
+
+    real = gen._check
+    calls = []
+    monkeypatch.setattr(gen, "_check", lambda *args: calls.append(args) or real(*args))
+    code, out, _ = run_cli(capsys, "eval", "-p", "31", "(1+k)^5 (2+k)^6 k^9")
+    assert code == 0 and len(calls) == 3 and "esp " in out
 
 
 @pytest.mark.parametrize("strategy, name", [
@@ -507,6 +521,46 @@ def test_closed_form_at_p_1000003_holds_no_p_long_cache(strategy, expression, va
     *printed, last = child.stdout.splitlines()
     code, max_rss_kib = map(int, last.split())
     assert code == 0 and printed == [value] and max_rss_kib < max_mb * 1024
+
+
+_THM3_11_AT_10007 = _PEAK_KIB + """
+from wolstenholme.cli import main
+code = main(["verify", "--theorems", "thm3.11", "--primes", "10007", "--budget", "1000",
+             "--seed", "1"])
+print(code, peak_kib())
+"""
+
+
+def test_sampled_thm3_11_at_p_10007_reads_no_binomial_rows():
+    # each sampled point reads its binomials from the factorial tables: a
+    # cached row C(M-k, .) per term took this to 11 s and 1,851 MB
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    start = time.perf_counter()
+    child = subprocess.run([sys.executable, "-c", _THM3_11_AT_10007], env=env,
+                           capture_output=True, text=True, check=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    report, last = child.stdout.splitlines()
+    code, max_rss_kib = map(int, last.split())
+    assert code == 0 and elapsed < 3 and max_rss_kib < 60 * 1024, (elapsed, max_rss_kib)
+    report = json.loads(report)
+    assert report["grid"] == 1000 and report["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "-p", "100000007", "(1+k)^2 (2+k)^3"),
+    ("verify", "--theorems", "thm1.1", "--primes", "100000007"),
+])
+def test_a_prime_too_large_for_memory_is_one_error_line(argv):
+    # the factorial tables of p = 100000007 do not fit in 400 MB of address
+    # space; the limit is set in the child alone
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    child = subprocess.run([sys.executable, "-m", "wolstenholme.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60,
+                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                 (400 << 20, 400 << 20)))
+    errors = [line for line in child.stderr.splitlines() if line.startswith("error:")]
+    assert child.returncode == 2 and errors == ["error: out of memory"], child.stderr
+    assert "Traceback" not in child.stderr and child.stdout == ""
 
 
 def test_main_builds_one_parser_and_dispatches_to_the_bound_command(capsys, monkeypatch):

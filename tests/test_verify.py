@@ -299,10 +299,11 @@ def test_vandermonde_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch
     assert rep.grid == sum((d + 1) ** 2 for d in range(p)) and rep.exhaustive
 
 
-@pytest.mark.parametrize("theorem", ["thm3.13", "cor3.12"])
+@pytest.mark.parametrize("theorem", ["thm3.11", "thm3.13", "cor3.12"])
 def test_sampled_runs_at_p_1009_cache_no_rows(monkeypatch, theorem):
-    # every sampled draw reads its conv window from the factorial tables, so
-    # no weighted row and no other lookup row is built
+    # every sampled draw reads its binomials (a conv window, or the terms of
+    # cong_general) from the factorial tables, so no weighted row and no
+    # other lookup row is built
     from wolstenholme.modarith import Prime, make_prime
 
     real = Prime.weighted_row

@@ -30,6 +30,9 @@ COMMANDS = tuple("verify " + args for args in (
     "--theorems all --primes 5,7,11,13 --seed 0",
     "--theorems all --primes 17,31,97 --budget 500 --seed 7",
     "--theorems thm3.11,thm3.13,cor3.12 --primes 257,1009 --budget 1000 --seed 3",
+    # sampled identity points at a prime where each one reads a fraction of
+    # the tables: cong_general's terms from the factorial tables alone
+    "--theorems thm3.11,thm3.13,cor3.12 --primes 3001 --budget 1000 --seed 5",
     "--theorems thm2.1,thm2.3,rem2.5,thm2.6,thm2.8,thm3.1,thm3.4,thm3.5,thm3.6,figures"
     " --primes 5,7,11,13 --budget 100000",
     "--theorems thm3.11,thm3.13,cor3.12 --primes 5..23 --budget 100000000 --seed 0",
