@@ -26,6 +26,19 @@ from .polyring import symbolic_coeff_table, symbolic_sum_table, table_to_json
 from .verify import REGISTRY, check_request, resolve_theorems, run_verification
 
 
+def _expression_terms(p: int, text: str) -> list[tuple[int, int]]:
+    """Parse an expression into (offset, exponent) terms, a denominator's
+    exponents negated, each bounded by p-1: every check that needs only p."""
+    numer, denom = parse_expression(text)
+    terms = [*numer, *((off, -exp) for off, exp in denom)]
+    if not terms:
+        raise ExpressionError("expression has no factors")
+    for off, exp in terms:
+        if abs(exp) > p - 1:
+            raise ExpressionError(f"exponent {abs(exp)} out of range: must be <= p-1 = {p - 1}")
+    return terms
+
+
 def spec_from_expression(pr: Prime, text: str) -> SumSpec:
     """Parse an expression and build its SumSpec.
 
@@ -33,16 +46,7 @@ def spec_from_expression(pr: Prime, text: str) -> SumSpec:
     convention that a ratio sum skips exactly the k where a denominator
     vanishes.
     """
-    numer, denom = parse_expression(text)
-    terms = [*numer, *((off, -exp) for off, exp in denom)]
-    if not terms:
-        raise ExpressionError("expression has no factors")
-    for off, exp in terms:
-        if abs(exp) > pr.p - 1:
-            raise ExpressionError(
-                f"exponent {abs(exp)} out of range: must be <= p-1 = {pr.p - 1}"
-            )
-    return make_spec(pr, terms)
+    return make_spec(pr, _expression_terms(pr.p, text))
 
 
 def _route(spec: SumSpec, complete) -> int:
@@ -156,8 +160,9 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def cmd_eval(args) -> int:
-    pr = make_prime(args.prime)
-    spec = spec_from_expression(pr, args.expression)
+    check_prime(args.prime)
+    terms = _expression_terms(args.prime, args.expression)
+    spec = make_spec(make_prime(args.prime), terms)
     if args.strategy == "all":
         results = evaluate_all(spec)
         for name, value in results.items():
@@ -243,11 +248,14 @@ def cmd_table(args) -> int:
     if args.kind == "residue-matrix" and args.prime ** 2 > _MATRIX_ENTRIES:
         raise BadParamsError(f"residue-matrix: p = {args.prime} exceeds 4093"
                              " (the matrix has p^2 entries, at most 2^24)")
-    pr = make_prime(args.prime)
+    check_prime(args.prime)
     _check_output(args.output)
+    if args.kind == "residue-matrix" and args.a is None:
+        raise BadParamsError("residue-matrix needs -a")
+    if args.kind != "residue-matrix" and (args.m is None or args.n is None):
+        raise BadParamsError(f"{args.kind} needs -m and -n")
+    pr = make_prime(args.prime)  # the factorial tables, after the usage checks above
     if args.kind == "residue-matrix":
-        if args.a is None:
-            raise BadParamsError("residue-matrix needs -a")
         mat = residue_matrix(pr, args.a)
         if args.format == "csv":
             text = mat.to_csv()
@@ -259,8 +267,6 @@ def cmd_table(args) -> int:
                 " ".join(str(v).rjust(width) for v in row) for row in mat.entries
             ) + "\n"
     else:
-        if args.m is None or args.n is None:
-            raise BadParamsError(f"{args.kind} needs -m and -n")
         if args.kind == "coeff-table":
             rows = symbolic_coeff_table(pr, args.m, args.n)
             start = 0

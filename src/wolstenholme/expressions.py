@@ -97,14 +97,9 @@ class _Parser:
         return factors
 
     def _starts_factor(self) -> bool:
-        # '(' INT '+' 'k' ')' as opposed to a grouping parenthesis
-        return (
-            self.peek(1) is not None
-            and self.peek(1).isdigit()
-            and self.peek(2) == "+"
-            and self.peek(3) == "k"
-            and self.peek(4) == ")"
-        )
+        # '(' INT '+' opens an offset term, as no group can; parse_offset_term
+        # then names whatever of 'k' ')' is missing
+        return self.peek(1) is not None and self.peek(1).isdigit() and self.peek(2) == "+"
 
     def parse_offset_term(self) -> int:
         tok = self.take()

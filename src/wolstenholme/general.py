@@ -9,8 +9,8 @@ Each route has a row entry point, (pr, offsets, head, lasts) -> the sums at
 the points (offsets, (*head, m)) for m in lasts, checked once by _check.
 The product of the head's factors does not depend on m, so one computation
 on the route's own kernel answers the row: one _composition_sums call over
-the window [0, max M_1], one cyclic_product, or one _esp_values stream and
-at most one build_product.  A point's sum is minus the sum of its levels
+the window [0, max M_1], one cyclic_product, or one _esp_values stream or
+one build_product.  A point's sum is minus the sum of its levels
 M_1, M_1 - (p-1), ... down to 0: in a row, one strided slice of a list
 indexed by level.  A point function is its route's row entry point at one
 m_n, so each route is one function.
@@ -269,43 +269,36 @@ def newton_esp(gp: GeneralSumParams, r_max: int) -> tuple[int, ...]:
 
 
 def esp_row(pr: Prime, offsets, head, lasts) -> list[int]:
-    """[esp_sum at (offsets, (*head, m)) for m in lasts]: each point answered
-    by the kernel that answers it alone, each kernel run once for the row.
+    """[esp_sum at (offsets, (*head, m)) for m in lasts], every point read
+    from one kernel run once for the row.
 
-    The e-values of the points whose M_1 is below p come from one
-    _esp_values stream, to the largest such M_1, kept as a list from which
-    each point reads its levels as one strided slice.  Those of the points
-    with M_1 >= p come from one build_product of the head's factors, as its
-    coefficients reversed.
+    The signed e-values (-1)^r e_r of a row whose largest M_1 reaches p
+    are one build_product of the head's factors, its coefficients reversed;
+    those of any other row are one _esp_values stream of the bases -b_i to
+    its largest M_1.  Each point reads its levels as one strided slice.
     """
     p = pr.p
     _check(p, offsets, head, lasts)
     bases = _shift(p, offsets)
     tops = [sum(head) + m - (p - 1) for m in lasts]  # M_1 at each point
-    low = max([t for t in tops if t < p], default=-1)
-    e = list(_esp_values(pr, bases, head, low)) if low >= 0 else []
-    # (-1)^r e_r is [x^(s-r)] of the product of (b_i + x)^m_i, monic of
-    # degree s = m_1 + ... + m_(n-1), which no level exceeds
-    signed = build_product(pr, bases, head).coeffs[::-1] if max(tops) >= p else ()
-    out = []
-    for t in tops:
-        if t >= p:
-            out.append(-sum(signed[t :: 1 - p]) % p)
-        elif t >= 0:  # the levels differ by the even p-1, so all have M_1's sign
-            out.append((-1) ** (t + 1) * sum(e[t :: 1 - p]) % p)
-        else:
-            out.append(0)
-    return out
+    # s_r = (-1)^r e_r is [x^(s-r)] of the product of (b_i + x)^m_i, monic of
+    # degree s = m_1 + ... + m_(n-1), which no level exceeds, and the r-th
+    # e-value of the bases -b_i
+    if max(tops) >= p:
+        signed = build_product(pr, bases, head).coeffs[::-1]
+    else:
+        signed = list(_esp_values(pr, [p - b for b in bases], head, max(tops)))
+    return [-sum(signed[t :: 1 - p]) % p if t >= 0 else 0 for t in tops]
 
 
 def esp_sum(gp: GeneralSumParams) -> int:
     """Same sum once more, as -sum over i of (-1)^(M_i) e_(M_i).
 
-    e-values come from the order-(n-1) recurrence (_esp_values), streamed
-    to M_1 and summed at the levels, when every needed index stays below
-    p, and otherwise from the coefficients of the whole product, built
-    factor by factor with polyring.build_product (M_1 can reach
-    (n-1)(p-1) >= p for n >= 3, where the recurrence divides by zero).
+    The e-values come from one kernel: the order-(n-1) recurrence
+    (_esp_values), streamed to M_1, when M_1 < p, and otherwise the
+    coefficients of the whole product, built factor by factor with
+    polyring.build_product (M_1 can reach (n-1)(p-1) >= p for n >= 3,
+    where the recurrence divides by zero).
     That product is a PolyZp, not the coefficient route's cyclic product, so
     the two routes share no kernel.
     """

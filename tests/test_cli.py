@@ -546,21 +546,47 @@ def test_sampled_thm3_11_at_p_10007_reads_no_binomial_rows():
     assert report["grid"] == 1000 and report["pass"]
 
 
+def _run_in_400_mb(argv):
+    """The CLI on argv in a child process whose address space alone is
+    limited to 400 MB; returns the child and its `error:` lines."""
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    child = subprocess.run([sys.executable, "-m", "wolstenholme.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60,
+                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                 (400 << 20, 400 << 20)))
+    assert "Traceback" not in child.stderr and child.stdout == ""
+    return child, [line for line in child.stderr.splitlines() if line.startswith("error:")]
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "-p", "100000007", "(1+k)^2 (2+k)^3"),
     ("verify", "--theorems", "thm1.1", "--primes", "100000007"),
 ])
 def test_a_prime_too_large_for_memory_is_one_error_line(argv):
     # the factorial tables of p = 100000007 do not fit in 400 MB of address
-    # space; the limit is set in the child alone
-    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    child = subprocess.run([sys.executable, "-m", "wolstenholme.cli", *argv], env=env,
-                           capture_output=True, text=True, timeout=60,
-                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                                                 (400 << 20, 400 << 20)))
-    errors = [line for line in child.stderr.splitlines() if line.startswith("error:")]
+    # space
+    child, errors = _run_in_400_mb(argv)
     assert child.returncode == 2 and errors == ["error: out of memory"], child.stderr
-    assert "Traceback" not in child.stderr and child.stdout == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("table", "sum-table", "-p", "100000007"), "sum-table needs -m and -n"),
+    (("table", "coeff-table", "-p", "100000007", "-m", "3", "-n", "4", "-o", "{missing}/x"),
+     "-o {missing}/x: no such directory {missing}"),
+    (("eval", "-p", "100000007", "((1+k"), "unexpected end of expression"),
+    (("eval", "-p", "100000007", "(1+k)^100000007"),
+     "exponent 100000007 out of range: must be <= p-1 = 100000006"),
+])
+def test_usage_errors_of_eval_and_table_come_before_the_prime_tables(tmp_path, argv, error):
+    # each usage error needs only p, so it is found before the factorial
+    # tables, which do not fit in 400 MB at p = 100000007
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    start = time.perf_counter()
+    child, errors = _run_in_400_mb(argv)
+    elapsed = time.perf_counter() - start
+    assert child.returncode == 2, child.stderr
+    assert errors == ["error: " + error.format(missing=tmp_path / "missing")]
+    assert elapsed < 1.0, elapsed
 
 
 def test_main_builds_one_parser_and_dispatches_to_the_bound_command(capsys, monkeypatch):

@@ -65,3 +65,10 @@ def test_parse_errors():
     for text in bad:
         with pytest.raises(ExpressionError):
             parse_expression(text)
+    # an unclosed offset term is reported at what it lacks, not read as a group
+    for text, message in (("(1+k", "unexpected end of expression"),
+                          ("(12+k", "unexpected end of expression"),
+                          ("(1+k^2", "expected ')', got '^'")):
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == message, text

@@ -231,11 +231,11 @@ ROUTES = ((multi_index_row, multi_index_J), (coeff_extraction_row, coeff_extract
 def test_row_entry_points_match_their_point_functions_and_brute_sum(p):
     # every m_n of one seeded row per arity 2-4, of a row whose head is all
     # p-1 (the multi-index corner at m_n = p-1), and of a row whose M_1
-    # = sum(head) + m_n - (p-1) straddles p, so that its esp points are
-    # answered by the recurrence below m_n = 2p-1-sum(head) and by
-    # build_product from there on.  At p = 1009 the point functions are
-    # called at 40 seeded m_n, m_n = 1 and p-1, and the two m_n at the
-    # straddle; every other check covers every m_n
+    # = sum(head) + m_n - (p-1) straddles p, so that its esp row reads
+    # build_product alone, while its esp points take the recurrence below
+    # m_n = 2p-1-sum(head) and build_product from there on.  At p = 1009
+    # the point functions are called at 40 seeded m_n, m_n = 1 and p-1, and
+    # the two m_n at the straddle; every other check covers every m_n
     pr = make_prime(p)
     rng = random.Random(p)
     rows = [(tuple(rng.sample(range(p), n)), tuple(rng.randrange(1, p) for _ in range(n - 1)))
@@ -267,8 +267,9 @@ def _stride_edge_rows(p):
     - head (1,) and (1, 1): M_1 < 0 (value 0) up to m_n = p-2-sum(head),
       then M_1 = 0, the only level;
     - head (2, p-1): M_1 = p-1 at m_n = p-3, whose levels are p-1 and 0;
-    - heads of sum in [p, 2p-3]: M_1 = p-1 and M_1 = p, where esp switches
-      from the _esp_values stream to build_product;
+    - heads of sum in [p, 2p-3]: M_1 = p-1 and M_1 = p, where a 1-point esp
+      row switches from the _esp_values stream to build_product (a row
+      holding both reads build_product alone);
     - heads all p-1: the corner, every exponent p-1 at m_n = p-1."""
     heads = [(1,), (1, 1), (2, p - 1), (p - 1, (p + 1) // 2), (p - 2, 3, 3),
              (p - 1,), (p - 1, p - 1), (p - 1, p - 1, p - 1)]
@@ -296,6 +297,31 @@ def test_route_rows_at_the_stride_edges_match_brute_sum(p):
         seen |= {"p-1 and 0" for t in tops if t == p - 1} | {"p" for t in tops if t == p}
         seen |= {"corner" for m in lasts if set(head) == {p - 1} == {m}}
     assert seen == {"below 0", "level 0", "p-1 and 0", "p", "corner"}
+
+
+@pytest.mark.parametrize("p", [11, 97])
+def test_esp_row_runs_one_kernel(monkeypatch, p):
+    # a row whose largest M_1 reaches p reads build_product alone, any other
+    # row the _esp_values stream alone, and so does each 1-point row on
+    # either side of M_1 = p; every row still equals brute_sum
+    pr = make_prime(p)
+    calls = []
+    for name in ("_esp_values", "build_product"):
+        real = getattr(general, name)
+        monkeypatch.setattr(general, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    deep = (p - 1, (p + 1) // 2)  # M_1 = (p+1)/2 + m_n, which is p at m_n = (p-1)/2
+    edge = (p - 1) // 2
+    rows = [((3, 5, 7), deep, range(1, p), "build_product"),
+            ((3, 5, 7), deep, range(1, edge), "_esp_values"),
+            ((3, 5, 7), deep, [edge - 1], "_esp_values"),
+            ((3, 5, 7), deep, [edge], "build_product"),
+            ((3, 5), (1,), range(1, p), "_esp_values")]  # M_1 from 3-p up to 1
+    for offsets, head, lasts, kernel in rows:
+        calls.clear()
+        got = esp_row(pr, offsets, head, lasts)
+        assert calls == [kernel], (head, lasts)
+        assert got == [_brute(GeneralSumParams(pr, offsets, (*head, m))) for m in lasts]
 
 
 # malformed rows (offsets, head, lasts) at p = 11
