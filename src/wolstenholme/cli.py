@@ -22,7 +22,12 @@ from .errors import (
 from .expressions import parse_expression
 from .modarith import Prime, check_prime, is_prime, make_prime
 from .oracle import SumSpec, brute_sum, check_denominators, make_spec, residue_matrix
-from .polyring import symbolic_coeff_table, symbolic_sum_table, table_to_json
+from .polyring import (
+    check_table_exponents,
+    symbolic_coeff_table,
+    symbolic_sum_table,
+    table_to_json,
+)
 from .verify import REGISTRY, check_request, resolve_theorems, run_verification
 
 
@@ -252,8 +257,10 @@ def cmd_table(args) -> int:
     _check_output(args.output)
     if args.kind == "residue-matrix" and args.a is None:
         raise BadParamsError("residue-matrix needs -a")
-    if args.kind != "residue-matrix" and (args.m is None or args.n is None):
-        raise BadParamsError(f"{args.kind} needs -m and -n")
+    if args.kind != "residue-matrix":
+        if args.m is None or args.n is None:
+            raise BadParamsError(f"{args.kind} needs -m and -n")
+        check_table_exponents(args.prime, args.m, args.n)
     pr = make_prime(args.prime)  # the factorial tables, after the usage checks above
     if args.kind == "residue-matrix":
         mat = residue_matrix(pr, args.a)

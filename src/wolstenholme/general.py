@@ -284,6 +284,8 @@ def esp_row(pr: Prime, offsets, head, lasts) -> list[int]:
     # s_r = (-1)^r e_r is [x^(s-r)] of the product of (b_i + x)^m_i, monic of
     # degree s = m_1 + ... + m_(n-1), which no level exceeds, and the r-th
     # e-value of the bases -b_i
+    if max(tops) < 0:  # no point has a level: every sum is 0, and no kernel runs
+        return [0] * len(tops)
     if max(tops) >= p:
         signed = build_product(pr, bases, head).coeffs[::-1]
     else:

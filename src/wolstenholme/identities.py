@@ -12,25 +12,24 @@ and 1,851 MB with a cached row per term, and takes 0.31 s and 18 MB (on a
 2-core VM).  cong_rows gives both sides of cong_general at every j at once,
 and vandermonde_rows both sides of vandermonde at every M, its left side one
 product of two packed binomial rows.  For the weighted-sum identity,
-comp_rows builds the table of one side as one big-integer product of a
-packed row and a packed stride table of the powers (1+vx)^t, reduced mod p
-inside the packed int.  The row (1+ux)^m is itself sliced from the stride
-table of u, so the sweep builds weighted rows only for those tables.  It
-reads all the instances of one (a, b, m) from two such tables.  The
-right-side table of (a, b) is the left-side table of (a-b, -b) and the
+comp_tables yields the table of one side for every m in turn, each the one
+before times (1+ux): one shift, one mask, one add and one slot-wise
+reduction mod p inside the packed int, so no big-integer product is built.
+The sweep reads all the instances of one (a, b, m) from two such tables.
+The right-side table of (a, b) is the left-side table of (a-b, -b) and the
 other way round, so one table pair serves both pairs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import (
     EqualOffsetsError,
     HypothesisViolationError,
     RangeViolationError,
 )
-from .modarith import Prime, binom, conv
+from .modarith import Prime, binom, conv, pack_slots, unpack_slots
 
 
 def cancellation(pr: Prime, n: int, k: int, s: int) -> tuple[int, int]:
@@ -122,22 +121,33 @@ def cong_rows(pr: Prime, m: int, n: int, s: int) -> tuple[list[int], list[int]]:
     return lhs, pr.unpack(acc, M + 1)
 
 
-def comp_rows(pr: Prime, u: int, v: int, m: int) -> Sequence[int]:
-    """[x^M] (1+ux)^m (1+vx)^t for t = 0..p-1 and M = 0..p-2, as one
-    sequence: the coefficient of row t sits at t*(2p-2) + M.
+def comp_tables(pr: Prime, u: int, v: int) -> Iterator[Sequence[int]]:
+    """The tables [x^M] (1+ux)^m (1+vx)^t for t = 0..p-1 and M = 0..p-2, one
+    sequence each, for m = 1..p-1 in order: the coefficient of row t sits
+    at t*p + M, and slot t*p + p-1 is a zero guard.
 
-    The table is one big-integer product, the packed row C(m, i) u^i
-    truncated at x^(p-2) times Prime.stride_table(v), whose row t is
-    (1+vx)^t, reduced mod p in the packed int.  That row is slots 0..p-2 of
-    row m of stride_table(u), taken with one shift and one mask.  Both sides
-    of comp_general are such coefficients: with (u, v) = (a, b), row n holds
-    the left side at every M, and with (u, v) = (a-b, -b), row s holds the
-    right side.
+    The start table, row t the powers (1+vx)^t cut at x^(p-2), is packed at
+    reduce_width once per v mod p and kept on the Prime.  Each table is the
+    one before, T, plus u times T shifted up one slot, slots p-2 and p-1 of
+    each row masked off first so that nothing crosses into the next row,
+    then reduced by Prime.reduce_slots (every slot is below p + (p-1)^2).
+    With (u, v) = (a, b), row n holds the left side of comp_general at
+    every M; with (u, v) = (a-b, -b), row s holds the right side.
     """
     p = pr.p
-    bits = 8 * pr.reduce_width
-    row = (pr.stride_table(u) >> m * (2 * p - 2) * bits) & ((1 << (p - 1) * bits) - 1)
-    return pr.reduce_slots(row * pr.stride_table(v), p * (2 * p - 2))
+    u, v = u % p, v % p
+    width = pr.reduce_width
+    table = pr._starts.get(v)
+    if table is None:
+        slots = [0] * (p * p)
+        for t in range(p):
+            w = pr.weighted_row(t, v)[: p - 1]
+            slots[t * p : t * p + len(w)] = w
+        table = pr._starts[v] = pack_slots(slots, width)
+    keep = int.from_bytes((b"\xff" * (p - 2) * width + bytes(2 * width)) * p, "little")
+    for _ in range(1, p):
+        table = pr.reduce_slots(table + u * ((table & keep) << 8 * width), p * p)
+        yield unpack_slots(table, width, p * p)
 
 
 def comp_general(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> tuple[int, int]:

@@ -3,13 +3,13 @@
 Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
 lookup caches, filled as they are read (binomial rows, packed forms, power
-columns with their table of smallest prime factors, and packed stride
-tables), that the exhaustive sweeps and the
+columns with their table of smallest prime factors, and the packed start
+tables of identities.comp_tables), that the exhaustive sweeps and the
 brute oracle lean on in hot verification loops.  A power row base^e is kept
 only packed; a weighted row C(n, i) base^i is built on each read and cached
 nowhere.  Prime.unpack reduces a combination of packed rows slot by slot
 once it is unpacked; Prime.reduce_slots reduces every slot of a packed int
-mod p at once, by a slot-wise Barrett step, before it is unpacked.  conv
+mod p at once, by a slot-wise Barrett step, and leaves it packed.  conv
 gives one coefficient of a product of two shifted binomials, the sum that
 the triple closed forms and the weighted-sum identities share.  It reads
 only the factorial tables and caches nothing, at a cost of O(window) per
@@ -112,7 +112,7 @@ class Prime:
     Immutable after construction (the internal caches only memoize pure
     functions), so instances are safe to share.  Six of its seven lookup
     caches (binomial rows, packed power rows, packed binomial rows, power
-    columns, stride tables and Barrett masks) are dicts keyed by top, base,
+    columns, start tables and Barrett masks) are dicts keyed by top, base,
     exponent or slot count, and hold only the entries read so far, so a
     Prime costs its two factorial tables until a route reads more.  The
     seventh is the smallest prime factor of every x < p, one array of p
@@ -132,15 +132,15 @@ class Prime:
     an exact power of its own base, with no exponent reduced mod p-1, and
     reading it is still brute force.
 
-    The stride tables, one per base v (see stride_table), are p (2p-2) slots
-    of reduce_width bytes each.  At most p of them exist, about 2.7 KB each
-    at p = 19 (49 KB for the 18 nonzero bases) and 7.4 KB at p = 31
-    (0.2 MB); only the exhaustive identity sweeps build them.
+    The start tables, one per base v (see identities.comp_tables), are p^2
+    slots of reduce_width bytes each.  At most p of them exist, about 1.4 KB
+    each at p = 19 (26 KB for the 18 nonzero bases) and 3.8 KB at p = 31
+    (0.12 MB); only the exhaustive identity sweeps build them.
     """
 
     __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "reduce_width",
                  "_barrett", "_binom_rows", "_packed", "_packed_binom", "_columns",
-                 "_pow_columns", "_spf", "_strides", "_reduce_masks")
+                 "_pow_columns", "_spf", "_starts", "_reduce_masks")
 
     def __init__(self, p: int):
         check_prime(p)
@@ -180,7 +180,7 @@ class Prime:
         self._columns: dict[int, array] = {}
         self._pow_columns = 0  # positive columns built by _sieve_column so far
         self._spf: array | None = None  # smallest prime factor of each x < p
-        self._strides: dict[int, int] = {}
+        self._starts: dict[int, int] = {}
         self._reduce_masks: dict[int, int] = {}
 
     def __repr__(self) -> str:
@@ -316,31 +316,9 @@ class Prime:
             out.append(c * x % p)
         return tuple(out)
 
-    def stride_table(self, v: int) -> int:
-        """T_v = sum over t = 0..p-1 of y^t (1+vx)^t with y = x^(2p-2), packed
-        at reduce_width: weighted_row(t, v) from slot t (2p-2) on.  Built once
-        per v mod p.
-
-        A row of degree <= p-2 times T_v holds its product with (1+vx)^t at
-        slots t (2p-2) .. t (2p-2) + 2p-3, so no two rows overlap, and each
-        slot sums at most p-1 products of two residues, below 2^bits as
-        reduce_slots requires.
-        """
-        v %= self.p
-        table = self._strides.get(v)
-        if table is None:
-            stride = 2 * self.p - 2
-            slots = []
-            for t in range(self.p):
-                w = self.weighted_row(t, v)
-                slots += w
-                slots += [0] * (stride - len(w))
-            table = self._strides[v] = pack_slots(slots, self.reduce_width)
-        return table
-
-    def reduce_slots(self, packed: int, count: int) -> Sequence[int]:
-        """The count slots of packed, reduce_width bytes each, every one
-        reduced mod p, as one sequence (see unpack_slots).
+    def reduce_slots(self, packed: int, count: int) -> int:
+        """packed, every one of its count slots (reduce_width bytes each)
+        reduced mod p in the packed int; no later slot may be nonzero.
 
         Every slot must hold some x < 2^bits, bits the length of p (p-1)^2.
         With k = bits + p.bit_length() and c = ceil(2^k / p), each slot's
@@ -349,7 +327,7 @@ class Prime:
         floor(x / p) exactly: with e = c p - 2^k < p, x c / 2^k = x/p + x e /
         (p 2^k), and x e < 2^k, so the excess stays below 1/p.  Subtracting p
         times those quotients leaves x mod p in every slot, no borrow
-        crossing a slot.  OverflowError if packed has more than count slots.
+        crossing a slot.
         """
         shift, mult = self._barrett
         width = self.reduce_width
@@ -357,7 +335,7 @@ class Prime:
         if mask is None:
             mask = self._reduce_masks[count] = pack_slots(
                 [(1 << (8 * width - shift)) - 1] * count, width)
-        return unpack_slots(packed - self.p * ((packed * mult >> shift) & mask), width, count)
+        return packed - self.p * ((packed * mult >> shift) & mask)
 
 
 def conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:

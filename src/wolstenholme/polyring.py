@@ -190,6 +190,12 @@ def _anti_diagonal(rm, rn, t: int, scale: int, p: int) -> list[tuple[int, int, i
     return list(zip(range(hi, lo - 1, -1), range(t - hi, t - lo + 1), cs))
 
 
+def check_table_exponents(p: int, m: int, n: int) -> None:
+    """The symbolic tables' exponent check, which needs only p: m, n in [1, p-1]."""
+    if not 1 <= m <= p - 1 or not 1 <= n <= p - 1:
+        raise HypothesisViolationError("table exponents must lie in [1, p-1]")
+
+
 def symbolic_coeff_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
     """Row j = the bivariate polynomial -[x^j] (a+x)^m (b+x)^n, j = 0..m+n.
 
@@ -198,8 +204,7 @@ def symbolic_coeff_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
     at most min(m, n)+1 monomials, all nonzero since m, n < p.
     """
     p = pr.p
-    if not 1 <= m <= p - 1 or not 1 <= n <= p - 1:
-        raise HypothesisViolationError("table exponents must lie in [1, p-1]")
+    check_table_exponents(p, m, n)
     rm = pr.binom_row(m)
     rn = pr.binom_row(n)
     shape = (m + 1, n + 1)
@@ -221,8 +226,7 @@ def symbolic_sum_table(pr: Prime, m: int, n: int) -> list[BiPolyZp]:
     before evaluation.
     """
     p = pr.p
-    if not 1 <= m <= p - 1 or not 1 <= n <= p - 1:
-        raise HypothesisViolationError("table exponents must lie in [1, p-1]")
+    check_table_exponents(p, m, n)
     rm = pr.binom_row(m)
     rn = pr.binom_row(n)
     # S[e] for e = 0..p-2; k = 0 adds nothing since every exponent is >= 1,

@@ -23,7 +23,7 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import islice, permutations, product, repeat
+from itertools import groupby, islice, permutations, product, repeat
 from math import comb, inf, isqrt, perm, prod
 from operator import itemgetter, mul
 
@@ -534,36 +534,33 @@ def _comp_rows(pr, mode):
     """The instances (n, s) of one (a, b, m) as one chunk, both pairs of an
     orbit read from one table pair.
 
-    comp_rows puts [x^M] of row t at t*S + M, S = 2p-2.  For fixed
-    (a, b, m, n) the window's instances have M = d+s with d = m+n-(p-1), so
-    their left sides are one run of left row n (cells n*S + d+s), and their
-    right sides one stride-(S+1) run down the right rows (cell s*S + d+s =
-    s*(S+1) + d).  Both are gathered straight from the reduced tables.  The
-    right table of (a, b) is the left table of its partner (a-b, -b), whose
-    partner is (a, b) again.  Of the two pairs, the one with b < p/2 builds
-    the two tables of each m and yields the chunks of both, so the grid's
-    order puts the failures back into (a, b) order.
+    comp_tables puts [x^M] of row t at t*p + M.  For fixed (a, b, m, n) the
+    window's instances have M = d+s with d = m+n-(p-1), so their left sides
+    are one run of left row n (cells n*p + d+s), and their right sides one
+    stride-(p+1) run down the right rows (cell s*p + d+s = s*(p+1) + d).
+    Both are gathered straight from the reduced tables.  The right table of
+    (a, b) is the left table of its partner (a-b, -b), whose partner is
+    (a, b) again.  Of the two pairs, the one with b < p/2 runs the two
+    table chains over m and yields the chunks of both, so the grid's order
+    puts the failures back into (a, b) order.
     """
     p = pr.p
-    S = 2 * p - 2
     runs = []  # for each m: its left cells, its right cells, their (n, s)
     for m in range(1, p):
         left, right, ns = [], [], []
         for n in range(1, p):
             s_lo, s_hi = _window(p, m + n)
             d = m + n - (p - 1)
-            left += range(n * S + d + s_lo, n * S + d + s_hi + 1)
-            right += range(s_lo * (S + 1) + d, s_hi * (S + 1) + d + 1, S + 1)
+            left += range(n * p + d + s_lo, n * p + d + s_hi + 1)
+            right += range(s_lo * (p + 1) + d, s_hi * (p + 1) + d + 1, p + 1)
             ns += zip(repeat(n), range(s_lo, s_hi + 1))
         runs.append((m, itemgetter(*left), itemgetter(*right), ns))
-    rows = ident.comp_rows
     for a, b in permutations(range(1, p), 2):
         if 2 * b > p:
             continue
         partner = ((a - b) % p, p - b)
-        for m, lcells, rcells, ns in runs:
-            left = rows(pr, a, b, m)
-            right = rows(pr, *partner, m)
+        chains = zip(runs, ident.comp_tables(pr, a, b), ident.comp_tables(pr, *partner))
+        for (m, lcells, rcells, ns), left, right in chains:
             yield _comp_points(a, b, m, ns), lcells(left), rcells(right)
             yield _comp_points(*partner, m, ns), lcells(right), rcells(left)
 
@@ -621,18 +618,20 @@ def _cor3_12_rows(pr, mode):
         yield _row((1, None, None, m, n), range(M + 1)), rhs, lhs
     columns = _power_columns(pr)
     pairs = list(permutations(range(1, p), 2))
-    yield from (_cor3_12_part_2(pr, columns, pairs, *head) for head in heads)
+    for m, group in groupby(heads, itemgetter(0)):
+        rows = [pr.weighted_row(m, a) for a in range(1, p)]  # (1+ax)^m, built once per m
+        yield from (_cor3_12_part_2(pr, columns, pairs, rows, *head) for head in group)
 
 
-def _cor3_12_part_2(pr, columns, pairs, m, n, M):
-    """Part 2 at every pair (a, b) of one (m, n): the left side at every b
-    of one a at once, the right side read from the (a-b)^M of each a-b."""
+def _cor3_12_part_2(pr, columns, pairs, rows, m, n, M):
+    """Part 2 at every pair (a, b) of one (m, n): the left side at every b of
+    one a at once, from rows[a-1] = (1+ax)^m, the right from each (a-b)^M."""
     p = pr.p
     cm = binom(pr, m, p - n - 1)
     powers = [0, *(pow_nonzero(pr, d, M) * cm % p for d in range(1, p))]
     lhs = []
-    for a in range(1, p):
-        row = _cor3_12_across_b(pr, columns, a, m, n)
+    for a, wa in enumerate(rows, 1):
+        row = _cor3_12_across_b(pr, columns, wa, n)
         lhs += row[1:a] + row[a + 1 :]
     rhs = [powers[(a - b) % p] for a, b in pairs]
     return ((2, a, b, m, n) for a, b in pairs), rhs, lhs
@@ -656,16 +655,16 @@ def _power_columns(pr):
     return [pr.pack(pr.power_column(i)) for i in range(pr.p)]
 
 
-def _cor3_12_across_b(pr, columns, a, m, n):
-    """The left side of part 2 at (a, b, m, n) for every b in [0, p), as
-    one big-integer combination of the power columns: the sum over
-    i = 0..M of c_i b^i, c_i = C(m,M-i) a^(M-i) C(n,i), is slot b of
-    the sum of c_i times column i.  At most p terms share a slot."""
+def _cor3_12_across_b(pr, columns, wa, n):
+    """The left side of part 2 at (a, b, m, n) for every b in [0, p), from
+    wa = (1+ax)^m, as one big-integer combination of the power columns: the
+    sum over i = 0..M of c_i b^i, c_i = wa[M-i] C(n,i) = C(m,M-i) a^(M-i)
+    C(n,i), is slot b of the sum of c_i times column i.  At most p terms
+    share a slot."""
     p = pr.p
-    M = m + n - (p - 1)
-    wa = pr.weighted_row(m, a)[M::-1]  # C(m,M-i) a^(M-i)
+    M = len(wa) + n - p  # m + n - (p-1)
     rn = pr.binom_row(n)
-    return pr.unpack(sum(map(mul, [w * c % p for w, c in zip(wa, rn)], columns)), p)
+    return pr.unpack(sum(map(mul, [w * c % p for w, c in zip(wa[M::-1], rn)], columns)), p)
 
 
 # --- shortcuts, tables and figures --------------------------------------------

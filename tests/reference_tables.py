@@ -6,7 +6,7 @@ here so the reference data stays literal and eyeball-checkable.
 
 The polynomial helpers at the end add polynomials, evaluate them at a point,
 build a table row from a dense grid, multiply out a product of binomial
-powers and build the weighted-sum rows of identities.comp_rows by their
+powers and build the weighted-sum rows of identities.comp_tables by their
 recurrence: checks need these, the library does not.
 """
 

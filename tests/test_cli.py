@@ -576,6 +576,10 @@ def test_a_prime_too_large_for_memory_is_one_error_line(argv):
     (("eval", "-p", "100000007", "((1+k"), "unexpected end of expression"),
     (("eval", "-p", "100000007", "(1+k)^100000007"),
      "exponent 100000007 out of range: must be <= p-1 = 100000006"),
+    (("table", "sum-table", "-p", "100000007", "-m", "0", "-n", "3"),
+     "table exponents must lie in [1, p-1]"),
+    (("table", "coeff-table", "-p", "100000007", "-m", "3", "-n", "100000007"),
+     "table exponents must lie in [1, p-1]"),
 ])
 def test_usage_errors_of_eval_and_table_come_before_the_prime_tables(tmp_path, argv, error):
     # each usage error needs only p, so it is found before the factorial

@@ -303,7 +303,8 @@ def test_route_rows_at_the_stride_edges_match_brute_sum(p):
 def test_esp_row_runs_one_kernel(monkeypatch, p):
     # a row whose largest M_1 reaches p reads build_product alone, any other
     # row the _esp_values stream alone, and so does each 1-point row on
-    # either side of M_1 = p; every row still equals brute_sum
+    # either side of M_1 = p; a row with every M_1 < 0 reads neither.  Every
+    # row still equals brute_sum
     pr = make_prime(p)
     calls = []
     for name in ("_esp_values", "build_product"):
@@ -316,11 +317,12 @@ def test_esp_row_runs_one_kernel(monkeypatch, p):
             ((3, 5, 7), deep, range(1, edge), "_esp_values"),
             ((3, 5, 7), deep, [edge - 1], "_esp_values"),
             ((3, 5, 7), deep, [edge], "build_product"),
-            ((3, 5), (1,), range(1, p), "_esp_values")]  # M_1 from 3-p up to 1
+            ((3, 5), (1,), range(1, p), "_esp_values"),  # M_1 from 3-p up to 1
+            ((3, 5, 7), (1, 2), range(1, p - 4), None)]  # M_1 from 5-p up to -1
     for offsets, head, lasts, kernel in rows:
         calls.clear()
         got = esp_row(pr, offsets, head, lasts)
-        assert calls == [kernel], (head, lasts)
+        assert calls == ([kernel] if kernel else []), (head, lasts)
         assert got == [_brute(GeneralSumParams(pr, offsets, (*head, m))) for m in lasts]
 
 

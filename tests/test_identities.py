@@ -13,7 +13,7 @@ from wolstenholme.errors import (
 from wolstenholme.identities import (
     cancellation,
     comp_general,
-    comp_rows,
+    comp_tables,
     cong_general,
     cong_rows,
     semi_symmetry,
@@ -21,7 +21,7 @@ from wolstenholme.identities import (
     vandermonde,
     vandermonde_rows,
 )
-from wolstenholme.modarith import binom, make_prime, pow_nonzero
+from wolstenholme.modarith import binom, make_prime, pow_nonzero, unpack_slots
 
 P7 = make_prime(7)
 P11 = make_prime(11)
@@ -236,21 +236,20 @@ def test_comp_general_lhs_is_triple_band_sum():
 
 
 def test_comp_rows_match_comp_sides_on_full_grids():
-    # every instance of the exhaustive thm3.13 grid, read off the row tables,
-    # against the direct convolutions of comp_general
+    # every instance of the exhaustive thm3.13 grid, read off the tables of
+    # comp_tables, against the direct convolutions of comp_general
     from wolstenholme.verify import _comp_grid_count
 
     for pr in (make_prime(5), P7, P11):
         p = pr.p
-        S = 2 * p - 2  # the row stride of a comp_rows table
+        S = p  # the row stride of a comp_tables table
         count = 0
         for a in range(1, p):
             for b in range(1, p):
                 if b == a:
                     continue
-                for m in range(1, p):
-                    lrows = comp_rows(pr, a, b, m)
-                    rrows = comp_rows(pr, a - b, -b, m)
+                chains = zip(comp_tables(pr, a, b), comp_tables(pr, a - b, -b))
+                for m, (lrows, rrows) in enumerate(chains, 1):
                     for n in range(1, p):
                         for s in range(p):
                             M = m + n + s - (p - 1)
@@ -263,10 +262,17 @@ def test_comp_rows_match_comp_sides_on_full_grids():
         assert count == _comp_grid_count(p)
 
 
+def _all_tables(pr, u, v):
+    # the table of every m = 0..p-1: the start table that comp_tables keeps
+    # on the Prime, then the tables it yields
+    p = pr.p
+    later = list(comp_tables(pr, u, v))
+    return [unpack_slots(pr._starts[v % p], pr.reduce_width, p * p), *later]
+
+
 def _table_rows(table, p):
-    # the cells M = 0..p-2 of each row t of a comp_rows table, row stride 2p-2
-    S = 2 * p - 2
-    return [list(table[t * S : t * S + p - 1]) for t in range(p)]
+    # the cells M = 0..p-2 of each row t of a comp_tables table, row stride p
+    return [list(table[t * p : t * p + p - 1]) for t in range(p)]
 
 
 @pytest.mark.parametrize("byte_path", [False, True])
@@ -277,12 +283,12 @@ def test_comp_rows_match_row_recurrence(monkeypatch, byte_path):
     if byte_path:
         monkeypatch.setattr(modarith, "_SLOT_CODES", {})
     for p in (5, 7, 11):
-        pr = make_prime(p)  # fresh, so its stride tables take that path
+        pr = make_prime(p)  # fresh, so its start tables take that path
         for u in range(p):
             for v in range(p):
-                for m in range(p):
+                for m, table in enumerate(_all_tables(pr, u, v)):
                     want = comp_rows_by_recurrence(p, u, v, m)
-                    assert _table_rows(comp_rows(pr, u, v, m), p) == want, (p, u, v, m)
+                    assert _table_rows(table, p) == want, (p, u, v, m)
     p = 37
     pr = make_prime(p)
     rng = random.Random(37)
@@ -290,7 +296,21 @@ def test_comp_rows_match_row_recurrence(monkeypatch, byte_path):
     cases += [(rng.randrange(p), rng.randrange(p), rng.randrange(p)) for _ in range(30)]
     for u, v, m in cases:
         want = comp_rows_by_recurrence(p, u % p, v % p, m)
-        assert _table_rows(comp_rows(pr, u, v, m), p) == want, (u, v, m)
+        assert _table_rows(_all_tables(pr, u, v)[m], p) == want, (u, v, m)
+
+
+@pytest.mark.parametrize("byte_path", [False, True])
+def test_comp_tables_keep_every_guard_slot_zero(monkeypatch, byte_path):
+    # slot p-1 of every row of every table, the start tables too, is 0, so
+    # that the shift by one slot carries nothing into the next row
+    if byte_path:
+        monkeypatch.setattr(modarith, "_SLOT_CODES", {})
+    for p in (5, 7, 11, 37):
+        pr = make_prime(p)
+        for u in range(p):
+            for v in (range(p) if p < 37 else (0, 1, p - 1)):
+                for table in _all_tables(pr, u, v):
+                    assert not any(table[p - 1 :: p]), (p, u, v)
 
 
 def test_vandermonde():

@@ -127,22 +127,22 @@ def test_failure_reporting_structure():
 
 
 def _corrupted_comp_table(monkeypatch, p, table, t0):
-    """Run the exhaustive thm3.13 at p with row t0 of the comp_rows table of
-    (u, v, m) = table one too big; returns the report and the failures a
+    """Run the exhaustive thm3.13 at p with row t0 of the comp_tables table
+    of (u, v, m) = table one too big; returns the report and the failures a
     point-by-point check of the same corruption finds, in sweep order."""
     from wolstenholme.modarith import make_prime
 
-    real = identities.comp_rows
+    real = identities.comp_tables
 
-    def corrupted(pr, u, v, m):
-        flat = list(real(pr, u, v, m))
-        if (u % p, v % p, m) == table:
-            # row t0 holds M = 0..p-2 from cell t0 (2p-2) on
-            for i in range(t0 * (2 * p - 2), t0 * (2 * p - 2) + p - 1):
-                flat[i] = (flat[i] + 1) % p
-        return flat
+    def corrupted(pr, u, v):
+        for m, flat in enumerate(map(list, real(pr, u, v)), 1):
+            if (u % p, v % p, m) == table:
+                # row t0 holds M = 0..p-2 from cell t0 p on
+                for i in range(t0 * p, t0 * p + p - 1):
+                    flat[i] = (flat[i] + 1) % p
+            yield flat
 
-    monkeypatch.setattr(identities, "comp_rows", corrupted)
+    monkeypatch.setattr(identities, "comp_tables", corrupted)
     rep = run_one("thm3.13", p)
 
     # the table is the left side of (a, b) = (u, v) at n = t0, and the right
@@ -171,7 +171,7 @@ def _corrupted_comp_table(monkeypatch, p, table, t0):
 
 
 def test_thm3_13_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch):
-    # one wrong row in one comp_rows table: the run-at-a-time comparison must
+    # one wrong row in one comp_tables table: the run-at-a-time comparison must
     # still name each instance that reads it, in sweep order, and count the
     # whole grid.  The table (2, 3, 4) is the left table of (2, 3) and the
     # right table of its partner (6, 4).
@@ -204,10 +204,15 @@ def test_thm3_13_builds_one_table_per_ordered_pair_and_m(monkeypatch):
     # each table serves as the left table of one pair and the right table of
     # its partner, so the sweep builds each (a, b, m) table once
     p = 7
-    real = identities.comp_rows
+    real = identities.comp_tables
     calls = []
-    monkeypatch.setattr(identities, "comp_rows",
-                        lambda pr, u, v, m: calls.append((u, v, m)) or real(pr, u, v, m))
+
+    def spy(pr, u, v):
+        for m, table in enumerate(real(pr, u, v), 1):
+            calls.append((u, v, m))
+            yield table
+
+    monkeypatch.setattr(identities, "comp_tables", spy)
     rep = run_one("thm3.13", p)
     assert rep.passed and rep.exhaustive
     assert len(calls) == (p - 1) * (p - 2) * (p - 1)
@@ -216,14 +221,14 @@ def test_thm3_13_builds_one_table_per_ordered_pair_and_m(monkeypatch):
 
 def test_thm3_13_keeps_one_stride_table_per_nonzero_base():
     # the bases of the sweep's tables are b and -b, never 0, so an
-    # exhaustive run leaves at most p-1 stride tables on its Prime
+    # exhaustive run leaves at most p-1 start tables on its Prime
     from wolstenholme.modarith import make_prime
 
     p = 13
     pr = make_prime(p)
     rep = run_one("thm3.13", pr, budget=10**9)
     assert rep.passed and rep.exhaustive
-    assert 0 < len(pr._strides) <= p - 1
+    assert 0 < len(pr._starts) <= p - 1
 
 
 @pytest.mark.parametrize("entries", [(2,), None], ids=["entry", "row"])
@@ -983,7 +988,7 @@ def test_cor3_12_across_b_matches_the_point_check(p):
             if m + n < p - 1:
                 continue
             for a in range(1, p):
-                row = verify._cor3_12_across_b(pr, columns, a, m, n)
+                row = verify._cor3_12_across_b(pr, columns, pr.weighted_row(m, a), n)
                 assert len(row) == p
                 for b in range(1, p):
                     if b != a:
@@ -1002,7 +1007,7 @@ def test_cor3_12_across_b_at_slot_width_edges(p):
     pr = make_prime(p)
     columns = verify._power_columns(pr)
     for a, m, n in ((1, p - 1, p - 1), (p - 1, p - 1, p - 1), (2, p - 2, p - 1)):
-        row = verify._cor3_12_across_b(pr, columns, a, m, n)
+        row = verify._cor3_12_across_b(pr, columns, pr.weighted_row(m, a), n)
         for b in {1, 2, p // 2, p - 2, p - 1} - {a}:
             assert row[b] == verify._check_cor3_12(pr, 2, a, b, m, n, None)[1], (a, b, m, n)
 
