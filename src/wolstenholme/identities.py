@@ -85,7 +85,8 @@ def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> tuple[int, int]:
     where M = m+n+s-(p-1).  At s = 0, 1, 2 the right side collapses to one,
     two, and three products respectively.  (M-k)! cancels, so a term is
     s! m! / (k! (s-k)! (m-M+k)! (j-k)! (M-j)!), nonzero for k in
-    [max(0, M-m), min(s, j)]: four inv_fact entries, scaled once at the end.
+    [max(0, M-m), min(s, j)]: four runs of inv_fact, two of them read
+    backwards, zipped and summed, then scaled once at the end.
     """
     p = pr.p
     M = _cong_level(pr, m, n, s)
@@ -95,8 +96,12 @@ def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> tuple[int, int]:
     if j & 1:
         lhs = -lhs % p
     inv = pr.inv_fact
-    acc = sum(inv[k] * inv[s - k] * inv[m - M + k] * inv[j - k]
-              for k in range(max(0, M - m), min(s, j) + 1))
+    lo, hi = max(0, M - m), min(s, j)
+    acc = 0
+    if lo <= hi:
+        acc = sum([w * x * y * z for w, x, y, z in zip(
+            inv[lo:hi + 1], inv[s - lo:s - hi - 1 if hi < s else None:-1],
+            inv[m - M + lo:m - M + hi + 1], inv[j - lo:j - hi - 1 if hi < j else None:-1])])
     return lhs, acc % p * pr.fact[s] * pr.fact[m] % p * inv[M - j] % p
 
 

@@ -43,6 +43,9 @@ COMMANDS = tuple("verify " + args for args in (
     "--theorems thm2.1,thm2.3,rem2.5,thm2.6,thm2.8,thm3.1,thm3.4,thm3.5,thm3.6,quickcase,"
     "thm4.1,thm4.4,thm4.5 --primes 257 --budget 300 --seed 5",
     "--theorems thm2.3,thm3.6 --primes 1009 --budget 300 --seed 2",
+    # triple_binomial over windows of hundreds of terms, where conv takes its
+    # pass in b/a
+    "--theorems thm3.1 --primes 1009 --budget 300 --seed 2",
     "--theorems thm1.2,thm1.3 --primes 5..97 --mod p",
     # whole sampled rows of m_n at three primes
     "--theorems thm4.1,thm4.4,thm4.5 --primes 11,13,97 --seed 1",
@@ -101,6 +104,8 @@ COMMANDS = tuple("verify " + args for args in (
     # builds only what the route reads
     "--strategy closed -p 1000003 (1+k)^2(2+k)^3",
     "--strategy closed -p 1000003 1/((1+k)(2+k)^3)",
+    # T3 at p = 100003: triple_general sums windows of about 50,000 terms
+    "--strategy closed -p 100003 (1+k)^99990(2+k)^99986(3+k)^50001",
     # the coeff route's one factor row and a two-step esp recurrence at that
     # prime
     "--strategy coeff -p 1000003 (1+k)^2(2+k)^3",
