@@ -97,11 +97,11 @@ def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> tuple[int, int]:
         lhs = -lhs % p
     inv = pr.inv_fact
     lo, hi = max(0, M - m), min(s, j)
-    acc = 0
-    if lo <= hi:
-        acc = sum([w * x * y * z for w, x, y, z in zip(
-            inv[lo:hi + 1], inv[s - lo:s - hi - 1 if hi < s else None:-1],
-            inv[m - M + lo:m - M + hi + 1], inv[j - lo:j - hi - 1 if hi < j else None:-1])])
+    if lo > hi:  # a fifth of sampled draws; skips slicing four empty runs
+        return lhs, 0
+    acc = sum([w * x * y * z for w, x, y, z in zip(
+        inv[lo:hi + 1], inv[s - lo:s - hi - 1 if hi < s else None:-1],
+        inv[m - M + lo:m - M + hi + 1], inv[j - lo:j - hi - 1 if hi < j else None:-1])])
     return lhs, acc % p * pr.fact[s] * pr.fact[m] % p * inv[M - j] % p
 
 

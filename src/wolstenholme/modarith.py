@@ -13,9 +13,8 @@ mod p at once, by a slot-wise Barrett step, and leaves it packed.  conv
 gives one coefficient of a product of two shifted binomials, the sum that
 the triple closed forms and the weighted-sum identities share.  It reads
 only the factorial tables and caches nothing, at a cost of O(window) per
-call, so sampled runs at large p hold no rows: a long window in one zipped
-Horner pass in b/a over four runs of inv_fact, a short one (or a = 0) in
-an index loop that takes no inverse.
+call, so sampled runs at large p hold no rows: one Horner pass in b/a,
+over four zipped runs of inv_fact once the window is long.
 """
 
 from __future__ import annotations
@@ -340,14 +339,13 @@ class Prime:
         return packed - self.p * ((packed * mult >> shift) & mask)
 
 
-# conv takes its zipped pass in b/a once hi - lo >= _CONV_LONG, i.e. on
-# windows of 17 terms or more.  Time of that pass over the index loop, on
-# the same 400 random calls per window length, median of 40 alternating
-# runs (2-core VM, Python 3.11): at p = 31 and 97 it is 1.01 at 16 terms
-# and 0.98-0.99 at 17; at p = 257 it breaks even at 12 terms and at
-# p = 1009 near 9, 0.95 and 0.87 at 16.  At p <= 13 every window has at
-# most 13 terms, so the exhaustive sweeps there keep the index loop.
-_CONV_LONG = 16
+# conv reads a window of hi - lo >= _CONV_LONG in zipped runs of inv_fact,
+# a shorter one by index: slicing four runs costs more than it saves on a
+# few terms.  Zipped over indexed time, same 400 random calls per length,
+# median of 30 runs (2-core VM, Python 3.11): 1.57-1.18 for 2-12 terms at
+# p = 13; at p = 1009 1.03 at 16 and 20 terms, 0.99 at 24, 0.87 at 200; at
+# p = 97 and 257 1.11 at 24 terms, even near 96.
+_CONV_LONG = 24
 
 
 def conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:
@@ -356,13 +354,12 @@ def conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:
 
     Only the window j = lo..hi of nonzero terms is read, straight from the
     factorial tables: C(m,t-j) C(n,j) = m! n! / ((t-j)! (m-t+j)! j! (n-j)!).
-    A window with hi - lo >= _CONV_LONG, and a nonzero mod p, is one Horner
-    pass in c = b/a from j = hi down to lo over four zipped runs of inv_fact
-    (two of them read backwards), scaled once by b^lo a^(t-lo) m! n!; 1/a is
-    (a-1)! inv_fact[a].  A shorter window, or a = 0, is one Horner pass in a
-    that carries b^j, scaled once by m! n! a^(t-hi): it takes no inverse, so
-    zero bases need no special case.  Nothing is cached: the cost is
-    O(hi - lo) whatever m, n and the bases.
+    With c = b/a, the sum is one Horner pass in c from j = hi down to lo,
+    scaled once by b^lo a^(t-lo) m! n!; 1/a is (a-1)! inv_fact[a], so no
+    inverse is computed.  A window of hi - lo >= _CONV_LONG is read as four
+    zipped runs of inv_fact (two of them backwards), a shorter one by index.
+    At a = 0 only the term j = t is nonzero: C(n, t) b^t.
+    Nothing is cached: the cost is O(hi - lo) whatever m, n and the bases.
     """
     if t < 0:
         return 0
@@ -379,20 +376,21 @@ def conv(pr: Prime, a: int, b: int, m: int, n: int, t: int) -> int:
     b %= p
     inv = pr.inv_fact
     k = m - t  # (m-t+j)! is inv[k + j]
+    if not a:
+        return pow(b, t, p) * pr.fact[n] * inv[t] * inv[n - t] % p if t <= n else 0
+    c = b * pr.fact[a - 1] * inv[a] % p
     acc = 0
-    if hi - lo >= _CONV_LONG and a:
-        c = b * pr.fact[a - 1] * inv[a] % p
+    if hi - lo < _CONV_LONG:
+        for j in range(hi, lo - 1, -1):
+            acc = (acc * c + inv[t - j] * inv[k + j] * inv[j] * inv[n - j]) % p
+    else:
         for w, x, y, z in zip(inv[t - hi:t - lo + 1], inv[k + hi:k + lo - 1 if k + lo else None:-1],
                               inv[hi:lo - 1 if lo else None:-1], inv[n - hi:n - lo + 1]):
             acc = (acc * c + w * x * y * z) % p
-        acc = acc * pow(b, lo, p) * pow(a, t - lo, p)
-    else:
-        bj = pow(b, lo, p) if lo else 1
-        for j in range(lo, hi + 1):
-            acc = (acc * a + inv[t - j] * inv[k + j] * inv[j] * inv[n - j] * bj) % p
-            bj = bj * b % p
-        if t > hi:
-            acc *= pow(a, t - hi, p)
+    if lo:
+        acc *= pow(b, lo, p)
+    if t > lo:
+        acc *= pow(a, t - lo, p)
     return acc * pr.fact[m] * pr.fact[n] % p
 
 
