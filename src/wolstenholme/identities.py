@@ -8,16 +8,21 @@ of comp_general, and the left side of vandermonde, are coefficients
 convolution modarith.conv.  A single coefficient comes from the factorial
 tables, as in conv, and only whole rows from Prime.binom_row: sampled
 thm3.11 at p = 10007 (budget 1000), one cong_general a point, took 10.7 s
-and 1,851 MB with a cached row per term, and takes 0.31 s and 18 MB (on a
-2-core VM).  cong_rows gives both sides of cong_general at every j at once,
-and vandermonde_rows both sides of vandermonde at every M, its left side one
-product of two packed binomial rows.  For the weighted-sum identity,
-comp_tables yields the table of one side for every m in turn, each the one
-before times (1+ux): one shift, one mask, one add and one slot-wise
+and 1,851 MB with a cached row per term, and takes 0.28 s and 19 MB in one
+CLI process (on a 2-core VM).  cancellation_rows gives both sides of
+cancellation at every s, and vandermonde_rows both sides of vandermonde at
+every M, its left side one product of two packed binomial rows.  The
+exhaustive sweeps of cong_general and comp_general read both sides from
+tables of coefficients of bivariate or univariate products, each the one
+before times a binomial: one shift, one mask, one add and one slot-wise
 reduction mod p inside the packed int, so no big-integer product is built.
-The sweep reads all the instances of one (a, b, m) from two such tables.
-The right-side table of (a, b) is the left-side table of (a-b, -b) and the
-other way round, so one table pair serves both pairs.
+cong_left_tables and cong_right_tables give the two sides of cong_general
+from different products, (1+y)^m (1-xy)^n and (1+(1+x)y)^m (1+xy)^s.
+comp_tables yields the table of one side of comp_general for every m in
+turn, each the one before times (1+ux); the sweep reads all the instances
+of one (a, b, m) from two such tables.  The right-side table of (a, b) is
+the left-side table of (a-b, -b) and the other way round, so one table pair
+serves both pairs.
 """
 
 from __future__ import annotations
@@ -40,6 +45,20 @@ def cancellation(pr: Prime, n: int, k: int, s: int) -> tuple[int, int]:
     lhs = binom(pr, n, k) * binom(pr, k, s) % p
     rhs = binom(pr, n, s) * binom(pr, n - s, k - s) % p
     return lhs, rhs
+
+
+def cancellation_rows(pr: Prime, n: int, k: int) -> tuple[list[int], list[int]]:
+    """Both sides of cancellation at every s = 0..k, as two lists: C(n,k)
+    times the binomial row of k, and the binomial row of n times
+    C(n-s, k-s) = (n-s)! / ((k-s)! (n-k)!) from the factorial tables."""
+    if not 0 <= k <= n < pr.p:
+        raise RangeViolationError(f"need 0 <= k <= n < p, got {(n, k)}")
+    p, fact, inv = pr.p, pr.fact, pr.inv_fact
+    c = binom(pr, n, k)
+    lhs = [c * x % p for x in pr.binom_row(k)]
+    d = inv[n - k]
+    return lhs, [x * f % p * i % p * d % p for x, f, i in zip(
+        pr.binom_row(n), fact[n : n - k - 1 if k < n else None : -1], inv[k::-1])]
 
 
 def semi_symmetry(pr: Prime, k: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -105,25 +124,52 @@ def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> tuple[int, int]:
     return lhs, acc % p * pr.fact[s] * pr.fact[m] % p * inv[M - j] % p
 
 
-def cong_rows(pr: Prime, m: int, n: int, s: int) -> tuple[list[int], list[int]]:
-    """Both sides of cong_general at every j = 0..M, as two lists.
+def cong_right_tables(pr: Prime) -> Iterator[list[Sequence[int]]]:
+    """For m = 0..p-1 in order, the p tables of T = (1+(1+x)y)^m (1+xy)^s,
+    s = 0..p-1: cell M*p + j of table s holds [x^j y^M] T, the right side
+    sum over k of C(s,k) C(m,M-k) C(M-k,j-k) of cong_general.
 
-    The left side is one product per j.  The right side is one big-integer
-    combination of the packed binomial rows C(M-k, .), row k shifted by k
-    slots and weighted by C(s,k) C(m,M-k), unpacked and reduced once: each
-    slot sums at most s+1 <= p products of two residues.
+    U = (1+(1+x)y)^m is the U of m-1 plus itself shifted p and p+1 slots
+    (times y and xy), and has no y^p term; table s+1 is table s plus itself
+    shifted p+1 slots, row p-1 masked off first.  So nothing leaves the p^2
+    slots, and j <= M in every row, so no shift crosses into the next row
+    within them.  Every slot is below 3p before Prime.reduce_slots.  The
+    one list is refilled in place for each m, so that only one m's tables
+    are held (7.3 MB at p = 97): read it before the next step.
     """
     p = pr.p
-    M = _cong_level(pr, m, n, s)
-    rm, rn, rs = pr.binom_row(m), pr.binom_row(n), pr.binom_row(s)
-    lhs = [rm[M - j] * rn[j] % p if M - j <= m and j <= n else 0 for j in range(M + 1)]
-    lhs[1::2] = [-x % p for x in lhs[1::2]]
-    bits = 8 * pr.pack_width
-    packed = pr.packed_binom_row
-    acc = 0
-    for k in range(max(0, M - m), min(s, M) + 1):
-        acc += (rs[k] * rm[M - k] % p * packed(M - k)) << k * bits
-    return lhs, pr.unpack(acc, M + 1)
+    bits = 8 * pr.reduce_width
+    keep = (1 << bits * p * (p - 1)) - 1
+    u, tables = 1, [None] * p
+    for m in range(p):
+        if m:
+            u = pr.reduce_slots(u + (u << bits * p) + (u << bits * (p + 1)), p * p)
+        t = u
+        for s in range(p):
+            if s:
+                t = pr.reduce_slots(t + ((t & keep) << bits * (p + 1)), p * p)
+            tables[s] = unpack_slots(t, pr.reduce_width, p * p)
+        yield tables
+
+
+def cong_left_tables(pr: Prime, m: int) -> Iterator[Sequence[int]]:
+    """For n = 0..p-1 in order, the table of Q = (1+y)^m (1-xy)^n: cell
+    M*p + j holds [x^j y^M] Q, the left side (-1)^j C(m,M-j) C(n,j) of
+    cong_general.  Cell M*p of the first holds C(m, M); each later one is
+    the one before plus p-1 times itself shifted p+1 slots (times -xy),
+    row p-1 masked off first, reduced by Prime.reduce_slots (every slot is
+    below p + (p-1)^2)."""
+    p = pr.p
+    width = pr.reduce_width
+    bits = 8 * width
+    keep = (1 << bits * p * (p - 1)) - 1
+    slots = [0] * (p * p)
+    slots[: (m + 1) * p : p] = pr.binom_row(m)
+    q = pack_slots(slots, width)
+    for n in range(p):
+        if n:
+            q = pr.reduce_slots(q + (p - 1) * ((q & keep) << bits * (p + 1)), p * p)
+        yield unpack_slots(q, width, p * p)
 
 
 def comp_tables(pr: Prime, u: int, v: int) -> Iterator[Sequence[int]]:

@@ -428,11 +428,14 @@ _run_thm4_5 = _general(lambda pr, *row: gen.esp_row(pr, *row))
 
 # --- binomial identities, lhs against rhs -------------------------------------
 
-_run_eq2 = Grid(
-    ("n", "k", "s"),
-    lambda pr, n, k, s: ident.cancellation(pr, n, k, s),
-    points=lambda p: ((n, k, s) for n in range(p) for k in range(n + 1) for s in range(k + 1)),
-)
+def _cancellation_rows(pr, mode):
+    # the instances s = 0..k of one (n, k), one cancellation_rows pair each
+    for n in range(pr.p):
+        for k in range(n + 1):
+            yield _row((n, k), range(k + 1)), *ident.cancellation_rows(pr, n, k)
+
+
+_run_eq2 = Grid(("n", "k", "s"), rows=_cancellation_rows)
 _run_eq3 = Grid(
     ("k", "s"),  # the last field picks one of the two congruences
     lambda pr, k, s, i: ident.semi_symmetry(pr, k, s)[i],
@@ -497,22 +500,25 @@ def _draw_cong(rng, p):
     return m, n, s, rng.randrange(M + 1), M
 
 
-def _cong_row(pr, m, n):
-    # the instances (s, j) of one (m, n), j = 0..M, one cong_rows pair per s
+def _cong_rows(pr, mode):
+    # the instances (s, j) of one (m, n) as one chunk: both sides of (m, n, s)
+    # are row M, cells M*p .. M*p + M, of the table of (m, n) of
+    # cong_left_tables and of table s of cong_right_tables
     p = pr.p
-    s_lo, s_hi = _window(p, m + n)
-    sms = [(s, m + n + s - (p - 1)) for s in range(s_lo, s_hi + 1)]
-    lhs, rhs = [], []
-    for s, _ in sms:
-        left, right = ident.cong_rows(pr, m, n, s)
-        lhs += left
-        rhs += right
-    return ((m, n, s, j, M) for s, M in sms for j in range(M + 1)), lhs, rhs
+    for m, right in enumerate(ident.cong_right_tables(pr)):
+        for n, left in enumerate(ident.cong_left_tables(pr, m)):
+            s_lo, s_hi = _window(p, m + n)
+            sms = [(s, m + n + s - (p - 1)) for s in range(s_lo, s_hi + 1)]
+            lhs, rhs = [], []
+            for s, M in sms:
+                lhs += left[M * p : M * p + M + 1]
+                rhs += right[s][M * p : M * p + M + 1]
+            yield ((m, n, s, j, M) for s, M in sms for j in range(M + 1)), lhs, rhs
 
 
 _run_thm3_11 = Grid(
     ("m", "n", "s", "j", "M"),
-    rows=lambda pr, mode: (_cong_row(pr, m, n) for m, n in product(range(pr.p), repeat=2)),
+    rows=_cong_rows,
     count=_cong_grid_count,
     sample=_drawn(lambda pr, m, n, s, j, M: ident.cong_general(pr, m, n, s, j), _draw_cong),
 )

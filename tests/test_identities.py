@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -12,10 +13,12 @@ from wolstenholme.errors import (
 )
 from wolstenholme.identities import (
     cancellation,
+    cancellation_rows,
     comp_general,
     comp_tables,
     cong_general,
-    cong_rows,
+    cong_left_tables,
+    cong_right_tables,
     semi_symmetry,
     transpose_binomial,
     vandermonde,
@@ -49,6 +52,20 @@ def test_cancellation_exhaustive():
                 for s in range(k + 1):
                     lhs, rhs = cancellation(pr, n, k, s)
                     assert lhs == rhs
+
+
+def test_cancellation_rows_match_cancellation():
+    # both sides at every s of every (n, k), k = n and k = 0 among them
+    for pr in (*SMALL, make_prime(37)):
+        p = pr.p
+        for n in range(p):
+            for k in range(n + 1):
+                lhs, rhs = cancellation_rows(pr, n, k)
+                assert list(zip(lhs, rhs)) == [cancellation(pr, n, k, s) for s in range(k + 1)]
+    with pytest.raises(RangeViolationError):
+        cancellation_rows(P11, 4, 7)
+    with pytest.raises(RangeViolationError):
+        cancellation_rows(P11, 11, 3)
 
 
 def test_semi_symmetry():
@@ -121,33 +138,50 @@ def test_cong_general_special_forms():
                         assert rhs == want
 
 
+def _cong_rows(pr, wanted=None):
+    # {(m, n, s): (lhs, rhs)} for every (m, n, s) of the exhaustive thm3.11
+    # grid, or those of wanted: row M of the table of (m, n) of
+    # cong_left_tables and of table s of cong_right_tables, cells M*p + j
+    p = pr.p
+    rows = {}
+    for m, right in enumerate(cong_right_tables(pr)):
+        for n, left in enumerate(cong_left_tables(pr, m)):
+            for s in range(p):
+                M = m + n + s - (p - 1)
+                if 0 <= M <= p - 2 and (wanted is None or (m, n, s) in wanted):
+                    cells = slice(M * p, M * p + M + 1)
+                    rows[m, n, s] = list(left[cells]), list(right[s][cells])
+    return rows
+
+
 @pytest.mark.parametrize("pr", SMALL, ids=lambda pr: f"p{pr.p}")
 def test_cong_rows_match_cong_general(pr):
     # both sides at every j of every (m, n, s) of the exhaustive thm3.11 grid
     p = pr.p
-    rows = 0
+    rows = _cong_rows(pr)
     for m in range(p):
         for n in range(p):
             for s in range(p):
                 M = m + n + s - (p - 1)
                 if not 0 <= M <= p - 2:
+                    assert (m, n, s) not in rows
                     with pytest.raises(HypothesisViolationError):
-                        cong_rows(pr, m, n, s)
+                        cong_general(pr, m, n, s, 0)
                     continue
-                lhs, rhs = cong_rows(pr, m, n, s)
+                lhs, rhs = rows[m, n, s]
                 assert (len(lhs), len(rhs)) == (M + 1, M + 1)
                 for j in range(M + 1):
                     assert (lhs[j], rhs[j]) == cong_general(pr, m, n, s, j), (m, n, s, j)
-                rows += 1
-    assert rows > 0
+    assert len(rows) > 0
     with pytest.raises(HypothesisViolationError):
-        cong_rows(pr, p, 0, 0)
+        cong_general(pr, p, 0, 0, 0)
 
 
-@pytest.mark.parametrize("p", [7, 11, 37, 41])
+@pytest.mark.parametrize("p", [7, 11, 31, 37, 41])
 def test_cong_rows_at_slot_width_edges(p):
-    # primes on each side of a change of Prime.pack_width (1 to 2 bytes, 2 to
-    # 4 bytes); s = p-1 puts the most terms into the packed right side
+    # primes on each side of a change of Prime.reduce_width (4 bytes up to
+    # p = 31, 8 from p = 37) and of Prime.pack_width; s = p-1 puts the most
+    # terms into the right side
     pr = make_prime(p)
     rng = random.Random(p)
     cases = [(p - 2, 0, p - 1), (p - 3, 1, p - 1), ((p - 1) // 2, (p - 1) // 2, p - 2)]
@@ -155,10 +189,40 @@ def test_cong_rows_at_slot_width_edges(p):
         m, n, s = (rng.randrange(p) for _ in range(3))
         if 0 <= m + n + s - (p - 1) <= p - 2:
             cases.append((m, n, s))
+    rows = _cong_rows(pr, set(cases))
     for m, n, s in cases:
-        lhs, rhs = cong_rows(pr, m, n, s)
+        lhs, rhs = rows[m, n, s]
         for j in range(len(lhs)):
             assert (lhs[j], rhs[j]) == cong_general(pr, m, n, s, j), (m, n, s, j)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 31, 37])
+def test_cong_tables_hold_their_products_in_p_squared_slots(monkeypatch, p):
+    # every table of both chains is exactly p^2 slots, every slot j > M of
+    # row M is 0 (so no shift by p+1 carries into the next row), and at
+    # p <= 11 every cell, row p-1 too, is its coefficient: of
+    # (1+y)^m (1-xy)^n on the left and (1+(1+x)y)^m (1+xy)^s on the right.
+    # At p <= 7 the tables are also built on the slot-by-slot packing.
+    def check(tables, coeff):
+        for table in tables:
+            assert len(table) == p * p
+            for M in range(p):
+                assert not any(table[M * p + M + 1 : M * p + p]), (p, M)
+        if p <= 11:
+            for i, table in enumerate(tables):
+                want = [coeff(i, M, j) % p if j <= M else 0 for M in range(p) for j in range(p)]
+                assert list(table) == want, (p, i)
+
+    for byte_path in (False, True) if p <= 7 else (False,):
+        if byte_path:
+            monkeypatch.setattr(modarith, "_SLOT_CODES", {})
+        pr = make_prime(p)
+        for m, right in enumerate(cong_right_tables(pr)):
+            assert len(right) == p
+            check(right, lambda s, M, j: sum(comb(s, k) * comb(m, M - k) * comb(M - k, j - k)
+                                            for k in range(j + 1)))
+            check(list(cong_left_tables(pr, m)),
+                  lambda n, M, j: (-1) ** j * comb(m, M - j) * comb(n, j))
 
 
 def test_cong_general_s0_is_single_product():

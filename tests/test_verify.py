@@ -1,5 +1,6 @@
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import replace
 from itertools import product
 
@@ -233,23 +234,25 @@ def test_thm3_13_keeps_one_stride_table_per_nonzero_base():
 
 @pytest.mark.parametrize("entries", [(2,), None], ids=["entry", "row"])
 def test_thm3_11_sweep_reports_every_instance_of_a_corrupted_row(monkeypatch, entries):
-    # one wrong entry, then every entry, of the right-side row of one
-    # (m, n, s): exactly those instances must fail, in sweep order, with
-    # their params, and the grid must not change
+    # one wrong cell, then every cell, of row M = 5 of the right table
+    # T_{4,2}: M fixes n given (m, s), so exactly the instances of
+    # (m, n, s) = (4, 5, 2) must fail, in sweep order, with their params,
+    # and the grid must not change
     from wolstenholme.modarith import make_prime
     from wolstenholme.verify import _cong_grid_count
 
-    p, bad = 7, (4, 5, 2)  # M = 5
-    real = identities.cong_rows
+    p, bad, M = 7, (4, 5, 2), 5
+    real = identities.cong_right_tables
 
-    def corrupted(pr, m, n, s):
-        lhs, rhs = real(pr, m, n, s)
-        if (m, n, s) == bad:
-            for j in range(len(rhs)) if entries is None else entries:
-                rhs[j] = (rhs[j] + 1) % p
-        return lhs, rhs
+    def corrupted(pr):
+        for m, tables in enumerate(real(pr)):
+            if m == bad[0]:
+                table = tables[bad[2]] = list(tables[bad[2]])
+                for j in range(M + 1) if entries is None else entries:
+                    table[M * p + j] = (table[M * p + j] + 1) % p
+            yield tables
 
-    monkeypatch.setattr(identities, "cong_rows", corrupted)
+    monkeypatch.setattr(identities, "cong_right_tables", corrupted)
     rep = run_one("thm3.11", p)
     pr = make_prime(p)
     expected = []
@@ -432,9 +435,11 @@ CHECKED = {
 }
 SAMPLED = ("thm2.1", "thm2.3", "rem2.5", "thm2.6", "thm2.8", "thm3.1", "thm3.4",
            "thm3.5", "thm3.6", "thm3.11", "thm3.13")
-# the exhaustive thm3.11 and vandermonde compare whole rows of both sides
-# instead
-EXHAUSTIVE_CHECKED = {"thm3.11": (identities, "cong_rows"),
+# the exhaustive eq2 and vandermonde compare whole rows of both sides
+# instead, and the exhaustive thm3.11 reads its right sides from the tables
+# of cong_right_tables
+EXHAUSTIVE_CHECKED = {"eq2": (identities, "cancellation_rows"),
+                      "thm3.11": (identities, "cong_right_tables"),
                       "vandermonde": (identities, "vandermonde_rows")}
 # exhaustive at p = 7 (the exhaustive thm3.13 compares product rows instead),
 # sampled at p = 13
@@ -447,6 +452,8 @@ def _off_by_one(value):
         return value + 1  # out of [0, p), so never equal to brute force
     if isinstance(value, list):  # a whole row of right sides
         return [x + 1 for x in value]
+    if isinstance(value, Iterator):  # a chain of right tables, a list per step
+        return ([[x + 1 for x in table] for table in tables] for tables in value)
     if isinstance(value[0], tuple):  # semi_symmetry's two (lhs, rhs) pairs
         return tuple(map(_off_by_one, value))
     lhs, rhs = value

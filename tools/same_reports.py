@@ -39,6 +39,9 @@ COMMANDS = tuple("verify " + args for args in (
     # the exhaustive weighted-sum grid at the largest prime whose reduced
     # table slots are 4 bytes wide, where the Barrett bound is tightest
     "--theorems thm3.13 --primes 31 --budget 100000000 --seed 0",
+    # the exhaustive coefficient-congruence grid on each side of the change
+    # from 4- to 8-byte reduced slots (p = 31 to 37)
+    "--theorems thm3.11 --primes 29,31,37 --budget 100000000 --seed 0",
     "--theorems vandermonde,thm3.13,cor3.12 --primes 5..97 --seed 0",
     "--theorems thm2.1,thm2.3,rem2.5,thm2.6,thm2.8,thm3.1,thm3.4,thm3.5,thm3.6,quickcase,"
     "thm4.1,thm4.4,thm4.5 --primes 257 --budget 300 --seed 5",
