@@ -68,14 +68,21 @@ class _Parser:
         return numer, denom
 
     def parse_product(self) -> list[Factor]:
-        if self.peek() == "1":
-            self.take()
-            return []
+        # a group's factors join the product around it, so one list holds
+        # them all; starts holds where each open product's factors begin
         factors: list[Factor] = []
+        starts = [0]
         while True:
             tok = self.peek()
-            if tok == "k" or (tok == "(" and self._starts_factor()):
-                off = self.parse_offset_term()
+            if tok == "1" and (self.i == 0 or self.tokens[self.i - 1] in ("/", "(")):
+                self.take()  # a whole product: at the start, after '/' or a group's '('
+            elif tok == "k" or (tok == "(" and self._starts_factor()):
+                off = 0
+                if self.take() == "(":
+                    off = self.parse_int()
+                    self.expect("+")
+                    self.expect("k")
+                    self.expect(")")
                 exp = 1
                 if self.peek() == "^":
                     self.take()
@@ -83,34 +90,24 @@ class _Parser:
                     if exp < 1:
                         raise ExpressionError(f"exponent must be >= 1, got {exp}")
                 factors.append((off, exp))
+                continue
             elif tok == "(":
                 self.take()
-                inner = self.parse_product()
-                self.expect(")")
-                if self.peek() == "^":
-                    raise ExpressionError("exponents apply to single factors, not groups")
-                factors.extend(inner)
-            else:
-                break
-        if not factors:
-            raise ExpressionError(f"expected a factor, got {self.peek()!r}")
-        return factors
+                starts.append(len(factors))
+                continue
+            elif len(factors) == starts[-1]:
+                raise ExpressionError(f"expected a factor, got {tok!r}")
+            starts.pop()  # the innermost open product ends here
+            if not starts:
+                return factors
+            self.expect(")")
+            if self.peek() == "^":
+                raise ExpressionError("exponents apply to single factors, not groups")
 
     def _starts_factor(self) -> bool:
-        # '(' INT '+' opens an offset term, as no group can; parse_offset_term
+        # '(' INT '+' opens an offset term, as no group can; parse_product
         # then names whatever of 'k' ')' is missing
         return self.peek(1) is not None and self.peek(1).isdigit() and self.peek(2) == "+"
-
-    def parse_offset_term(self) -> int:
-        tok = self.take()
-        if tok == "k":
-            return 0
-        # tok == "(" guaranteed by caller
-        off = self.parse_int()
-        self.expect("+")
-        self.expect("k")
-        self.expect(")")
-        return off
 
     def parse_int(self) -> int:
         tok = self.take()

@@ -14,20 +14,24 @@ cancellation at every s, and vandermonde_rows both sides of vandermonde at
 every M, its left side one product of two packed binomial rows.  The
 exhaustive sweeps of cong_general and comp_general read both sides from
 tables of coefficients of bivariate or univariate products, each the one
-before times a binomial: one shift, one mask, one add and one slot-wise
-reduction mod p inside the packed int, so no big-integer product is built.
-cong_left_tables and cong_right_tables give the two sides of cong_general
-from different products, (1+y)^m (1-xy)^n and (1+(1+x)y)^m (1+xy)^s.
-comp_tables yields the table of one side of comp_general for every m in
-turn, each the one before times (1+ux); the sweep reads all the instances
-of one (a, b, m) from two such tables.  The right-side table of (a, b) is
-the left-side table of (a-b, -b) and the other way round, so one table pair
-serves both pairs.
+before times a binomial.  One step, _chain, builds every such table from
+the one before: the caller's masked and shifted copies added, then all p^2
+slots reduced mod p inside the packed int by one slot-wise Barrett step
+(P. Barrett, CRYPTO '86) sized for slots below p^2, the bound no chain
+passes, so no big-integer product is built.  cong_left_tables and
+cong_right_tables give the two sides of cong_general from different
+products, (1+y)^m (1-xy)^n and (1+(1+x)y)^m (1+xy)^s.  comp_tables yields
+the table of one side of comp_general for every m in turn, each the one
+before times (1+ux); the sweep reads all the instances of one (a, b, m)
+from two such tables.  The right-side table of (a, b) is the left-side
+table of (a-b, -b) and the other way round, so one table pair serves both
+pairs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import islice
 
 from .errors import (
     EqualOffsetsError,
@@ -89,7 +93,7 @@ def transpose_binomial(pr: Prime, m: int, n: int) -> tuple[int, int]:
 
 
 def _cong_level(pr: Prime, m: int, n: int, s: int) -> int:
-    """M = m+n+s-(p-1), after checking the hypotheses of cong_general."""
+    """M = m+n+s-(p-1), after checking m, n, s in [0, p-1] and M in [0, p-2]."""
     p = pr.p
     if not (0 <= m < p and 0 <= n < p and 0 <= s < p):
         raise HypothesisViolationError(f"need m, n, s in [0, p-1], got {(m, n, s)}")
@@ -124,6 +128,46 @@ def cong_general(pr: Prime, m: int, n: int, s: int, j: int) -> tuple[int, int]:
     return lhs, acc % p * pr.fact[s] * pr.fact[m] % p * inv[M - j] % p
 
 
+def _barrett(pr: Prime) -> tuple[int, int, int, int]:
+    """(width, shift, mult, mask) of the step of _chain at pr, built on the
+    first read and kept on the Prime: 2 bytes a slot at p = 5-11, 4 bytes
+    at p = 13-181 and 8 bytes from p = 191."""
+    if pr._chain is None:
+        p = pr.p
+        bits = (p * p).bit_length()
+        shift = bits + p.bit_length()
+        mult = -(-(1 << shift) // p)
+        width = 1
+        while 8 * width < bits + mult.bit_length():
+            width *= 2
+        mask = pack_slots([(1 << (8 * width - shift)) - 1] * (p * p), width)
+        pr._chain = (width, shift, mult, mask)
+    return pr._chain
+
+
+def _chain(pr: Prime, packed: int, add) -> Iterator[int]:
+    """The one step of every table chain: yield packed, p^2 slots of width
+    bytes (see _barrett), then packed + add(packed) with every slot reduced
+    mod p, and so on.  add masks and shifts its table so that nothing moves
+    past the p^2 slots and each slot x of the sum stays below p^2 < 2^bits,
+    bits the length of p^2.
+
+    With shift k = bits + p.bit_length() and mult c = ceil(2^k / p), each
+    slot's x c fits its slot, so ((packed c) >> k) masked to the low
+    8 width - k bits of each slot is floor(x c / 2^k) in every slot at
+    once.  That is floor(x / p) exactly: with e = c p - 2^k < p,
+    x c / 2^k = x/p + x e / (p 2^k), and x e < 2^k, so the excess stays
+    below 1/p.  Subtracting p times those quotients leaves x mod p in every
+    slot, no borrow crossing a slot.
+    """
+    p = pr.p
+    _, shift, mult, mask = _barrett(pr)
+    while True:
+        yield packed
+        packed += add(packed)
+        packed -= p * ((packed * mult >> shift) & mask)
+
+
 def cong_right_tables(pr: Prime) -> Iterator[list[Sequence[int]]]:
     """For m = 0..p-1 in order, the p tables of T = (1+(1+x)y)^m (1+xy)^s,
     s = 0..p-1: cell M*p + j of table s holds [x^j y^M] T, the right side
@@ -133,22 +177,18 @@ def cong_right_tables(pr: Prime) -> Iterator[list[Sequence[int]]]:
     (times y and xy), and has no y^p term; table s+1 is table s plus itself
     shifted p+1 slots, row p-1 masked off first.  So nothing leaves the p^2
     slots, and j <= M in every row, so no shift crosses into the next row
-    within them.  Every slot is below 3p before Prime.reduce_slots.  The
-    one list is refilled in place for each m, so that only one m's tables
-    are held (7.3 MB at p = 97): read it before the next step.
+    within them.  Every slot is below 3p before the step of _chain reduces
+    it.  The one list is refilled in place for each m, so that only one
+    m's tables are held (3.6 MB at p = 97): read it before the next step.
     """
     p = pr.p
-    bits = 8 * pr.reduce_width
+    width = _barrett(pr)[0]
+    bits = 8 * width
     keep = (1 << bits * p * (p - 1)) - 1
-    u, tables = 1, [None] * p
-    for m in range(p):
-        if m:
-            u = pr.reduce_slots(u + (u << bits * p) + (u << bits * (p + 1)), p * p)
-        t = u
-        for s in range(p):
-            if s:
-                t = pr.reduce_slots(t + ((t & keep) << bits * (p + 1)), p * p)
-            tables[s] = unpack_slots(t, pr.reduce_width, p * p)
+    tables = [None] * p
+    for u in islice(_chain(pr, 1, lambda u: (u << bits * p) + (u << bits * (p + 1))), p):
+        for s, t in enumerate(islice(_chain(pr, u, lambda t: (t & keep) << bits * (p + 1)), p)):
+            tables[s] = unpack_slots(t, width, p * p)
         yield tables
 
 
@@ -157,18 +197,16 @@ def cong_left_tables(pr: Prime, m: int) -> Iterator[Sequence[int]]:
     M*p + j holds [x^j y^M] Q, the left side (-1)^j C(m,M-j) C(n,j) of
     cong_general.  Cell M*p of the first holds C(m, M); each later one is
     the one before plus p-1 times itself shifted p+1 slots (times -xy),
-    row p-1 masked off first, reduced by Prime.reduce_slots (every slot is
-    below p + (p-1)^2)."""
+    row p-1 masked off first, reduced by the step of _chain (every slot is
+    below p + (p-1)^2 < p^2)."""
     p = pr.p
-    width = pr.reduce_width
+    width = _barrett(pr)[0]
     bits = 8 * width
     keep = (1 << bits * p * (p - 1)) - 1
     slots = [0] * (p * p)
     slots[: (m + 1) * p : p] = pr.binom_row(m)
-    q = pack_slots(slots, width)
-    for n in range(p):
-        if n:
-            q = pr.reduce_slots(q + (p - 1) * ((q & keep) << bits * (p + 1)), p * p)
+    for q in islice(_chain(pr, pack_slots(slots, width),
+                           lambda q: (p - 1) * ((q & keep) << bits * (p + 1))), p):
         yield unpack_slots(q, width, p * p)
 
 
@@ -177,17 +215,18 @@ def comp_tables(pr: Prime, u: int, v: int) -> Iterator[Sequence[int]]:
     sequence each, for m = 1..p-1 in order: the coefficient of row t sits
     at t*p + M, and slot t*p + p-1 is a zero guard.
 
-    The start table, row t the powers (1+vx)^t cut at x^(p-2), is packed at
-    reduce_width once per v mod p and kept on the Prime.  Each table is the
-    one before, T, plus u times T shifted up one slot, slots p-2 and p-1 of
-    each row masked off first so that nothing crosses into the next row,
-    then reduced by Prime.reduce_slots (every slot is below p + (p-1)^2).
-    With (u, v) = (a, b), row n holds the left side of comp_general at
-    every M; with (u, v) = (a-b, -b), row s holds the right side.
+    The start table, row t the powers (1+vx)^t cut at x^(p-2), is packed
+    at the width of _barrett once per v mod p and kept on the Prime.  Each
+    table is the one before, T, plus u times T shifted up one slot, slots
+    p-2 and p-1 of each row masked off first so that nothing crosses into
+    the next row, then reduced by the step of _chain (every slot is below
+    p + (p-1)^2 < p^2).  With (u, v) = (a, b), row n holds the left side of
+    comp_general at every M; with (u, v) = (a-b, -b), row s holds the right
+    side.
     """
     p = pr.p
     u, v = u % p, v % p
-    width = pr.reduce_width
+    width = _barrett(pr)[0]
     table = pr._starts.get(v)
     if table is None:
         slots = [0] * (p * p)
@@ -196,8 +235,7 @@ def comp_tables(pr: Prime, u: int, v: int) -> Iterator[Sequence[int]]:
             slots[t * p : t * p + len(w)] = w
         table = pr._starts[v] = pack_slots(slots, width)
     keep = int.from_bytes((b"\xff" * (p - 2) * width + bytes(2 * width)) * p, "little")
-    for _ in range(1, p):
-        table = pr.reduce_slots(table + u * ((table & keep) << 8 * width), p * p)
+    for table in islice(_chain(pr, table, lambda t: u * ((t & keep) << 8 * width)), 1, p):
         yield unpack_slots(table, width, p * p)
 
 
@@ -219,9 +257,7 @@ def comp_general(pr: Prime, a: int, b: int, m: int, n: int, s: int) -> tuple[int
         raise EqualOffsetsError("comp_general requires a != b")
     if not (0 < m < p and 0 < n < p and 0 <= s < p):
         raise HypothesisViolationError(f"exponents outside hypothesis: {(m, n, s)}")
-    M = m + n + s - (p - 1)
-    if not 0 <= M < p - 1:
-        raise HypothesisViolationError(f"M = {M} outside [0, p-2]")
+    M = _cong_level(pr, m, n, s)
     return conv(pr, a, b, m, n, M), conv(pr, a - b, -b, m, s, M)
 
 

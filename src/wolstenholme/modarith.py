@@ -4,12 +4,11 @@ Residues are plain Python ints kept canonical in [0, m).  The Prime object
 bundles a validated odd prime p >= 5 with factorial tables mod p and a few
 lookup caches, filled as they are read (binomial rows, packed forms, power
 columns with their table of smallest prime factors, and the packed start
-tables of identities.comp_tables), that the exhaustive sweeps and the
-brute oracle lean on in hot verification loops.  A power row base^e is kept
-only packed; a weighted row C(n, i) base^i is built on each read and cached
-nowhere.  Prime.unpack reduces a combination of packed rows slot by slot
-once it is unpacked; Prime.reduce_slots reduces every slot of a packed int
-mod p at once, by a slot-wise Barrett step, and leaves it packed.  conv
+tables and step constants of the identities table chains), that the
+exhaustive sweeps and the brute oracle lean on in hot verification loops.
+A power row base^e is kept only packed; a weighted row C(n, i) base^i is
+built on each read and cached nowhere.  Prime.unpack reduces a combination
+of packed rows slot by slot once it is unpacked.  conv
 gives one coefficient of a product of two shifted binomials, the sum that
 the triple closed forms and the weighted-sum identities share.  It reads
 only the factorial tables and caches nothing, at a cost of O(window) per
@@ -111,14 +110,14 @@ class Prime:
     """Validated prime modulus p >= 5 with tables of i! and (i!)^-1 mod p.
 
     Immutable after construction (the internal caches only memoize pure
-    functions), so instances are safe to share.  Six of its seven lookup
+    functions), so instances are safe to share.  Five of its six lookup
     caches (binomial rows, packed power rows, packed binomial rows, power
-    columns, start tables and Barrett masks) are dicts keyed by top, base,
-    exponent or slot count, and hold only the entries read so far, so a
-    Prime costs its two factorial tables until a route reads more.  The
-    seventh is the smallest prime factor of every x < p, one array of p
-    entries of column_code (2 KB at p = 1009, 4 MB at p = 1000003), built
-    with the first positive power column.  powers and weighted_row cache
+    columns and start tables) are dicts keyed by top, base or exponent,
+    and hold only the entries read so far, so a Prime costs its two
+    factorial tables until a route reads more.  The sixth is the smallest
+    prime factor of every x < p, one array of p entries of column_code
+    (2 KB at p = 1009, 4 MB at p = 1000003), built with the first
+    positive power column.  powers and weighted_row cache
     nothing.  pack and unpack turn a row into one packed int and a
     combination of packed rows back into residues.  The power columns that
     the brute oracle reads, one per exponent |e| <= p-1, hold at most 2p-1
@@ -133,15 +132,14 @@ class Prime:
     an exact power of its own base, with no exponent reduced mod p-1, and
     reading it is still brute force.
 
-    The start tables, one per base v (see identities.comp_tables), are p^2
-    slots of reduce_width bytes each.  At most p of them exist, about 1.4 KB
-    each at p = 19 (26 KB for the 18 nonzero bases) and 3.8 KB at p = 31
-    (0.12 MB); only the exhaustive identity sweeps build them.
+    Only the exhaustive identity sweeps build the start tables, one per base
+    v (see identities.comp_tables), and the constants of their chain step,
+    held in _chain: at most p tables of p^2 slots, about 1.4 KB each at
+    p = 19 (26 KB for the 18 nonzero bases) and 3.8 KB at p = 31 (0.12 MB).
     """
 
-    __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "reduce_width",
-                 "_barrett", "_binom_rows", "_packed", "_packed_binom", "_columns",
-                 "_pow_columns", "_spf", "_starts", "_reduce_masks")
+    __slots__ = ("p", "fact", "inv_fact", "pack_width", "column_code", "_binom_rows", "_packed",
+                 "_packed_binom", "_columns", "_pow_columns", "_spf", "_starts", "_chain")
 
     def __init__(self, p: int):
         check_prime(p)
@@ -161,17 +159,6 @@ class Prime:
         while p * (p - 1) ** 2 >> (8 * width):
             width *= 2
         self.pack_width = width
-        # slot-wise Barrett reduction of slots below 2^bits, bits the length
-        # of p (p-1)^2: shift k and multiplier c = ceil(2^k / p), in slots of
-        # reduce_width bytes, wide enough to hold a slot value times c
-        bits = (p * (p - 1) ** 2).bit_length()
-        shift = bits + p.bit_length()
-        mult = -(-(1 << shift) // p)
-        width = 1
-        while 8 * width < bits + mult.bit_length():
-            width *= 2
-        self.reduce_width = width
-        self._barrett = (shift, mult)
         # the narrowest unsigned array type that holds every residue
         self.column_code = next(c for c in "BHIQ" if p <= 1 << 8 * array(c).itemsize)
         # lookup caches, each entry built on its first read
@@ -182,7 +169,7 @@ class Prime:
         self._pow_columns = 0  # positive columns built by _sieve_column so far
         self._spf: array | None = None  # smallest prime factor of each x < p
         self._starts: dict[int, int] = {}
-        self._reduce_masks: dict[int, int] = {}
+        self._chain: tuple[int, int, int, int] | None = None
 
     def __repr__(self) -> str:
         return f"Prime({self.p})"
@@ -316,27 +303,6 @@ class Prime:
             x = x * base % p
             out.append(c * x % p)
         return tuple(out)
-
-    def reduce_slots(self, packed: int, count: int) -> int:
-        """packed, every one of its count slots (reduce_width bytes each)
-        reduced mod p in the packed int; no later slot may be nonzero.
-
-        Every slot must hold some x < 2^bits, bits the length of p (p-1)^2.
-        With k = bits + p.bit_length() and c = ceil(2^k / p), each slot's
-        x c fits its slot, so ((packed c) >> k) masked to the low 8 width - k
-        bits of each slot is floor(x c / 2^k) in every slot at once.  That is
-        floor(x / p) exactly: with e = c p - 2^k < p, x c / 2^k = x/p + x e /
-        (p 2^k), and x e < 2^k, so the excess stays below 1/p.  Subtracting p
-        times those quotients leaves x mod p in every slot, no borrow
-        crossing a slot.
-        """
-        shift, mult = self._barrett
-        width = self.reduce_width
-        mask = self._reduce_masks.get(count)
-        if mask is None:
-            mask = self._reduce_masks[count] = pack_slots(
-                [(1 << (8 * width - shift)) - 1] * count, width)
-        return packed - self.p * ((packed * mult >> shift) & mask)
 
 
 # conv reads a window of hi - lo >= _CONV_LONG in zipped runs of inv_fact,

@@ -75,6 +75,15 @@ def test_eval_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+def test_eval_deeply_nested_groups_answer_like_the_bare_factor(capsys, depth):
+    # every route answers for (1+k) inside depth nested groups, with no
+    # traceback, as it does for (1+k) alone
+    want = run_cli(capsys, "eval", "-p", "7", "(1+k)")
+    assert want[0] == 0
+    assert run_cli(capsys, "eval", "-p", "7", "(" * depth + "(1+k)" + ")" * depth) == want
+
+
 def test_eval_exponent_out_of_range(capsys):
     code, _, err = run_cli(capsys, "eval", "-p", "5", "(3+k)^9")
     assert code == 2

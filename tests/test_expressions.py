@@ -72,3 +72,20 @@ def test_parse_errors():
         with pytest.raises(ExpressionError) as exc:
             parse_expression(text)
         assert str(exc.value) == message, text
+
+
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+def test_deep_nesting_parses_without_recursion(depth):
+    # groups nest on an explicit stack, so depth is bounded by memory, not
+    # by the interpreter's recursion limit
+    assert parse_expression("(" * depth + "(1+k)" + ")" * depth) == ([(1, 1)], [])
+    assert parse_expression("1/" + "(" * depth + "k^2 (3+k)" + ")" * depth) == (
+        [], [(0, 2), (3, 1)])
+    for text, message in (("(" * depth + "(1+k)" + ")" * (depth - 1), "unexpected end of expression"),
+                          ("(" * depth + ")" * depth, "expected a factor, got ')'"),
+                          ("(" * depth + "(1+k))^2" + ")" * (depth - 1),
+                           "exponents apply to single factors, not groups"),
+                          ("(" * depth + "(1+" + ")" * depth, "expected 'k', got ')'")):
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == message

@@ -1,10 +1,11 @@
 import random
+from itertools import islice
 from math import comb
 
 import pytest
 
 from reference_tables import comp_rows_by_recurrence
-from wolstenholme import modarith
+from wolstenholme import identities, modarith
 from wolstenholme.closedforms import triple_binomial
 from wolstenholme.errors import (
     EqualOffsetsError,
@@ -141,10 +142,12 @@ def test_cong_general_special_forms():
 def _cong_rows(pr, wanted=None):
     # {(m, n, s): (lhs, rhs)} for every (m, n, s) of the exhaustive thm3.11
     # grid, or those of wanted: row M of the table of (m, n) of
-    # cong_left_tables and of table s of cong_right_tables, cells M*p + j
+    # cong_left_tables and of table s of cong_right_tables, cells M*p + j.
+    # With wanted, the chains stop past its largest m
     p = pr.p
+    last = p - 1 if wanted is None else max(m for m, _, _ in wanted)
     rows = {}
-    for m, right in enumerate(cong_right_tables(pr)):
+    for m, right in zip(range(last + 1), cong_right_tables(pr)):
         for n, left in enumerate(cong_left_tables(pr, m)):
             for s in range(p):
                 M = m + n + s - (p - 1)
@@ -177,16 +180,23 @@ def test_cong_rows_match_cong_general(pr):
         cong_general(pr, p, 0, 0, 0)
 
 
-@pytest.mark.parametrize("p", [7, 11, 31, 37, 41])
+@pytest.mark.parametrize("p", [7, 11, 13, 31, 37, 41, 181, 191])
 def test_cong_rows_at_slot_width_edges(p):
-    # primes on each side of a change of Prime.reduce_width (4 bytes up to
-    # p = 31, 8 from p = 37) and of Prime.pack_width; s = p-1 puts the most
-    # terms into the right side
+    # primes on each side of a change of the chain step's slot width (2
+    # bytes up to p = 11, 4 from 13 to 181, 8 from 191) and of
+    # Prime.pack_width (2 bytes up to p = 37, 4 from 41); s = p-1 puts the
+    # most terms into the right side.  At p = 181 and 191 every case has
+    # m <= 2, since the right chain passes every smaller m first
     pr = make_prime(p)
     rng = random.Random(p)
-    cases = [(p - 2, 0, p - 1), (p - 3, 1, p - 1), ((p - 1) // 2, (p - 1) // 2, p - 2)]
-    while len(cases) < 12:
-        m, n, s = (rng.randrange(p) for _ in range(3))
+    if p < 100:
+        cases = [(p - 2, 0, p - 1), (p - 3, 1, p - 1), ((p - 1) // 2, (p - 1) // 2, p - 2)]
+        ms, count = p, 12
+    else:
+        cases = [(1, p - 3, p - 1), (2, p - 4, p - 1), (0, p - 1, p - 2), (2, p // 2, p // 2)]
+        ms, count = 3, 6
+    while len(cases) < count:
+        m, n, s = rng.randrange(ms), rng.randrange(p), rng.randrange(p)
         if 0 <= m + n + s - (p - 1) <= p - 2:
             cases.append((m, n, s))
     rows = _cong_rows(pr, set(cases))
@@ -196,7 +206,7 @@ def test_cong_rows_at_slot_width_edges(p):
             assert (lhs[j], rhs[j]) == cong_general(pr, m, n, s, j), (m, n, s, j)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 31, 37])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 37])
 def test_cong_tables_hold_their_products_in_p_squared_slots(monkeypatch, p):
     # every table of both chains is exactly p^2 slots, every slot j > M of
     # row M is 0 (so no shift by p+1 carries into the next row), and at
@@ -326,12 +336,23 @@ def test_comp_rows_match_comp_sides_on_full_grids():
         assert count == _comp_grid_count(p)
 
 
-def _all_tables(pr, u, v):
-    # the table of every m = 0..p-1: the start table that comp_tables keeps
-    # on the Prime, then the tables it yields
+def _start_table(pr, v):
+    # the start table that comp_tables keeps on the Prime, unpacked
     p = pr.p
+    return unpack_slots(pr._starts[v % p], identities._barrett(pr)[0], p * p)
+
+
+def _all_tables(pr, u, v):
+    # the table of every m = 0..p-1: the start table, then the tables that
+    # comp_tables yields
     later = list(comp_tables(pr, u, v))
-    return [unpack_slots(pr._starts[v % p], pr.reduce_width, p * p), *later]
+    return [_start_table(pr, v), *later]
+
+
+def _table(pr, u, v, m):
+    # the table of one m alone: the chain stops there
+    table = next(islice(comp_tables(pr, u, v), max(m - 1, 0), None))
+    return table if m else _start_table(pr, v)
 
 
 def _table_rows(table, p):
@@ -341,9 +362,10 @@ def _table_rows(table, p):
 
 @pytest.mark.parametrize("byte_path", [False, True])
 def test_comp_rows_match_row_recurrence(monkeypatch, byte_path):
-    # every (u, v, m) at p = 5, 7, 11 and seeded ones at p = 37 (8-byte
-    # slots), u = 0, v = 0 and m = p-1 among them, against the plain
-    # recurrence, on the native and the slot-by-slot packing
+    # every (u, v, m) at p = 5, 7, 11 and seeded ones at p = 13 and 37
+    # (4-byte chain slots) and p = 191 (8-byte slots, m <= 3 only), u = 0,
+    # v = 0 and m = p-1 among them below 191, against the plain recurrence,
+    # on the native and the slot-by-slot packing
     if byte_path:
         monkeypatch.setattr(modarith, "_SLOT_CODES", {})
     for p in (5, 7, 11):
@@ -353,14 +375,17 @@ def test_comp_rows_match_row_recurrence(monkeypatch, byte_path):
                 for m, table in enumerate(_all_tables(pr, u, v)):
                     want = comp_rows_by_recurrence(p, u, v, m)
                     assert _table_rows(table, p) == want, (p, u, v, m)
-    p = 37
-    pr = make_prime(p)
-    rng = random.Random(37)
-    cases = [(0, 5, 9), (4, 0, 9), (0, 0, p - 1), (p - 1, p - 1, p - 1), (3, -2, p - 1)]
-    cases += [(rng.randrange(p), rng.randrange(p), rng.randrange(p)) for _ in range(30)]
-    for u, v, m in cases:
-        want = comp_rows_by_recurrence(p, u % p, v % p, m)
-        assert _table_rows(_all_tables(pr, u, v)[m], p) == want, (u, v, m)
+    for p, count, ms in ((13, 8, 13), (37, 30, 37), (191, 2, 4)):
+        pr = make_prime(p)
+        rng = random.Random(p)
+        if p < 100:
+            cases = [(0, 5, 9), (4, 0, 9), (0, 0, p - 1), (p - 1, p - 1, p - 1), (3, -2, p - 1)]
+        else:
+            cases = [(0, 5, 2), (4, 0, 3), (p - 1, p - 1, 3), (3, -2, 1)]
+        cases += [(rng.randrange(p), rng.randrange(p), rng.randrange(ms)) for _ in range(count)]
+        for u, v, m in cases:
+            want = comp_rows_by_recurrence(p, u % p, v % p, m)
+            assert _table_rows(_table(pr, u, v, m), p) == want, (p, u, v, m)
 
 
 @pytest.mark.parametrize("byte_path", [False, True])
@@ -369,12 +394,19 @@ def test_comp_tables_keep_every_guard_slot_zero(monkeypatch, byte_path):
     # that the shift by one slot carries nothing into the next row
     if byte_path:
         monkeypatch.setattr(modarith, "_SLOT_CODES", {})
-    for p in (5, 7, 11, 37):
+    for p in (5, 7, 11, 13, 37):
         pr = make_prime(p)
         for u in range(p):
-            for v in (range(p) if p < 37 else (0, 1, p - 1)):
+            for v in (range(p) if p < 13 else (0, 1, p - 1)):
                 for table in _all_tables(pr, u, v):
                     assert not any(table[p - 1 :: p]), (p, u, v)
+    # seeded tables at p = 191, the first prime with 8-byte chain slots
+    p = 191
+    pr = make_prime(p)
+    rng = random.Random(p)
+    for u, v, m in [(p - 1, p - 1, 3), (0, 1, 0)] + [
+            (rng.randrange(p), rng.randrange(p), rng.randrange(4)) for _ in range(3)]:
+        assert not any(_table(pr, u, v, m)[p - 1 :: p]), (p, u, v, m)
 
 
 def test_vandermonde():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wolstenholme import modarith
+from wolstenholme import identities, modarith
 from wolstenholme.errors import (
     HypothesisViolationError,
     NotInvertibleError,
@@ -352,20 +352,23 @@ def test_is_prime_small():
 
 
 @pytest.mark.parametrize("byte_path", [False, True])
-@pytest.mark.parametrize("p,width", [(5, 2), (7, 4), (19, 4), (31, 4), (37, 8), (1009, 8)])
+@pytest.mark.parametrize("p,width", [(5, 2), (7, 2), (11, 2), (13, 4), (19, 4), (31, 4), (37, 4),
+                                     (181, 4), (191, 8), (1009, 8)])
 def test_reduce_slots_matches_remainders(monkeypatch, p, width, byte_path):
-    # the slot-wise Barrett step against v % p at the edges of its range,
-    # 0 .. 2^B - 1 with B the bit length of p (p-1)^2, and seeded values
+    # the one step of the identity table chains, identities._chain, against
+    # v % p in all p^2 slots of a table: the widths on each side of their
+    # edges (11/13, 181/191), values at the edges of the step's range
+    # 0 .. 2^B - 1, B the bit length of p^2, in the first and the last
+    # slots, and seeded values
     if byte_path:  # the slot-by-slot packing that big-endian hosts take
         monkeypatch.setattr(modarith, "_SLOT_CODES", {})
     pr = make_prime(p)
-    assert pr.reduce_width == width
-    top = (1 << (p * (p - 1) ** 2).bit_length()) - 1
+    assert identities._barrett(pr)[0] == width
+    top = (1 << (p * p).bit_length()) - 1
     rng = random.Random(p)
-    values = [0, 1, p - 1, p, 2 * p - 1, top, top - 1, top - p, p * (p - 1) ** 2, 0]
-    values += [rng.randrange(top + 1) for _ in range(200)] + [top] * 3
-    got = unpack_slots(pr.reduce_slots(pack_slots(values, width), len(values)), width, len(values))
-    assert list(got) == [v % p for v in values]
-    # trailing zero slots are reduced too
-    got = unpack_slots(pr.reduce_slots(pack_slots(values[:5], width), 9), width, 9)
-    assert list(got) == [v % p for v in values[:5]] + [0] * 4
+    edges = [0, 1, p - 1, p, 2 * p - 1, p * p - 1, top - p, top - 1, top, 0]
+    values = edges + [rng.randrange(top + 1) for _ in range(min(200, p * p - 2 * len(edges)))]
+    values += [0] * (p * p - len(values) - len(edges)) + edges[::-1]
+    chain = identities._chain(pr, 0, lambda table: pack_slots(values, width))
+    assert next(chain) == 0
+    assert list(unpack_slots(next(chain), width, p * p)) == [v % p for v in values]
